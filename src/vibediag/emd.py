@@ -7,14 +7,21 @@ Cauchy criterion SD = sum_t((h_prev - h_cur)^2 / h_prev^2) < sd_threshold
 swings are suppressed by mirroring the first and last few extrema about the
 series ends before splining. Extraction stops once the residual is monotone
 or has fewer than three interior extrema.
+
+Each envelope's knot slopes come from one tridiagonal solve by LAPACK
+``gtsv``, the routine behind scipy's natural ``CubicSpline``; the pieces are
+built and evaluated in scipy's operation order, so envelopes are bitwise
+equal to ``CubicSpline(xs, ys, bc_type="natural")`` (scipy 1.17) without
+its per-call validation and object set-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 
 @dataclass
@@ -85,31 +92,38 @@ def zero_crossings(series: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
-def _mirror_extend(idx: np.ndarray, val: np.ndarray, n: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror the first/last ``pad`` extrema about the series ends."""
+def spline_knots(idx: np.ndarray, val: np.ndarray, n: int, pad: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror-extended knot set used by :func:`spline_envelope`.
+
+    The first and last ``min(pad, len(idx))`` extrema are mirrored about
+    sample 0 and sample n-1; knots are sorted by position and, where two
+    coincide, the first in (left mirror, extrema, right mirror) order is
+    kept.
+    """
+    idx = np.asarray(idx)
+    val = np.asarray(val, dtype=np.float64)
     xs = idx.astype(np.float64)
-    ys = val
-    left_x = (-xs[:pad])[::-1]
-    left_y = ys[:pad][::-1]
-    right_x = (2.0 * (n - 1) - xs[-pad:])[::-1]
-    right_y = ys[-pad:][::-1]
-    all_x = np.concatenate([left_x, xs, right_x])
-    all_y = np.concatenate([left_y, ys, right_y])
-    order = np.argsort(all_x, kind="stable")
-    all_x = all_x[order]
-    all_y = all_y[order]
-    keep = np.concatenate([[True], np.diff(all_x) > 0])
+    if pad <= 0 or idx.size == 0:
+        return xs, val
+    p = min(pad, idx.size)
+    all_x = np.concatenate((-xs[p - 1::-1], xs, 2.0 * (n - 1) - xs[:-p - 1:-1]))
+    all_y = np.concatenate((val[p - 1::-1], val, val[:-p - 1:-1]))
+    gaps = all_x[1:] - all_x[:-1]
+    if (gaps < 0).any():
+        order = np.argsort(all_x, kind="stable")
+        all_x, all_y = all_x[order], all_y[order]
+        gaps = all_x[1:] - all_x[:-1]
+    if gaps.all():
+        return all_x, all_y
+    keep = np.concatenate(([True], gaps > 0))
     return all_x[keep], all_y[keep]
 
 
-def spline_knots(idx: np.ndarray, val: np.ndarray, n: int, pad: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror-extended knot set used by :func:`spline_envelope`."""
-    idx = np.asarray(idx)
-    val = np.asarray(val, dtype=np.float64)
-    if pad > 0 and idx.size > 0:
-        p = min(pad, idx.size)
-        return _mirror_extend(idx, val, n, p)
-    return idx.astype(np.float64), val
+@lru_cache(maxsize=8)
+def _sample_grid(n: int) -> np.ndarray:
+    grid = np.arange(n, dtype=np.float64)
+    grid.flags.writeable = False
+    return grid
 
 
 def spline_envelope(
@@ -122,21 +136,80 @@ def spline_envelope(
     """Natural cubic spline through the mirror-extended extrema.
 
     Sampled on the integer grid 0..n-1 unless an explicit ``grid`` of
-    (possibly fractional) positions is given. Raises
-    ValueError("monotone component") when fewer than two knots are
-    available, the signal for the sift loop to terminate.
+    (possibly fractional) positions is given; points beyond the end knots
+    extrapolate the end pieces. The result is bitwise equal to
+    ``scipy.interpolate.CubicSpline(xs, ys, bc_type="natural")(grid)``
+    (scipy 1.17): the same tridiagonal system is solved by the same LAPACK
+    routine, and the pieces are built and evaluated in scipy's operation
+    order. Raises ValueError("monotone component") when the knots do not
+    define an envelope (fewer than two, not strictly increasing, or a
+    singular or non-finite solve), the signal for the sift loop to terminate.
     """
     xs, ys = spline_knots(idx, val, n, pad)
-    if grid is None:
-        grid = np.arange(n, dtype=np.float64)
     if xs.size < 2:
         raise ValueError("monotone component")
+    dx = xs[1:] - xs[:-1]
+    if not (dx > 0).all():
+        raise ValueError("monotone component")
+    default_grid = grid is None
+    if default_grid:
+        grid = _sample_grid(n)
     if xs.size == 2:
         # Degenerate knot set: straight line.
         slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         return ys[0] + slope * (grid - xs[0])
-    spline = CubicSpline(xs, ys, bc_type="natural")
-    return spline(grid)
+
+    # Knot slopes s from CubicSpline's tridiagonal system, row i:
+    # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = b[i],
+    # with the natural end rows 2 dx s[0] + dx s[1] = 3 (y[1] - y[0]).
+    dy = ys[1:] - ys[:-1]
+    slope = dy / dx
+    m = xs.size
+    diag = np.empty(m)
+    diag[0] = 2 * dx[0]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    diag[-1] = 2 * dx[-1]
+    rhs = np.empty(m)
+    rhs[0] = 3 * dy[0]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # scipy adds the zero second derivative as 0.5 * 0 * dx**2, which turns
+    # a -0.0 into +0.0.
+    rhs[-1] = 3 * dy[-1] + 0.0
+    upper = np.concatenate((dx[:1], dx[:-1]))
+    lower = np.concatenate((dx[1:], dx[-1:]))
+    *_, s, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info != 0 or not np.isfinite(s).all():
+        raise ValueError("monotone component")
+
+    # Piece coefficients as in CubicHermiteSpline. scipy's evaluator starts
+    # its sum from 0.0, hence the 0.0 + ys.
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    cubic = t / dx
+    quad = (slope - s[:-1]) / dx - t
+    lin = s[:-1]
+    const = 0.0 + ys[:-1]
+
+    # Piece k covers xs[k] <= g < xs[k+1]; the end pieces extrapolate.
+    if default_grid:
+        # Grid point g lies right of the knots with ceil(xs) <= g, so each
+        # piece spans a run of points given by differences of ceil(xs).
+        first = np.ceil(xs).astype(np.intp)
+        np.clip(first, 0, n, out=first)
+        counts = first[1:] - first[:-1]
+        counts[0] += first[0]
+        counts[-1] += n - first[-1]
+        k = np.repeat(np.arange(m - 1), counts)
+    else:
+        grid = np.asarray(grid, dtype=np.float64)
+        k = np.clip(np.searchsorted(xs, grid, side="right") - 1, 0, m - 2)
+    # PPoly's term order: ((y + s z) + c1 z^2) + c0 (z^2 z).
+    z = grid - xs[k]
+    z2 = z * z
+    out = const[k] + lin[k] * z
+    out += quad[k] * z2
+    z2 *= z
+    out += cubic[k] * z2
+    return out
 
 
 def _interior_extrema_count(series: np.ndarray) -> tuple[int, int]:

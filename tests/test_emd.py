@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
+from vibediag import emd, segmentation, signal_model
 from vibediag.emd import (
     EmdConfig,
     find_extrema,
@@ -83,6 +85,107 @@ def test_spline_second_derivative_continuous_at_knots():
 def test_spline_fewer_than_two_knots_signals_monotone():
     with pytest.raises(ValueError, match="monotone"):
         spline_envelope(np.array([], dtype=int), np.array([]), 10)
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def knot_sets(draw, size=st.integers(1, 60), pad=st.integers(0, 3), seam=False):
+    """Sorted distinct integer extrema positions with values, as find_extrema gives."""
+    n = draw(st.integers(4, 400))
+    count = min(draw(size), n)
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True))
+    if seam:
+        idx[0] = 0  # mirrored to -0.0, a duplicate of the knot at 0
+        if draw(st.booleans()):
+            idx[-1] = n - 1
+    idx = np.array(sorted(set(idx)))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    val = np.array(draw(st.lists(values, min_size=idx.size, max_size=idx.size)))
+    return idx, val, n, draw(pad)
+
+
+def scipy_envelope(idx, val, n, pad=2, grid=None):
+    xs, ys = spline_knots(idx, val, n, pad)
+    return CubicSpline(xs, ys, bc_type="natural")(np.arange(n) if grid is None else grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        knot_sets(),
+        knot_sets(size=st.just(3), pad=st.just(0)),
+        knot_sets(pad=st.integers(1, 3), seam=True),
+        # No mirrored knots: the grid usually extends past both end knots.
+        knot_sets(size=st.integers(3, 60), pad=st.just(0)),
+    ),
+    st.none() | st.lists(st.floats(-10.0, 410.0), min_size=1, max_size=50).map(sorted),
+)
+def test_spline_envelope_matches_cubic_spline_bitwise(knots, grid):
+    assume(spline_knots(*knots)[0].size >= 3)  # two knots give a straight line
+    grid = None if grid is None else np.array(grid)
+    expected = scipy_envelope(*knots, grid=grid)
+    assert bitwise_equal(spline_envelope(*knots, grid=grid), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_sets(seam=True) | knot_sets(), st.randoms(use_true_random=False))
+def test_spline_knots_match_sorted_deduplicated_mirror(knots, rnd):
+    # Reference: concatenate the mirrors, stable-sort by position and keep
+    # the first of coinciding knots. Unsorted extrema take the same path.
+    idx, val, n, pad = knots
+    if rnd.random() < 0.3:
+        perm = np.array(rnd.sample(range(idx.size), idx.size))
+        idx, val = idx[perm], val[perm]
+    xs, ys = spline_knots(idx, val, n, pad)
+    p = min(pad, idx.size)
+    x = idx.astype(np.float64)
+    if p:
+        x = np.concatenate([(-x[:p])[::-1], x, (2.0 * (n - 1) - x[-p:])[::-1]])
+        val = np.concatenate([val[:p][::-1], val, val[-p:][::-1]])
+        order = np.argsort(x, kind="stable")
+        x, val = x[order], val[order]
+        keep = np.concatenate([[True], np.diff(x) > 0])
+        x, val = x[keep], val[keep]
+    assert bitwise_equal(xs, x) and bitwise_equal(ys, val)
+
+
+@pytest.mark.parametrize(
+    "idx, val",
+    [
+        ([3, 3, 5], [1.0, 2.0, 0.5]),  # repeated knot: zero-width piece
+        ([5, 3, 7], [1.0, 2.0, 0.5]),  # descending knots
+        ([2, 4, 6, 8], [1.0, np.inf, 0.5, 1.0]),  # non-finite value: singular solve
+    ],
+)
+def test_spline_degenerate_knots_signal_monotone(idx, val):
+    # CubicSpline rejects the same knot sets, so the sift loop stops where
+    # it stopped when it splined with scipy.
+    idx, val = np.array(idx), np.array(val)
+    with pytest.raises(ValueError):
+        CubicSpline(*spline_knots(idx, val, 10, pad=0), bc_type="natural")
+    with pytest.raises(ValueError, match="monotone component"):
+        spline_envelope(idx, val, 10, pad=0)
+
+
+def desk_window(label):
+    spec = signal_model.preset_spec(label, duration_s=0.25, sample_rate_hz=8192.0)
+    rec = signal_model.synthesize_recording(spec, 40 + int(label), id="w")
+    return segmentation.segment(rec, 1024, 410)[0].linear
+
+
+@pytest.mark.parametrize("label", list(signal_model.FaultLabel))
+def test_sift_bitwise_equal_to_cubic_spline_envelopes(label, monkeypatch):
+    x = desk_window(label)
+    assert x.size == 1024
+    ours = sift(x)
+    monkeypatch.setattr(emd, "spline_envelope", scipy_envelope)
+    theirs = sift(x)
+    assert len(ours) == len(theirs) >= 1
+    for a, b in zip(ours.imfs + [ours.residual], theirs.imfs + [theirs.residual]):
+        assert bitwise_equal(a, b)
 
 
 def test_sift_pure_tone():
