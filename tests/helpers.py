@@ -66,14 +66,51 @@ def layer_gradient_cases(seed):
 
     rng = np.random.default_rng(seed)
     return [
-        (Conv3x3(2, 3, rng), rng.normal(size=(1, 5, 5, 2)), False),
-        (Dense(7, 4, rng), rng.normal(size=(3, 7)), False),
-        (MaxPool2x2(), sampled_away_from_zero(rng, (2, 4, 4, 3)), False),
+        (Conv3x3(2, 3, rng), rng.normal(size=(1, 5, 5, 2)), True),
+        (Dense(7, 4, rng), rng.normal(size=(3, 7)), True),
+        (MaxPool2x2(), sampled_away_from_zero(rng, (2, 4, 4, 3)), True),
         (Flatten(), rng.normal(size=(2, 3, 3, 2)), False),
-        (ReLU(), sampled_away_from_zero(rng, (4, 6)), False),
+        (ReLU(), sampled_away_from_zero(rng, (4, 6)), True),
         (Dropout(0.4), rng.normal(size=(3, 8)), True),
-        (Softmax(), rng.normal(size=(3, 5)), False),
+        (Softmax(), rng.normal(size=(3, 5)), True),
     ]
+
+
+def reference_conv3x3(x, kernels, bias, grad):
+    """The 9-tap convolution: one GEMM per kernel tap, col2im by shifted adds.
+
+    Returns (output, d_kernels, d_bias, input gradient) for an output gradient
+    ``grad``.
+    """
+    b, h, w, cin = x.shape
+    cout = kernels.shape[3]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.tile(bias, (b * h * w, 1))
+    gm = grad.reshape(-1, cout)
+    d_kernels = np.zeros_like(kernels)
+    dxp = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, di : di + h, dj : dj + w, :].reshape(-1, cin)
+            out += patch @ kernels[di, dj]
+            d_kernels[di, dj] = patch.T @ gm
+            dxp[:, di : di + h, dj : dj + w, :] += (gm @ kernels[di, dj].T).reshape(b, h, w, cin)
+    return out.reshape(b, h, w, cout), d_kernels, gm.sum(axis=0), dxp[:, 1 : 1 + h, 1 : 1 + w, :]
+
+
+def reference_maxpool2x2(x, grad):
+    """Pooling by a transposed copy of the blocks and argmax (first maximum on
+    ties); returns (output, input gradient)."""
+    b, h, w, c = x.shape
+    blocks = x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(
+        b, h // 2, w // 2, c, 4
+    )
+    argmax = blocks.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(blocks, argmax, axis=-1)[..., 0]
+    scatter = np.zeros((b, h // 2, w // 2, c, 4), dtype=grad.dtype)
+    np.put_along_axis(scatter, argmax, grad[..., None], axis=-1)
+    dx = scatter.reshape(b, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
+    return out, dx
 
 
 def envelope_spectrum(x, fs, cutoff_hz=500.0):

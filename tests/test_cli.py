@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -122,6 +123,20 @@ def test_branches_consume_byte_identical_dataset(desk_run, tmp_path):
         model_manifest = json.loads((ckpt / "model.json").read_text())
         hashes[branch] = model_manifest["config"]["dataset_sha256"]
     assert hashes["cnn"] == hashes["mlp"]
+
+
+def test_checkpoint_does_not_depend_on_dataset_location(desk_run, tmp_path):
+    artifacts = []
+    for where in (tmp_path / "a" / "dataset", tmp_path / "b" / "nested" / "copy"):
+        shutil.copytree(desk_run / "dataset", where)
+        ckpt = where.parent / "ckpt"
+        assert run([
+            "train", "--dataset", where, "--out", ckpt, "--branch", "mlp",
+            "--seed", "2", "--max-epochs", "2", "--patience", "2",
+        ]) == 0
+        artifacts.append(json.loads((ckpt / "manifest.json").read_text())["artifacts"])
+    for name in ("model.json", "model.bin"):
+        assert artifacts[0][name] == artifacts[1][name]
 
 
 def test_featurize_is_reproducible(desk_run, tmp_path):

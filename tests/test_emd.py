@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -163,11 +165,15 @@ def test_spline_knots_match_sorted_deduplicated_mirror(knots, rnd):
 def test_spline_degenerate_knots_signal_monotone(idx, val):
     # CubicSpline rejects the same knot sets, so the sift loop stops where
     # it stopped when it splined with scipy.
+    # A floating-point warning before the error would escape the sift loop
+    # under -W error, so warnings fail the test.
     idx, val = np.array(idx), np.array(val)
-    with pytest.raises(ValueError):
-        CubicSpline(*spline_knots(idx, val, 10, pad=0), bc_type="natural")
-    with pytest.raises(ValueError, match="monotone component"):
-        spline_envelope(idx, val, 10, pad=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            CubicSpline(*spline_knots(idx, val, 10, pad=0), bc_type="natural")
+        with pytest.raises(ValueError, match="monotone component"):
+            spline_envelope(idx, val, 10, pad=0)
 
 
 def desk_window(label):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fd_layer_gradients, layer_gradient_cases, max_relative_error
+from helpers import (
+    fd_layer_gradients,
+    layer_gradient_cases,
+    max_relative_error,
+    reference_conv3x3,
+    reference_maxpool2x2,
+)
+from vibediag.hybrid_model import build_hybrid
 from vibediag.nn_engine import (
     Adam,
     Conv3x3,
@@ -12,6 +20,7 @@ from vibediag.nn_engine import (
     MaxPool2x2,
     Model,
     ReLU,
+    Softmax,
     TrainConfig,
     adam_step,
     load_model,
@@ -51,16 +60,95 @@ def test_conv_identity_kernel():
 def test_maxpool_forward_and_tie_routing():
     pool = MaxPool2x2()
     block = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-    out = pool.forward(block)
+    out = pool.forward(block, training=True)
     assert out[0, 0, 0, 0] == 4.0
     back = pool.backward(np.full((1, 1, 1, 1), 5.0))
     np.testing.assert_array_equal(back[0, :, :, 0], [[0.0, 0.0], [0.0, 5.0]])
 
     ties = np.full((1, 2, 2, 1), 7.0)
-    out = pool.forward(ties)
+    out = pool.forward(ties, training=True)
     assert out[0, 0, 0, 0] == 7.0
     back = pool.backward(np.ones((1, 1, 1, 1)))
     np.testing.assert_array_equal(back[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+    cin=st.integers(1, 6), cout=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_matches_nine_tap_reference(b, h, w, cin, cout, seed):
+    rng = np.random.default_rng(seed)
+    conv = Conv3x3(cin, cout, rng)
+    conv.bias[...] = rng.normal(size=cout)
+    x = rng.normal(size=(b, h, w, cin))
+    grad = rng.normal(size=(b, h, w, cout))
+    out = conv.forward(x, training=True)
+    dx = conv.backward(grad)
+    for got, want in zip((out, conv.d_kernels, conv.d_bias, dx),
+                         reference_conv3x3(x, conv.kernels, conv.bias, grad)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maxpool_bitwise_equals_argmax_reference(b, h, w, c, seed):
+    # Few distinct values, signed zeros among them, so most blocks hold ties.
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(b, 2 * h, 2 * w, c))
+    grad = rng.normal(size=(b, h, w, c))
+    pool = MaxPool2x2()
+    out = pool.forward(x, training=True)
+    dx = pool.backward(grad)
+    want_out, want_dx = reference_maxpool2x2(x, grad)
+    np.testing.assert_array_equal(_bits(out), _bits(want_out))
+    np.testing.assert_array_equal(_bits(dx), _bits(want_dx))
+    np.testing.assert_array_equal(_bits(MaxPool2x2().forward(x)), _bits(want_out))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (Conv3x3(2, 3, rng), rng.normal(size=(1, 4, 4, 2))),
+    lambda rng: (Dense(3, 2, rng), rng.normal(size=(2, 3))),
+    lambda rng: (MaxPool2x2(), rng.normal(size=(1, 4, 4, 2))),
+    lambda rng: (ReLU(), rng.normal(size=(2, 3))),
+    lambda rng: (Softmax(), rng.normal(size=(2, 3))),
+])
+def test_backward_needs_a_training_forward(make):
+    rng = np.random.default_rng(0)
+    layer, x = make(rng)
+    out = layer.forward(x)
+    name = type(layer).__name__
+    with pytest.raises(RuntimeError, match=f"{name}.backward needs a training-mode forward"):
+        layer.backward(np.ones_like(out))
+    layer.forward(x, training=True)
+    layer.forward(x)  # an eval forward drops what the training forward kept
+    with pytest.raises(RuntimeError, match=name):
+        layer.backward(np.ones_like(out))
+
+
+def test_hybrid_gradients_do_not_depend_on_first_layer_input_gradient():
+    rng = np.random.default_rng(21)
+    images = rng.uniform(size=(4, 32, 32, 3))
+    feats = rng.uniform(size=(4, 2))
+    dlogits = rng.normal(size=(4, 5))
+    grads = []
+    for input_grad in (False, True):
+        model = build_hybrid(channels=3, seed=4)
+        assert model.image_layers[0].input_grad is False
+        model.image_layers[0].input_grad = input_grad
+        model.forward_logits(images, feats, training=True, rng=np.random.default_rng(5))
+        model.backward(dlogits)
+        grads.append([g.copy() for g in model.gradients()])
+    for skipped, computed in zip(*grads):
+        np.testing.assert_array_equal(_bits(skipped), _bits(computed))
 
 
 def test_maxpool_halves_architecture_shape():
