@@ -27,13 +27,14 @@ from vibediag.hybrid_model import (
     assign_splits,
     classification_report,
     confusion_to_csv,
+    dataset_from_examples,
     evaluate_arrays,
     load_dataset,
     render_report,
     save_dataset,
 )
 from vibediag.nn_engine import load_model, save_model, train
-from vibediag.pipeline import featurize_recordings, load_recordings_dir
+from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
 from vibediag.signal_model import (
     FaultLabel,
     Recording,
@@ -142,13 +143,15 @@ def cmd_featurize(args) -> int:
         spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz, taper=config.band.taper)
         peaks = find_torsional_peaks(spectrum, config.band.search_lo_hz, config.band.search_hi_hz)
         config.band.centers_hz = tuple(p.center_hz for p in peaks)
-    recordings = load_recordings_dir(args.recordings)
-    dataset = featurize_recordings(recordings, config, jobs=args.jobs, seed=seed)
+    windows = recording_windows(load_recordings_dir(args.recordings), config)
+    examples = featurize_windows(windows, config, jobs=args.jobs)
+    dataset = dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
     out = _prepare_out(args.out)
     save_dataset(dataset, out)
     write_manifest(out, "featurize", seed, config,
                    [out / "dataset.json", out / "dataset.bin"],
-                   extra={"examples": len(dataset)})
+                   extra={"examples": len(dataset),
+                          **sift_counters(examples, config.emd.max_sift_iterations)})
     print(f"featurize: {len(dataset)} windows -> {out}")
     return 0
 

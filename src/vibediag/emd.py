@@ -1,12 +1,14 @@
 """Empirical mode decomposition by sifting with natural cubic-spline envelopes.
 
-Each sifting pass subtracts the mean of the upper and lower envelopes from
-the current proto-mode; a pass sequence terminates on the classic pointwise
-Cauchy criterion SD = sum_t((h_prev - h_cur)^2 / h_prev^2) < sd_threshold
-(0.2 is the standard value) or after a fixed iteration cap. Envelope end
-swings are suppressed by mirroring the first and last few extrema about the
-series ends before splining. Extraction stops once the residual is monotone
-or has fewer than three interior extrema.
+Each sifting pass subtracts the envelope mean m = (upper + lower) / 2 from
+the current proto-mode, then tests the stopping rule of Rilling, Flandrin &
+Goncalves 2003 ("On empirical mode decomposition and its algorithms") with
+the envelope amplitude a = |upper - lower| / 2: sifting stops once
+|m| > THETA1 a holds on at most ALPHA n samples and |m| > THETA2 a holds on
+none, or after ``max_sift_iterations`` passes. Envelope end swings are
+suppressed by mirroring the first and last few extrema about the series ends
+before splining. Extraction stops once the residual is monotone or has fewer
+than three interior extrema.
 
 Each envelope's knot slopes come from one tridiagonal solve by LAPACK
 ``gtsv``, the routine behind scipy's natural ``CubicSpline``; the pieces are
@@ -23,19 +25,23 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+# Rilling's stopping rule: the envelope mean may exceed THETA1 times the
+# envelope amplitude on at most a fraction ALPHA of the samples, and THETA2
+# times it nowhere.
+THETA1 = 0.05
+THETA2 = 0.5
+ALPHA = 0.05
+
 
 @dataclass
 class EmdConfig:
     max_imfs: int = 3
-    sd_threshold: float = 0.2
     max_sift_iterations: int = 100
     boundary_pad_extrema: int = 2
 
     def __post_init__(self) -> None:
         if self.max_imfs < 1:
             raise ValueError("max_imfs must be >= 1")
-        if not 0.0 < self.sd_threshold < 1.0:
-            raise ValueError("sd_threshold must lie in (0, 1)")
         if self.max_sift_iterations < 1:
             raise ValueError("max_sift_iterations must be >= 1")
         if self.boundary_pad_extrema < 0:
@@ -44,10 +50,15 @@ class EmdConfig:
 
 @dataclass
 class ImfSet:
-    """Ordered intrinsic mode functions plus the residual of one window."""
+    """Ordered intrinsic mode functions plus the residual of one window.
+
+    ``iterations[k]`` is the number of sifting passes that produced
+    ``imfs[k]``.
+    """
 
     imfs: list[np.ndarray] = field(default_factory=list)
     residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    iterations: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.imfs)
@@ -236,15 +247,18 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
 
     n = x.size
     pad = config.boundary_pad_extrema
+    loose_limit = ALPHA * n
     residual = x.copy()
     imfs: list[np.ndarray] = []
+    iterations: list[int] = []
 
     for _ in range(config.max_imfs):
         n_max, n_min = _interior_extrema_count(residual)
         if n_max + n_min < 3:
             break
         h = residual.copy()
-        for _ in range(config.max_sift_iterations):
+        passes = 0
+        while passes < config.max_sift_iterations:
             (max_idx, max_val), (min_idx, min_val) = find_extrema(h)
             if max_idx.size < 2 or min_idx.size < 2:
                 break
@@ -254,14 +268,18 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
             except ValueError:
                 break
             mean_env = 0.5 * (upper + lower)
-            h_new = h - mean_env
-            # Pointwise Cauchy criterion; the tiny floor keeps samples at
-            # zero crossings from dominating the sum.
-            sd = float(np.sum((h - h_new) ** 2 / (h * h + 1e-12)))
-            h = h_new
-            if sd < config.sd_threshold:
+            h = h - mean_env
+            passes += 1
+            # Rilling's rule as comparisons, so that samples where the
+            # envelopes touch (a = 0) need no special case.
+            abs_mean = np.abs(mean_env)
+            amplitude = np.abs(upper - lower)
+            amplitude *= 0.5
+            if (np.count_nonzero(abs_mean > THETA1 * amplitude) <= loose_limit
+                    and not (abs_mean > THETA2 * amplitude).any()):
                 break
         imfs.append(h)
+        iterations.append(passes)
         residual = residual - h
 
-    return ImfSet(imfs=imfs, residual=residual)
+    return ImfSet(imfs=imfs, residual=residual, iterations=iterations)

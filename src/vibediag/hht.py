@@ -75,24 +75,31 @@ def analytic_signal(series: np.ndarray, dt: float | None = None) -> AnalyticSign
     z = np.fft.ifft(spectrum * gain)
     out = AnalyticSignal(x=x, y=z.imag, amplitude=np.abs(z), phase=np.unwrap(np.angle(z)))
     if dt is not None:
-        out.frequency_hz = instantaneous_frequency(out, dt)
+        out.frequency_hz = _phase_rate_hz(out.phase, dt)
     return out
+
+
+def _phase_rate_hz(phase: np.ndarray, dt: float) -> np.ndarray:
+    """Clamped central-difference frequency of an unwrapped phase."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    freq = np.empty_like(phase)
+    freq[1:-1] = (phase[2:] - phase[:-2]) / (4.0 * np.pi * dt)
+    freq[0] = (phase[1] - phase[0]) / (2.0 * np.pi * dt)
+    freq[-1] = (phase[-1] - phase[-2]) / (2.0 * np.pi * dt)
+    return np.maximum(freq, 0.0)
 
 
 def instantaneous_frequency(analytic: AnalyticSignal, dt: float) -> np.ndarray:
     """Instantaneous frequency in Hz from the unwrapped phase.
 
     Central differences at interior samples, one-sided at the ends;
-    negative estimates are clamped to zero.
+    negative estimates are clamped to zero. The phase is unwrapped again
+    here, so a hand-built signal with a wrapped phase is accepted too;
+    :func:`analytic_signal` skips that second pass, its phase being
+    unwrapped already.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    phase = np.unwrap(analytic.phase)
-    freq = np.empty_like(phase)
-    freq[1:-1] = (phase[2:] - phase[:-2]) / (4.0 * np.pi * dt)
-    freq[0] = (phase[1] - phase[0]) / (2.0 * np.pi * dt)
-    freq[-1] = (phase[-1] - phase[-2]) / (2.0 * np.pi * dt)
-    return np.maximum(freq, 0.0)
+    return _phase_rate_hz(np.unwrap(analytic.phase), dt)
 
 
 def colormap_table() -> np.ndarray:
@@ -154,14 +161,19 @@ def render_spectrum_image(
         raise ValueError(f"freq_max_hz {freq_max_hz} exceeds the Nyquist frequency {nyquist}")
 
     n = imfs.imfs[0].size
-    grid = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
     time_bins = (np.arange(n) * IMAGE_SIZE) // n
     df = freq_max_hz / IMAGE_SIZE
+    cells, weights = [], []
     for imf in imfs.imfs[:3]:
         z = analytic_signal(imf, dt)
         keep = z.frequency_hz <= freq_max_hz
         fbin = np.minimum((z.frequency_hz[keep] / df).astype(int), IMAGE_SIZE - 1)
-        np.add.at(grid, (fbin, time_bins[keep]), z.amplitude[keep])
+        cells.append(fbin * IMAGE_SIZE + time_bins[keep])
+        weights.append(z.amplitude[keep])
+    # One bincount over all modes adds each cell's amplitudes in sample
+    # order, mode after mode, as a sequential scatter-add would.
+    grid = np.bincount(np.concatenate(cells), weights=np.concatenate(weights),
+                       minlength=IMAGE_SIZE * IMAGE_SIZE).reshape(IMAGE_SIZE, IMAGE_SIZE)
 
     if log_compress:
         grid = np.log1p(grid)

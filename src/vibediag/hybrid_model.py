@@ -41,6 +41,7 @@ class Example:
     label: FaultLabel
     recording_id: str
     start_index: int
+    sift_iterations: tuple[int, ...] = ()  # sifting passes per IMF of the image
 
     @property
     def key(self) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 from vibediag.band_features import extract_features
-from vibediag.config import RunConfig
+from vibediag.config import RunConfig, config_to_dict
 from vibediag.emd import sift
 from vibediag.hht import render_spectrum_image
 from vibediag.hybrid_model import Example, FeaturizedDataset, dataset_from_examples
@@ -30,7 +30,7 @@ def _featurize_window(payload):
     )
     pair = extract_features(angular, 1.0 / dt, centers_hz=centers,
                             half_width_hz=half_width, squared=squared, taper=taper)
-    return image, pair
+    return image, pair, tuple(modes.iterations)
 
 
 def featurize_windows(windows: Sequence[Window], config: RunConfig, jobs: int = 1) -> list[Example]:
@@ -50,26 +50,35 @@ def featurize_windows(windows: Sequence[Window], config: RunConfig, jobs: int = 
         results = [_featurize_window(p) for p in payloads]
     return [
         Example(image=image, features=pair, label=w.label,
-                recording_id=w.recording_id, start_index=w.start_index)
-        for w, (image, pair) in zip(windows, results)
+                recording_id=w.recording_id, start_index=w.start_index,
+                sift_iterations=iterations)
+        for w, (image, pair, iterations) in zip(windows, results)
     ]
+
+
+def sift_counters(examples: Sequence[Example], max_sift_iterations: int) -> dict:
+    """IMFs extracted, mean sifting passes per IMF and IMFs stopped by the cap."""
+    passes = [n for e in examples for n in e.sift_iterations]
+    return {
+        "imfs": len(passes),
+        "sift_iters_per_imf": sum(passes) / len(passes) if passes else 0.0,
+        "imfs_at_sift_cap": sum(n >= max_sift_iterations for n in passes),
+    }
+
+
+def recording_windows(recordings: Sequence[Recording], config: RunConfig) -> list[Window]:
+    seg = config.segmentation
+    windows = [w for rec in recordings
+               for w in segment(rec, seg.window_len, seg.hop, seg.linear_channel)]
+    if not windows:
+        raise ValueError("no windows produced; recordings shorter than one window?")
+    return windows
 
 
 def featurize_recordings(recordings: Sequence[Recording], config: RunConfig,
                          jobs: int = 1, seed: int | None = None) -> FeaturizedDataset:
-    windows: list[Window] = []
-    for rec in recordings:
-        windows.extend(
-            segment(rec, config.segmentation.window_len, config.segmentation.hop,
-                    config.segmentation.linear_channel)
-        )
-    if not windows:
-        raise ValueError("no windows produced; recordings shorter than one window?")
-    examples = featurize_windows(windows, config, jobs=jobs)
-    from vibediag.config import config_to_dict
-
-    echo = config_to_dict(config)
-    return dataset_from_examples(examples, config_echo=echo, seed=seed)
+    examples = featurize_windows(recording_windows(recordings, config), config, jobs=jobs)
+    return dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
 
 
 def load_recordings_dir(directory: str | Path) -> list[Recording]:

@@ -113,6 +113,39 @@ def reference_maxpool2x2(x, grad):
     return out, dx
 
 
+def desk_window(label):
+    """The first 1024-sample linear window of a 0.25 s, 8192 Hz recording."""
+    from vibediag import segmentation, signal_model
+
+    spec = signal_model.preset_spec(label, duration_s=0.25, sample_rate_hz=8192.0)
+    rec = signal_model.synthesize_recording(spec, 40 + int(label), id="w")
+    return segmentation.segment(rec, 1024, 410)[0].linear
+
+
+def reference_render_pixels(imfs, dt, freq_max_hz, channels=3, log_compress=True):
+    """The Hilbert raster by a sequential ``np.add.at`` scatter, with the
+    frequency taken from a second unwrap of the analytic phase."""
+    from vibediag.hht import IMAGE_SIZE, analytic_signal, apply_colormap, instantaneous_frequency
+
+    n = imfs.imfs[0].size
+    grid = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    time_bins = (np.arange(n) * IMAGE_SIZE) // n
+    df = freq_max_hz / IMAGE_SIZE
+    for imf in imfs.imfs[:3]:
+        z = analytic_signal(imf)
+        freq = instantaneous_frequency(z, dt)
+        keep = freq <= freq_max_hz
+        fbin = np.minimum((freq[keep] / df).astype(int), IMAGE_SIZE - 1)
+        np.add.at(grid, (fbin, time_bins[keep]), z.amplitude[keep])
+    if log_compress:
+        grid = np.log1p(grid)
+    peak = grid.max()
+    if peak <= 0:
+        return np.zeros((IMAGE_SIZE, IMAGE_SIZE, channels))
+    grid /= peak
+    return apply_colormap(grid) if channels == 3 else grid[:, :, None]
+
+
 def envelope_spectrum(x, fs, cutoff_hz=500.0):
     """Rectified, moving-average-lowpassed envelope spectrum (freqs, mags)."""
     env = np.abs(np.asarray(x, dtype=np.float64))

@@ -146,6 +146,9 @@ def test_featurize_is_reproducible(desk_run, tmp_path):
     reference = json.loads((desk_run / "dataset" / "manifest.json").read_text())
     repeat = json.loads((other / "manifest.json").read_text())
     assert repeat["artifacts"]["dataset.bin"] == reference["artifacts"]["dataset.bin"]
+    # The featurize manifest carries the sift counters (split later
+    # rewrites the manifest of desk_run's dataset directory).
+    assert {"examples", "imfs", "sift_iters_per_imf", "imfs_at_sift_cap"} <= set(repeat["extra"])
 
 
 def test_embed_outputs(desk_run, tmp_path):

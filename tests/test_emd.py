@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from vibediag import emd, segmentation, signal_model
+from helpers import desk_window
+from vibediag import emd, signal_model
+from vibediag.config import config_from_dict
 from vibediag.emd import (
     EmdConfig,
     find_extrema,
@@ -176,12 +178,6 @@ def test_spline_degenerate_knots_signal_monotone(idx, val):
             spline_envelope(idx, val, 10, pad=0)
 
 
-def desk_window(label):
-    spec = signal_model.preset_spec(label, duration_s=0.25, sample_rate_hz=8192.0)
-    rec = signal_model.synthesize_recording(spec, 40 + int(label), id="w")
-    return segmentation.segment(rec, 1024, 410)[0].linear
-
-
 @pytest.mark.parametrize("label", list(signal_model.FaultLabel))
 def test_sift_bitwise_equal_to_cubic_spline_envelopes(label, monkeypatch):
     x = desk_window(label)
@@ -201,6 +197,22 @@ def test_sift_pure_tone():
     assert len(out) >= 1
     assert corr(out.imfs[0], x) >= 0.99
     assert np.max(np.abs(out.residual)) <= 0.05
+
+
+def test_sift_pure_tone_converges_in_few_iterations():
+    # A tone is already a mode: its envelope mean is far below its
+    # amplitude, so the stopping rule holds after the first pass or two.
+    t = np.arange(1000) / 1000.0
+    out = sift(np.sin(2 * np.pi * 50 * t), EmdConfig(max_imfs=1))
+    assert 1 <= out.iterations[0] <= 3
+
+
+@pytest.mark.parametrize("label", list(signal_model.FaultLabel))
+def test_sift_stops_before_the_cap_on_desk_windows(label):
+    config = EmdConfig()
+    out = sift(desk_window(label), config)
+    assert len(out.iterations) == len(out) >= 1
+    assert all(1 <= n < config.max_sift_iterations for n in out.iterations), out.iterations
 
 
 def test_sift_tone_plus_trend():
@@ -241,8 +253,10 @@ def test_sift_reconstruction_identity(values):
 
 
 def test_imf_oscillation_statistic():
-    # The SD stop does not guarantee the extrema/zero-crossing property per
-    # signal; assert it holds for >= 95% of IMFs over random trials.
+    # The stopping rule bounds the envelope mean, which does not guarantee
+    # the extrema/zero-crossing property per signal; assert it holds for
+    # >= 95% of IMFs over random trials. A rule that stops too early (the
+    # ratio SD sum((h - h')^2) / sum(h^2) < 0.2) fails this bar.
     rng = np.random.default_rng(42)
     good = 0
     total = 0
@@ -269,5 +283,8 @@ def test_sift_rejects_bad_input():
 def test_config_validation():
     with pytest.raises(ValueError):
         EmdConfig(max_imfs=0)
-    with pytest.raises(ValueError):
-        EmdConfig(sd_threshold=1.5)
+
+
+def test_config_rejects_removed_sd_threshold():
+    with pytest.raises(ValueError, match="sd_threshold"):
+        config_from_dict({"emd": {"sd_threshold": 0.2}})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vibediag.emd import ImfSet
+from helpers import desk_window, reference_render_pixels
+from vibediag.emd import ImfSet, sift
 from vibediag.hht import (
     AnalyticSignal,
     analytic_signal,
@@ -11,6 +12,7 @@ from vibediag.hht import (
     render_spectrum_image,
     write_image,
 )
+from vibediag.signal_model import FaultLabel
 
 
 def tone_imfs(f0=100.0, fs=1000.0, dur=1.0, amp=1.0):
@@ -132,6 +134,16 @@ def test_three_channel_render_is_pointwise_colormap_of_scalar():
     gray = render_spectrum_image(imfs, dt=1e-3, freq_max_hz=200.0, channels=1)
     rgb = render_spectrum_image(imfs, dt=1e-3, freq_max_hz=200.0, channels=3)
     np.testing.assert_array_equal(rgb.pixels, apply_colormap(gray.pixels[:, :, 0]))
+
+
+@pytest.mark.parametrize("label", list(FaultLabel))
+def test_render_bitwise_equal_to_scatter_add_reference(label):
+    imfs = sift(desk_window(label))
+    dt = 1.0 / 8192.0
+    for channels, freq_max_hz, log_compress in ((3, 4096.0, True), (1, 1500.0, False)):
+        pixels = render_spectrum_image(imfs, dt, freq_max_hz, channels, log_compress).pixels
+        expected = reference_render_pixels(imfs, dt, freq_max_hz, channels, log_compress)
+        assert pixels.tobytes() == expected.tobytes()
 
 
 def test_render_rejects_freq_above_nyquist():
