@@ -247,7 +247,6 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
 
     n = x.size
     pad = config.boundary_pad_extrema
-    loose_limit = ALPHA * n
     residual = x.copy()
     imfs: list[np.ndarray] = []
     iterations: list[int] = []
@@ -273,9 +272,8 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
             # Rilling's rule as comparisons, so that samples where the
             # envelopes touch (a = 0) need no special case.
             abs_mean = np.abs(mean_env)
-            amplitude = np.abs(upper - lower)
-            amplitude *= 0.5
-            if (np.count_nonzero(abs_mean > THETA1 * amplitude) <= loose_limit
+            amplitude = 0.5 * np.abs(upper - lower)
+            if (np.count_nonzero(abs_mean > THETA1 * amplitude) <= ALPHA * n
                     and not (abs_mean > THETA2 * amplitude).any()):
                 break
         imfs.append(h)
