@@ -180,23 +180,20 @@ def extract_features(
     )
 
 
-def fit_scaler(pairs: Sequence[FeaturePair]) -> MinMaxScaler:
-    """Learn per-feature min/max. Fit this on the training split only."""
-    if len(pairs) < 2:
+def fit_scaler(values: np.ndarray) -> MinMaxScaler:
+    """Learn per-feature min/max of ``(n, 2)`` values. Fit this on the training split only."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 2:
         raise ValueError("need at least 2 training pairs to fit the scaler")
-    values = np.array([[p.n1, p.n2] for p in pairs])
     return MinMaxScaler(minimum=values.min(axis=0), maximum=values.max(axis=0))
 
 
-def apply_scaler(scaler: MinMaxScaler, pair: FeaturePair) -> FeaturePair:
-    """Map each feature through (v - min) / (max - min), clamped to [0, 1].
+def apply_scaler(scaler: MinMaxScaler, values: np.ndarray) -> np.ndarray:
+    """Map ``(n, 2)`` values through (v - min) / (max - min), clamped to [0, 1].
 
     A degenerate feature (max == min) maps to 0.
     """
-    raw = pair.as_array()
     span = scaler.maximum - scaler.minimum
-    out = np.zeros(2)
-    for i in range(2):
-        if span[i] > 0:
-            out[i] = np.clip((raw[i] - scaler.minimum[i]) / span[i], 0.0, 1.0)
-    return FeaturePair(n1=float(out[0]), n2=float(out[1]))
+    out = np.zeros(np.shape(values))
+    np.divide(np.asarray(values, dtype=np.float64) - scaler.minimum, span, out=out, where=span > 0)
+    return np.clip(out, 0.0, 1.0, out=out)

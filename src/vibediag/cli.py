@@ -32,6 +32,7 @@ from vibediag.hybrid_model import (
     load_dataset,
     render_report,
     save_dataset,
+    save_dataset_json,
 )
 from vibediag.nn_engine import load_model, save_model, train
 from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
@@ -168,11 +169,14 @@ def cmd_split(args) -> int:
     dataset_dir = Path(args.dataset)
     dataset = load_dataset(dataset_dir)
     assign_splits(dataset, spec)
-    save_dataset(dataset, dataset_dir)
+    save_dataset_json(dataset, dataset_dir)
+    counts = {name: len(keys) for name, keys in dataset.splits.items()}
+    # Keep the featurize counters that the manifest being replaced recorded.
+    previous = dataset_dir / "manifest.json"
+    extra = json.loads(previous.read_text()).get("extra", {}) if previous.is_file() else {}
     write_manifest(dataset_dir, "split", seed, config,
                    [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
-                   extra={name: len(keys) for name, keys in dataset.splits.items()})
-    counts = {name: len(keys) for name, keys in dataset.splits.items()}
+                   extra={**extra, **counts})
     print(f"split: {counts}")
     return 0
 
@@ -189,15 +193,9 @@ def cmd_train(args) -> int:
     channels = dataset.images.shape[3]
     model = BRANCH_BUILDERS[args.branch](channels=channels, seed=seed)
 
-    def arrays(split_name):
-        images, feats, _, onehot = dataset.arrays_for(split_name)
-        if args.branch == "cnn":
-            return images, None, onehot
-        if args.branch == "mlp":
-            return None, feats, onehot
-        return images, feats, onehot
-
-    model, history = train(model, arrays("train"), arrays("val"), tcfg)
+    images, feats, _, onehot = dataset.arrays_for("train")
+    val_images, val_feats, _, val_onehot = dataset.arrays_for("val")
+    model, history = train(model, (images, feats, onehot), (val_images, val_feats, val_onehot), tcfg)
 
     out = _prepare_out(args.out)
     # The dataset is named by content only, so model.json does not depend on
@@ -222,10 +220,6 @@ def cmd_eval(args) -> int:
     model, model_manifest = load_model(args.checkpoint)
     branch = (model_manifest.get("config") or {}).get("branch", "hybrid")
     images, feats, labels, _ = dataset.arrays_for(args.split)
-    if branch == "cnn":
-        feats = None
-    elif branch == "mlp":
-        images = None
     metrics = evaluate_arrays(model, images, feats, labels)
     report = classification_report(metrics)
 

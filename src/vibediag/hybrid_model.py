@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from vibediag.band_features import FeaturePair, MinMaxScaler
+from vibediag.band_features import FeaturePair, MinMaxScaler, apply_scaler, fit_scaler
 from vibediag.hht import IMAGE_SIZE, SpectrumImage
 from vibediag.nn_engine import (
     Conv3x3,
@@ -28,6 +28,7 @@ from vibediag.nn_engine import (
     Model,
     ReLU,
     Softmax,
+    eval_logits,
 )
 from vibediag.signal_model import N_CLASSES, FaultLabel
 
@@ -37,7 +38,7 @@ FLATTEN_WIDTH = 64 * (IMAGE_SIZE // 8) ** 2  # 64 maps of 4x4 -> 1024
 @dataclass
 class Example:
     image: SpectrumImage
-    features: FeaturePair  # normalized to [0, 1]
+    features: FeaturePair  # raw band power; scaled only after the split stage
     label: FaultLabel
     recording_id: str
     start_index: int
@@ -64,49 +65,41 @@ def _cut(count: int, fraction: float) -> int:
     return int(np.ceil(fraction * count))
 
 
-def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded shuffle, then ceil-sized test and validation cuts."""
+def split_indices(n: int, spec: SplitSpec,
+                  labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded shuffle, then ceil-sized test and validation cuts.
+
+    With ``spec.stratified`` the shuffle and both cuts run within each class
+    of ``labels``; otherwise all ``n`` items form one class.
+    """
     if n < 3:
         raise ValueError("need at least 3 examples to split")
-    order = np.random.default_rng(spec.seed).permutation(n)
-    n_test = _cut(n, spec.test_fraction)
-    n_val = _cut(n - n_test, spec.val_fraction)
-    if n_test + n_val >= n:
-        raise ValueError("split leaves an empty training set")
-    test = order[:n_test]
-    val = order[n_test : n_test + n_val]
-    train = order[n_test + n_val :]
+    if not spec.stratified:
+        labels = np.zeros(n, dtype=int)
+    elif labels is None:
+        raise ValueError("a stratified split needs labels")
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(spec.seed)
+    parts = []
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        order = members[rng.permutation(members.size)]
+        n_test = _cut(members.size, spec.test_fraction)
+        n_val = _cut(members.size - n_test, spec.val_fraction)
+        parts.append((order[n_test + n_val :], order[n_test : n_test + n_val], order[:n_test]))
+    train, val, test = (np.concatenate(column) for column in zip(*parts))
+    if min(train.size, val.size, test.size) == 0:
+        raise ValueError("split leaves an empty subset")
     return train, val, test
 
 
 def split(examples: Sequence, spec: SplitSpec):
     """Split any sequence into (train, val, test) lists, disjoint and exhaustive.
 
-    Plain random by default; with ``spec.stratified`` the same ceil rule is
-    applied within each label (items must then expose ``.label``).
+    With ``spec.stratified`` the items must expose ``.label``.
     """
-    n = len(examples)
-    if not spec.stratified:
-        tr, va, te = split_indices(n, spec)
-    else:
-        labels = np.array([int(e.label) for e in examples])
-        rng = np.random.default_rng(spec.seed)
-        tr_parts, va_parts, te_parts = [], [], []
-        for cls in np.unique(labels):
-            members = np.flatnonzero(labels == cls)
-            order = members[rng.permutation(members.size)]
-            n_test = _cut(members.size, spec.test_fraction)
-            n_val = _cut(members.size - n_test, spec.val_fraction)
-            te_parts.append(order[:n_test])
-            va_parts.append(order[n_test : n_test + n_val])
-            tr_parts.append(order[n_test + n_val :])
-        tr = np.concatenate(tr_parts)
-        va = np.concatenate(va_parts)
-        te = np.concatenate(te_parts)
-        if min(tr.size, va.size, te.size) == 0:
-            raise ValueError("split produced an empty subset")
-    pick = lambda idx: [examples[i] for i in idx]
-    return pick(tr), pick(va), pick(te)
+    labels = [int(e.label) for e in examples] if spec.stratified else None
+    return tuple([examples[i] for i in idx] for idx in split_indices(len(examples), spec, labels))
 
 
 def _cnn_branch(channels: int, rng, dtype) -> list:
@@ -251,16 +244,10 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
 
 def predict_classes(model: Model, images, features, chunk: int = 256) -> np.ndarray:
     """Argmax predictions in eval mode; ties resolve to the lowest class index."""
-    n = images.shape[0] if images is not None else features.shape[0]
+    n = len(images if images is not None else features)
     out = np.empty(n, dtype=int)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        logits = model.forward_logits(
-            None if images is None else images[lo:hi],
-            None if features is None else features[lo:hi],
-            training=False,
-        )
-        out[lo:hi] = logits.argmax(axis=1)
+    for rows, logits in eval_logits(model, images, features, n, chunk):
+        out[rows] = logits.argmax(axis=1)
     return out
 
 
@@ -359,12 +346,7 @@ class FeaturizedDataset:
     def normalized_features(self) -> np.ndarray:
         if self.scaler is None:
             raise ValueError("dataset has no fitted scaler; run the split stage first")
-        span = self.scaler.maximum - self.scaler.minimum
-        out = np.zeros_like(self.features_raw)
-        for j in range(2):
-            if span[j] > 0:
-                out[:, j] = np.clip((self.features_raw[:, j] - self.scaler.minimum[j]) / span[j], 0.0, 1.0)
-        return out
+        return apply_scaler(self.scaler, self.features_raw)
 
     def arrays_for(self, split_name: str):
         idx = self.indices_for(split_name)
@@ -385,27 +367,27 @@ def dataset_from_examples(examples: Sequence[Example], config_echo: dict | None 
     )
 
 
-def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
-    """Write ``dataset.json`` (manifest) and ``dataset.bin`` (arrays).
+DATASET_FORMAT = "vibediag-dataset-v1"
 
-    The binary layout is images, then features, then one-hot labels, all
-    little-endian 64-bit floats at the offsets recorded in the manifest.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    onehot = np.eye(N_CLASSES)[dataset.labels]
-    blobs = []
+
+def _binary_arrays(dataset: FeaturizedDataset):
+    """The arrays of ``dataset.bin`` in file order."""
+    return (("images", dataset.images), ("features", dataset.features_raw),
+            ("labels_onehot", np.eye(N_CLASSES)[dataset.labels]))
+
+
+def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
+    """Write ``dataset.json``, the manifest of the ``dataset.bin`` that
+    :func:`save_dataset` writes for the same arrays."""
     offsets = {}
     offset = 0
-    for name, array in (("images", dataset.images), ("features", dataset.features_raw),
-                        ("labels_onehot", onehot)):
-        raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
-        offsets[name] = {"byte_offset": offset, "byte_length": len(raw), "shape": list(array.shape)}
-        blobs.append(raw)
-        offset += len(raw)
+    for name, array in _binary_arrays(dataset):
+        length = array.size * 8
+        offsets[name] = {"byte_offset": offset, "byte_length": length, "shape": list(array.shape)}
+        offset += length
     per_class = {l.canonical_name: int((dataset.labels == int(l)).sum()) for l in FaultLabel}
     manifest = {
-        "format": "vibediag-dataset-v1",
+        "format": DATASET_FORMAT,
         "counts": {"examples": len(dataset), "per_class": per_class},
         "label_map": {l.canonical_name: int(l) for l in FaultLabel},
         "offsets": offsets,
@@ -419,13 +401,27 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
         "seed": dataset.seed,
         "total_bytes": offset,
     }
-    (out_dir / "dataset.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out_dir / "dataset.bin").write_bytes(b"".join(blobs))
+    (Path(out_dir) / "dataset.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
+    """Write ``dataset.json`` (manifest) and ``dataset.bin`` (arrays).
+
+    The binary layout is images, then features, then one-hot labels, all
+    little-endian 64-bit floats at the offsets recorded in the manifest.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_dataset_json(dataset, out_dir)
+    (out_dir / "dataset.bin").write_bytes(b"".join(
+        np.ascontiguousarray(array, dtype="<f8").tobytes() for _, array in _binary_arrays(dataset)))
 
 
 def load_dataset(in_dir) -> FeaturizedDataset:
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "dataset.json").read_text())
+    if manifest.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{in_dir / 'dataset.json'}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
     blob = (in_dir / "dataset.bin").read_bytes()
     if len(blob) != manifest["total_bytes"]:
         raise ValueError("dataset.bin length does not match the manifest")
@@ -454,25 +450,8 @@ def load_dataset(in_dir) -> FeaturizedDataset:
 
 def assign_splits(dataset: FeaturizedDataset, spec: SplitSpec) -> FeaturizedDataset:
     """Attach split membership and a train-split-only feature scaler."""
-    keys = dataset.provenance
-
-    class _Item:
-        __slots__ = ("key", "label")
-
-        def __init__(self, key, label):
-            self.key = key
-            self.label = label
-
-    items = [_Item(k, FaultLabel(int(l))) for k, l in zip(keys, dataset.labels)]
-    train_items, val_items, test_items = split(items, spec)
-    dataset.splits = {
-        "train": [i.key for i in train_items],
-        "val": [i.key for i in val_items],
-        "test": [i.key for i in test_items],
-    }
-    train_idx = dataset.indices_for("train")
-    pairs = [FeaturePair(*row) for row in dataset.features_raw[train_idx]]
-    from vibediag.band_features import fit_scaler
-
-    dataset.scaler = fit_scaler(pairs)
+    train, val, test = split_indices(len(dataset), spec, dataset.labels)
+    dataset.splits = {name: [dataset.provenance[i] for i in idx]
+                      for name, idx in (("train", train), ("val", val), ("test", test))}
+    dataset.scaler = fit_scaler(dataset.features_raw[train])
     return dataset

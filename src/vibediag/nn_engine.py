@@ -387,6 +387,11 @@ class Model:
             if branch:
                 branch[0].input_grad = False
 
+    def used_inputs(self, images, features):
+        """``(images, features)``, each replaced by None when its branch is missing."""
+        return (None if self.image_layers is None else images,
+                None if self.feature_layers is None else features)
+
     def _run(self, layers, x, training, rng):
         for layer in layers:
             x = layer.forward(x, training=training, rng=rng)
@@ -488,6 +493,9 @@ def model_from_manifest_layers(layer_groups: dict, dtype=np.float64) -> Model:
     )
 
 
+MODEL_FORMAT = "vibediag-model-v1"
+
+
 def save_model(model: Model, out_dir, seed: int | None = None, config: dict | None = None) -> None:
     """Write ``model.json`` (manifest) and ``model.bin`` (parameters).
 
@@ -514,7 +522,7 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
             blobs.append(raw)
             offset += len(raw)
     manifest = {
-        "format": "vibediag-model-v1",
+        "format": MODEL_FORMAT,
         "layers": model.manifest_layers(),
         "tensors": tensors,
         "total_bytes": offset,
@@ -528,6 +536,8 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 def load_model(in_dir) -> tuple[Model, dict]:
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "model.json").read_text())
+    if manifest.get("format") != MODEL_FORMAT:
+        raise ValueError(f"{in_dir / 'model.json'}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
     blob = (in_dir / "model.bin").read_bytes()
     if len(blob) != manifest["total_bytes"]:
         raise ValueError("model.bin length does not match the manifest")
@@ -540,20 +550,26 @@ def load_model(in_dir) -> tuple[Model, dict]:
     return model, manifest
 
 
+def _rows(array, rows):
+    return None if array is None else array[rows]
+
+
+def eval_logits(model: Model, images, features, n: int, chunk: int = 256):
+    """Yield ``(rows, logits)`` of eval-mode forwards over ``n`` rows, ``chunk`` rows at a time."""
+    images, features = model.used_inputs(images, features)
+    for lo in range(0, n, chunk):
+        rows = slice(lo, min(lo + chunk, n))
+        yield rows, model.forward_logits(_rows(images, rows), _rows(features, rows), training=False)
+
+
 def _batched_eval(model: Model, images, features, onehot, chunk: int = 256):
     n = onehot.shape[0]
     total_loss = 0.0
     correct = 0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        logits = model.forward_logits(
-            None if images is None else images[lo:hi],
-            None if features is None else features[lo:hi],
-            training=False,
-        )
-        loss, probs, _ = softmax_crossentropy(logits, onehot[lo:hi])
-        total_loss += loss * (hi - lo)
-        correct += int((probs.argmax(axis=1) == onehot[lo:hi].argmax(axis=1)).sum())
+    for rows, logits in eval_logits(model, images, features, n, chunk):
+        loss, probs, _ = softmax_crossentropy(logits, onehot[rows])
+        total_loss += loss * logits.shape[0]
+        correct += int((probs.argmax(axis=1) == onehot[rows].argmax(axis=1)).sum())
     return total_loss / n, correct / n
 
 
@@ -561,10 +577,12 @@ def train(model: Model, train_data, val_data, config: TrainConfig) -> tuple[Mode
     """Train with Adam, early stopping on validation loss, best-model restore.
 
     ``train_data`` and ``val_data`` are (images, features, onehot) triples;
-    an input not consumed by the model may be None. The last partial
-    minibatch is kept. Raises RuntimeError on non-finite loss.
+    an input not consumed by the model is dropped here, once, and may be
+    None. The last partial minibatch is kept. Raises RuntimeError on
+    non-finite loss.
     """
     images, features, onehot = train_data
+    images, features = model.used_inputs(images, features)
     n = onehot.shape[0]
     if n == 0 or val_data[2].shape[0] == 0:
         raise ValueError("training and validation splits must be non-empty")
@@ -582,12 +600,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig) -> tuple[Mode
         epoch_correct = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            logits = model.forward_logits(
-                None if images is None else images[idx],
-                None if features is None else features[idx],
-                training=True,
-                rng=rng,
-            )
+            logits = model.forward_logits(_rows(images, idx), _rows(features, idx), training=True, rng=rng)
             loss, probs, dlogits = softmax_crossentropy(logits, onehot[idx])
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")

@@ -7,53 +7,41 @@ from pathlib import Path
 from typing import Sequence
 
 from vibediag.band_features import extract_features
-from vibediag.config import RunConfig, config_to_dict
+from vibediag.config import RunConfig
 from vibediag.emd import sift
 from vibediag.hht import render_spectrum_image
-from vibediag.hybrid_model import Example, FeaturizedDataset, dataset_from_examples
+from vibediag.hybrid_model import Example
 from vibediag.segmentation import Window, segment
 from vibediag.signal_model import Recording, load_recording
 
 
-def _featurize_window(payload):
-    (linear, angular, dt, start_index, recording_id, label,
-     emd_cfg, hht_cfg, centers, half_width, squared, taper) = payload
-    modes = sift(linear, emd_cfg)
+def _featurize_window(task: tuple[Window, RunConfig]) -> Example:
+    window, config = task
+    modes = sift(window.linear, config.emd)
     image = render_spectrum_image(
-        modes, dt,
-        freq_max_hz=hht_cfg.freq_max_hz,
-        channels=hht_cfg.channels,
-        log_compress=hht_cfg.log_compress,
-        recording_id=recording_id,
-        start_index=start_index,
-        label=label,
+        modes, window.dt,
+        freq_max_hz=config.hht.freq_max_hz,
+        channels=config.hht.channels,
+        log_compress=config.hht.log_compress,
+        recording_id=window.recording_id,
+        start_index=window.start_index,
+        label=window.label,
     )
-    pair = extract_features(angular, 1.0 / dt, centers_hz=centers,
-                            half_width_hz=half_width, squared=squared, taper=taper)
-    return image, pair, tuple(modes.iterations)
+    band = config.band
+    pair = extract_features(window.angular, 1.0 / window.dt, centers_hz=tuple(band.centers_hz),
+                            half_width_hz=band.half_width_hz, squared=band.squared, taper=band.taper)
+    return Example(image=image, features=pair, label=window.label,
+                   recording_id=window.recording_id, start_index=window.start_index,
+                   sift_iterations=tuple(modes.iterations))
 
 
 def featurize_windows(windows: Sequence[Window], config: RunConfig, jobs: int = 1) -> list[Example]:
     """Images plus raw band-power features for each window, input order kept."""
-    payloads = [
-        (
-            w.linear, w.angular, w.dt, w.start_index, w.recording_id, w.label,
-            config.emd, config.hht, tuple(config.band.centers_hz),
-            config.band.half_width_hz, config.band.squared, config.band.taper,
-        )
-        for w in windows
-    ]
+    tasks = [(w, config) for w in windows]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_featurize_window, payloads, chunksize=8))
-    else:
-        results = [_featurize_window(p) for p in payloads]
-    return [
-        Example(image=image, features=pair, label=w.label,
-                recording_id=w.recording_id, start_index=w.start_index,
-                sift_iterations=iterations)
-        for w, (image, pair, iterations) in zip(windows, results)
-    ]
+            return list(pool.map(_featurize_window, tasks, chunksize=8))
+    return [_featurize_window(task) for task in tasks]
 
 
 def sift_counters(examples: Sequence[Example], max_sift_iterations: int) -> dict:
@@ -73,12 +61,6 @@ def recording_windows(recordings: Sequence[Recording], config: RunConfig) -> lis
     if not windows:
         raise ValueError("no windows produced; recordings shorter than one window?")
     return windows
-
-
-def featurize_recordings(recordings: Sequence[Recording], config: RunConfig,
-                         jobs: int = 1, seed: int | None = None) -> FeaturizedDataset:
-    examples = featurize_windows(recording_windows(recordings, config), config, jobs=jobs)
-    return dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
 
 
 def load_recordings_dir(directory: str | Path) -> list[Recording]:

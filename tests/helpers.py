@@ -182,3 +182,51 @@ def detected_rates(x, fs, rates=(59.0, 87.0, 99.0)):
         ratios[rate] = mags[mask].max() / floor
     cutoff = max(5.0, 0.15 * max(ratios.values()))
     return tuple(rate for rate in rates if ratios[rate] >= cutoff)
+
+
+def reference_apply_scaler(minimum, maximum, values):
+    """Min-max scaling one element at a time: (v - min) / (max - min), clamped
+    to [0, 1], and 0 for a feature whose span is not positive."""
+    span = maximum - minimum
+    out = np.zeros(np.shape(values))
+    for row in range(out.shape[0]):
+        for i in range(out.shape[1]):
+            if span[i] > 0:
+                out[row, i] = np.clip((values[row, i] - minimum[i]) / span[i], 0.0, 1.0)
+    return out
+
+
+def reference_split_keys(keys, labels, spec):
+    """Split membership as ``{"train", "val", "test"} -> keys``, by a plain
+    seeded shuffle with ceil-sized cuts, or the same rule within each label
+    with ``spec.stratified``; items are picked through a ``(key, label)`` shim."""
+
+    class _Item:
+        __slots__ = ("key", "label")
+
+        def __init__(self, key, label):
+            self.key = key
+            self.label = label
+
+    items = [_Item(k, int(l)) for k, l in zip(keys, labels)]
+    n = len(items)
+    cut = lambda count, fraction: int(np.ceil(fraction * count))
+    rng = np.random.default_rng(spec.seed)
+    if not spec.stratified:
+        order = rng.permutation(n)
+        n_test = cut(n, spec.test_fraction)
+        n_val = cut(n - n_test, spec.val_fraction)
+        te, va, tr = order[:n_test], order[n_test : n_test + n_val], order[n_test + n_val :]
+    else:
+        labels = np.array([i.label for i in items])
+        tr_parts, va_parts, te_parts = [], [], []
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            order = members[rng.permutation(members.size)]
+            n_test = cut(members.size, spec.test_fraction)
+            n_val = cut(members.size - n_test, spec.val_fraction)
+            te_parts.append(order[:n_test])
+            va_parts.append(order[n_test : n_test + n_val])
+            tr_parts.append(order[n_test + n_val :])
+        tr, va, te = np.concatenate(tr_parts), np.concatenate(va_parts), np.concatenate(te_parts)
+    return {name: [items[i].key for i in idx] for name, idx in (("train", tr), ("val", va), ("test", te))}

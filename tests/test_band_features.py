@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from helpers import reference_apply_scaler
 
 from vibediag.band_features import (
-    FeaturePair,
     MinMaxScaler,
     Spectrum,
     apply_scaler,
@@ -174,33 +176,47 @@ def test_extract_features_requires_two_centers():
 
 
 def test_scaler_basics():
-    scaler = fit_scaler([FeaturePair(2.0, 0.0), FeaturePair(4.0, 10.0)])
-    assert apply_scaler(scaler, FeaturePair(3.0, 5.0)).n1 == 0.5
-    assert apply_scaler(scaler, FeaturePair(5.0, 5.0)).n1 == 1.0  # clamped
-    assert apply_scaler(scaler, FeaturePair(2.0, 0.0)).n1 == 0.0
-    assert apply_scaler(scaler, FeaturePair(4.0, 10.0)).n1 == 1.0
-    assert apply_scaler(scaler, FeaturePair(0.0, 11.0)).n2 == 1.0
+    scaler = fit_scaler(np.array([[2.0, 0.0], [4.0, 10.0]]))
+    assert apply_scaler(scaler, np.array([[3.0, 5.0]]))[0, 0] == 0.5
+    assert apply_scaler(scaler, np.array([[5.0, 5.0]]))[0, 0] == 1.0  # clamped
+    assert apply_scaler(scaler, np.array([[2.0, 0.0]]))[0, 0] == 0.0
+    assert apply_scaler(scaler, np.array([[4.0, 10.0]]))[0, 0] == 1.0
+    assert apply_scaler(scaler, np.array([[0.0, 11.0]]))[0, 1] == 1.0
 
 
 def test_scaler_degenerate_feature_maps_to_zero():
-    scaler = fit_scaler([FeaturePair(2.0, 7.0), FeaturePair(2.0, 9.0)])
-    out = apply_scaler(scaler, FeaturePair(2.0, 8.0))
-    assert out.n1 == 0.0
-    assert out.n2 == 0.5
+    scaler = fit_scaler(np.array([[2.0, 7.0], [2.0, 9.0]]))
+    out = apply_scaler(scaler, np.array([[2.0, 8.0]]))
+    assert out[0, 0] == 0.0
+    assert out[0, 1] == 0.5
 
 
 def test_scaler_fit_validation():
     with pytest.raises(ValueError):
-        fit_scaler([])
+        fit_scaler(np.empty((0, 2)))
     with pytest.raises(ValueError):
-        fit_scaler([FeaturePair(1.0, 1.0)])
+        fit_scaler(np.array([[1.0, 1.0]]))
     with pytest.raises(ValueError):
         MinMaxScaler(minimum=np.array([1.0, 1.0]), maximum=np.array([0.0, 2.0]))
 
 
+finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(2, 6), st.just(2)), elements=finite),
+       arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=finite),
+       st.sampled_from([(), (0,), (1,), (0, 1)]))
+def test_scaler_bitwise_equals_elementwise_reference(train, values, flat):
+    train[:, list(flat)] = train[0, list(flat)]  # zero span in these features
+    scaler = fit_scaler(train)
+    out = apply_scaler(scaler, values)
+    expected = reference_apply_scaler(scaler.minimum, scaler.maximum, values)
+    assert out.tobytes() == expected.tobytes()
+
+
 @given(st.floats(-100, 100), st.floats(-100, 100))
 def test_scaler_output_always_in_unit_interval(a, b):
-    scaler = fit_scaler([FeaturePair(0.0, 0.0), FeaturePair(1.0, 2.0)])
-    out = apply_scaler(scaler, FeaturePair(a, b))
-    assert 0.0 <= out.n1 <= 1.0
-    assert 0.0 <= out.n2 <= 1.0
+    scaler = fit_scaler(np.array([[0.0, 0.0], [1.0, 2.0]]))
+    out = apply_scaler(scaler, np.array([[a, b]]))
+    assert 0.0 <= out[0, 0] <= 1.0
+    assert 0.0 <= out[0, 1] <= 1.0

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 
 import pytest
@@ -146,9 +147,20 @@ def test_featurize_is_reproducible(desk_run, tmp_path):
     reference = json.loads((desk_run / "dataset" / "manifest.json").read_text())
     repeat = json.loads((other / "manifest.json").read_text())
     assert repeat["artifacts"]["dataset.bin"] == reference["artifacts"]["dataset.bin"]
-    # The featurize manifest carries the sift counters (split later
-    # rewrites the manifest of desk_run's dataset directory).
-    assert {"examples", "imfs", "sift_iters_per_imf", "imfs_at_sift_cap"} <= set(repeat["extra"])
+    # The featurize manifest carries the sift counters, and the split
+    # manifest that replaces it in desk_run's dataset directory keeps them.
+    counters = {"examples", "imfs", "sift_iters_per_imf", "imfs_at_sift_cap"}
+    assert counters <= set(repeat["extra"])
+    assert set(reference["extra"]) == counters | {"train", "val", "test"}
+
+
+def test_split_leaves_dataset_bin_untouched(desk_run, tmp_path):
+    copy = tmp_path / "dataset"
+    shutil.copytree(desk_run / "dataset", copy)
+    os.utime(copy / "dataset.bin", ns=(0, 0))
+    assert run(["split", "--dataset", copy, "--seed", "8"]) == 0
+    assert (copy / "dataset.bin").stat().st_mtime_ns == 0
+    assert load_dataset(copy).splits != load_dataset(desk_run / "dataset").splits
 
 
 def test_embed_outputs(desk_run, tmp_path):

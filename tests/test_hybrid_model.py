@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_split_keys
 from vibediag.band_features import FeaturePair
 from vibediag.hht import SpectrumImage
 from vibediag.hybrid_model import (
@@ -16,6 +20,7 @@ from vibediag.hybrid_model import (
     evaluate,
     load_dataset,
     metrics_from_confusion,
+    predict_classes,
     render_report,
     save_dataset,
     shape_trace,
@@ -88,6 +93,14 @@ def test_cnn_only_ignores_features_entirely():
     np.testing.assert_array_equal(a, b)
 
 
+def test_predict_classes_ignores_the_input_of_a_missing_branch():
+    rng = np.random.default_rng(3)
+    images, feats = rng.random((300, 32, 32, 1)), rng.random((300, 2))
+    cnn, mlp = build_cnn_only(channels=1, seed=0), build_mlp_only(seed=0)
+    assert (np.array_equal(predict_classes(cnn, images, feats), predict_classes(cnn, images, None))
+            and np.array_equal(predict_classes(mlp, images, feats), predict_classes(mlp, None, feats)))
+
+
 def test_argmax_invariant_under_positive_logit_rescaling():
     rng = np.random.default_rng(2)
     model = build_mlp_only(seed=3)
@@ -130,6 +143,21 @@ def test_split_stratified_option():
     for subset, expected in ((test, 3), (val, 3), (train, 14)):
         counts = np.bincount([int(i.label) for i in subset], minlength=5)
         assert np.all(counts == expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=80), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_assign_splits_membership_equals_reference(labels, seed, stratified):
+    spec = SplitSpec(seed=seed, stratified=stratified)
+    ds = dataset_from_examples(make_examples(len(labels)))
+    ds.labels = np.array(labels)
+    expected = reference_split_keys(ds.provenance, ds.labels, spec)
+    if len(expected["train"]) < 2 or not (expected["val"] and expected["test"]):
+        with pytest.raises(ValueError):
+            assign_splits(ds, spec)
+    else:
+        assert assign_splits(ds, spec).splits == expected
 
 
 def test_split_validation():
@@ -252,6 +280,15 @@ def test_dataset_roundtrip(tmp_path):
     assert back.config_echo == {"note": 1}
     tr, va, te = (back.indices_for(s) for s in ("train", "val", "test"))
     assert sorted(np.concatenate([tr, va, te]).tolist()) == list(range(len(ds)))
+
+
+def test_load_dataset_rejects_unknown_format(tmp_path):
+    save_dataset(dataset_from_examples(make_examples()), tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    manifest["format"] = "vibediag-dataset-v2"
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"dataset\.json: format 'vibediag-dataset-v2'"):
+        load_dataset(tmp_path)
 
 
 def test_scaler_is_fit_on_training_split_only(tmp_path):

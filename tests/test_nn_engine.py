@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,6 +386,15 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         model.forward_logits(images, feats), loaded.forward_logits(images, feats)
     )
+
+
+def test_load_model_rejects_unknown_format(tmp_path):
+    save_model(tiny_mlp(), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    del manifest["format"]
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"model\.json: format None"):
+        load_model(tmp_path)
 
 
 def test_history_csv(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 
-from vibediag.config import RunConfig
-from vibediag.pipeline import featurize_recordings, featurize_windows
+from vibediag.config import RunConfig, config_to_dict
+from vibediag.hybrid_model import dataset_from_examples
+from vibediag.pipeline import featurize_windows, recording_windows
 from vibediag.segmentation import segment
 from vibediag.signal_model import FaultLabel, preset_spec, synthesize_recording
 
@@ -36,7 +37,8 @@ def test_featurize_recordings_keys_and_labels():
         )
         for label in (FaultLabel.NORMAL, FaultLabel.BALL)
     ]
-    ds = featurize_recordings(recs, cfg, seed=3)
+    examples = featurize_windows(recording_windows(recs, cfg), cfg)
+    ds = dataset_from_examples(examples, config_echo=config_to_dict(cfg), seed=3)
     assert len(ds) == 8  # two recordings x four non-overlapping windows
     assert ds.seed == 3
     assert len(set(ds.provenance)) == len(ds)
