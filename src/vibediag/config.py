@@ -58,16 +58,8 @@ class SimulateConfig:
 
 
 @dataclass
-class PathsConfig:
-    recordings_dir: str | None = None
-    dataset_dir: str | None = None
-    out_dir: str | None = None
-
-
-@dataclass
 class RunConfig:
     seed: int | None = None
-    paths: PathsConfig = field(default_factory=PathsConfig)
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     emd: EmdConfig = field(default_factory=EmdConfig)
     hht: HhtConfig = field(default_factory=HhtConfig)
@@ -79,7 +71,6 @@ class RunConfig:
 
 
 _SECTION_TYPES = {
-    "paths": PathsConfig,
     "segmentation": SegmentationConfig,
     "emd": EmdConfig,
     "hht": HhtConfig,

@@ -28,7 +28,6 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-7
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
@@ -595,7 +594,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig) -> tuple[Mode
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
         for lo in range(0, n, config.batch_size):

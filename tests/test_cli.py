@@ -219,6 +219,10 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"tnse": {}})
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"emd": {"max_ifms": 2}})
+    with pytest.raises(ValueError, match="unknown"):
+        config_from_dict({"paths": {"out_dir": "runs"}})
+    with pytest.raises(ValueError, match="unknown"):
+        config_from_dict({"train": {"shuffle": True}})
 
 
 def test_seed_resolution_order(monkeypatch):
