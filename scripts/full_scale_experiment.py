@@ -16,19 +16,12 @@ Usage:
 
 import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
-from vibediag.cli import main as vibediag_main
+from desk_experiment import run
 from vibediag.embedding import components_for_target, pca_fit
 from vibediag.hybrid_model import load_dataset
-
-
-def run(argv):
-    code = vibediag_main([str(a) for a in argv])
-    if code != 0:
-        sys.exit(f"stage failed: {' '.join(str(a) for a in argv)}")
 
 
 def main():
