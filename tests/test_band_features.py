@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import reference_apply_scaler
-
 from vibediag.band_features import (
     MinMaxScaler,
     Spectrum,
