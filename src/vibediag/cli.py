@@ -216,9 +216,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
-    dataset = load_dataset(args.dataset)
     model, model_manifest = load_model(args.checkpoint)
-    branch = (model_manifest.get("config") or {}).get("branch", "hybrid")
+    trained = model_manifest.get("config") or {}
+    if "dataset_sha256" in trained:
+        data_bin = Path(args.dataset) / "dataset.bin"
+        given = _sha256(data_bin)
+        if given != trained["dataset_sha256"]:
+            raise ValueError(f"{data_bin}: sha256 {given}, but the checkpoint was trained on "
+                             f"sha256 {trained['dataset_sha256']}")
+    dataset = load_dataset(args.dataset)
+    branch = trained.get("branch", "hybrid")
     images, feats, labels, _ = dataset.arrays_for(args.split)
     metrics = evaluate_arrays(model, images, feats, labels)
     report = classification_report(metrics)

@@ -132,31 +132,30 @@ def _head(in_width: int, rng, dtype) -> list:
     ]
 
 
-def build_hybrid(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
-    """Both branches, concatenated feature-wise into the shared head."""
+def _seeded_rng(channels: int, seed: int) -> np.random.Generator:
     if channels not in (1, 3):
         raise ValueError("channels must be 1 or 3")
-    rng = np.random.default_rng(seed)
+    return np.random.default_rng(seed)
+
+
+def build_hybrid(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
+    """Both branches, concatenated feature-wise into the shared head."""
+    rng = _seeded_rng(channels, seed)
     return Model(_cnn_branch(channels, rng, dtype), _mlp_branch(rng, dtype), _head(16, rng, dtype), dtype)
 
 
 def build_cnn_only(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
-    if channels not in (1, 3):
-        raise ValueError("channels must be 1 or 3")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(channels, seed)
     return Model(_cnn_branch(channels, rng, dtype), None, _head(8, rng, dtype), dtype)
 
 
-def build_mlp_only(seed: int = 0, dtype=np.float64) -> Model:
-    rng = np.random.default_rng(seed)
+def build_mlp_only(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
+    """The feature branch alone; ``channels`` is checked but no layer reads images."""
+    rng = _seeded_rng(channels, seed)
     return Model(None, _mlp_branch(rng, dtype), _head(8, rng, dtype), dtype)
 
 
-BRANCH_BUILDERS = {
-    "hybrid": build_hybrid,
-    "cnn": lambda channels=3, seed=0: build_cnn_only(channels, seed),
-    "mlp": lambda channels=3, seed=0: build_mlp_only(seed),
-}
+BRANCH_BUILDERS = {"hybrid": build_hybrid, "cnn": build_cnn_only, "mlp": build_mlp_only}
 
 
 def shape_trace(model: Model, channels: int = 3, feature_width: int = 2):

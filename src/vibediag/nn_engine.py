@@ -2,9 +2,11 @@
 
 Layers keep NHWC layout (batch, height, width, channels) and implement
 exact backward passes; training uses Adam with early stopping on
-validation loss and best-parameter restore. Everything runs in double
-precision by default as a single deterministic sequence; a dtype knob on
-the builders allows single precision at loosened test tolerances.
+validation loss and best-parameter restore. A ``Model`` keeps all its
+parameters in one flat array and all its gradients in another: every
+layer's tensors are views into them, so Adam updates, snapshots and
+checkpoint I/O each touch one array. Everything runs in double precision
+by default as a single deterministic sequence; the builders take a dtype.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ class Layer:
     when ``training`` is true; an eval forward drops it. ``Model`` clears
     ``input_grad`` on the first layer of each branch, whose input gradient
     nothing consumes; layers with parameters then return None from
-    ``backward``.
+    ``backward``. ``backward`` writes each gradient into ``d_<name>`` in
+    place: inside a ``Model`` that array is a view into ``Model.grads``.
     """
 
     input_grad = True
+    param_names = ()  # parameter attributes; each has a gradient ``d_<name>``
     _cache = None
 
     def _saved(self):
@@ -83,10 +87,10 @@ class Layer:
         return self._cache
 
     def params(self):
-        return []
+        return [(name, getattr(self, name)) for name in self.param_names]
 
     def grads(self):
-        return []
+        return [getattr(self, "d_" + name) for name in self.param_names]
 
 
 def _row_windows(xp: np.ndarray, di: int, out: np.ndarray) -> np.ndarray:
@@ -109,6 +113,8 @@ class Conv3x3(Layer):
     measured faster than a per-row GEMM followed by col2im adds, and than
     correlating the output gradient with the flipped kernels.
     """
+
+    param_names = ("kernels", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype=np.float64):
         self.in_channels = in_channels
@@ -142,10 +148,11 @@ class Conv3x3(Layer):
         xp = self._saved()
         b, h, w, _ = grad.shape
         gm = grad.reshape(-1, self.out_channels)
-        self.d_bias = gm.sum(axis=0)
+        gm.sum(axis=0, out=self.d_bias)
         windows = np.empty((gm.shape[0], 3 * self.in_channels), xp.dtype)
+        d_rows = self.d_kernels.reshape(3, 3 * self.in_channels, -1)
         for di in range(3):
-            self.d_kernels[di] = (_row_windows(xp, di, windows).T @ gm).reshape(3, self.in_channels, -1)
+            np.matmul(_row_windows(xp, di, windows).T, gm, out=d_rows[di])
         if not self.input_grad:
             return None
         dxp = np.zeros_like(xp)
@@ -155,12 +162,6 @@ class Conv3x3(Layer):
                     b, h, w, self.in_channels
                 )
         return dxp[:, 1 : 1 + h, 1 : 1 + w, :]
-
-    def params(self):
-        return [("kernels", self.kernels), ("bias", self.bias)]
-
-    def grads(self):
-        return [self.d_kernels, self.d_bias]
 
     def spec(self):
         return {"type": "conv3x3", "in_channels": self.in_channels, "out_channels": self.out_channels}
@@ -216,6 +217,8 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
+    param_names = ("weights", "bias")
+
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, dtype=np.float64):
         self.in_features = in_features
         self.out_features = out_features
@@ -231,15 +234,9 @@ class Dense(Layer):
         return x @ self.weights + self.bias
 
     def backward(self, grad):
-        self.d_weights = self._saved().T @ grad
-        self.d_bias = grad.sum(axis=0)
+        np.matmul(self._saved().T, grad, out=self.d_weights)
+        grad.sum(axis=0, out=self.d_bias)
         return grad @ self.weights.T if self.input_grad else None
-
-    def params(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
-    def grads(self):
-        return [self.d_weights, self.d_bias]
 
     def spec(self):
         return {"type": "dense", "in_features": self.in_features, "out_features": self.out_features}
@@ -345,25 +342,21 @@ def adam_step(param, grad, m, v, t, *, learning_rate, beta1=0.9, beta2=0.999, ep
 
 
 class Adam:
-    """In-place Adam over a parameter list, mirroring :func:`adam_step`."""
+    """:func:`adam_step` applied in place to one flat parameter array."""
 
-    def __init__(self, params: list[np.ndarray], config: TrainConfig):
+    def __init__(self, params: np.ndarray, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         cfg = self.config
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
+        params[...], self.m, self.v = adam_step(
+            params, grads, self.m, self.v, self.t, learning_rate=cfg.learning_rate,
+            beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
+        )
 
 
 class Model:
@@ -372,6 +365,10 @@ class Model:
     ``forward`` returns class probabilities; training uses
     ``forward_logits`` plus the fused softmax cross entropy for stability.
     A missing branch means the corresponding input is ignored entirely.
+
+    ``params`` and ``grads`` hold every parameter and gradient in layer
+    order, flattened row-major; each layer's tensors become views into them,
+    with the values the layers were built with.
     """
 
     def __init__(self, image_layers, feature_layers, head_layers, dtype=np.float64):
@@ -385,6 +382,16 @@ class Model:
         for branch in (image_layers, feature_layers):
             if branch:
                 branch[0].input_grad = False
+        owned = [(layer, name) for layer in self._all_layers() for name in layer.param_names]
+        values = [getattr(layer, name) for layer, name in owned]
+        self.params = np.concatenate([v.ravel() for v in values], dtype=dtype)
+        self.grads = np.zeros_like(self.params)
+        offset = 0
+        for (layer, name), value in zip(owned, values):
+            view = slice(offset, offset + value.size)
+            setattr(layer, name, self.params[view].reshape(value.shape))
+            setattr(layer, "d_" + name, self.grads[view].reshape(value.shape))
+            offset = view.stop
 
     def used_inputs(self, images, features):
         """``(images, features)``, each replaced by None when its branch is missing."""
@@ -438,21 +445,11 @@ class Model:
             if group is not None:
                 yield from group
 
-    def parameters(self) -> list[np.ndarray]:
-        return [array for layer in self._all_layers() for _, array in layer.params()]
+    def snapshot(self) -> np.ndarray:
+        return self.params.copy()
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self._all_layers() for g in layer.grads()]
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def restore(self, snapshot: list[np.ndarray]) -> None:
-        for p, s in zip(self.parameters(), snapshot):
-            p[...] = s
+    def restore(self, snapshot: np.ndarray) -> None:
+        self.params[...] = snapshot
 
     def manifest_layers(self) -> dict:
         def describe(group):
@@ -495,57 +492,48 @@ def model_from_manifest_layers(layer_groups: dict, dtype=np.float64) -> Model:
 MODEL_FORMAT = "vibediag-model-v1"
 
 
-def save_model(model: Model, out_dir, seed: int | None = None, config: dict | None = None) -> None:
-    """Write ``model.json`` (manifest) and ``model.bin`` (parameters).
-
-    Parameters are concatenated row-major as little-endian 64-bit floats in
-    manifest order; the manifest records byte offsets per tensor.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    offset = 0
-    tensors = []
-    blobs = []
+def _tensor_table(model: Model) -> list[dict]:
+    """Where each tensor lies in ``model.bin``, which is ``model.params`` as little-endian float64."""
+    table, offset = [], 0
     for layer_idx, layer in enumerate(model._all_layers()):
         for name, array in layer.params():
-            raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
-            tensors.append(
-                {
-                    "layer_index": layer_idx,
-                    "name": name,
-                    "shape": list(array.shape),
-                    "byte_offset": offset,
-                    "byte_length": len(raw),
-                }
-            )
-            blobs.append(raw)
-            offset += len(raw)
+            table.append({"layer_index": layer_idx, "name": name, "shape": list(array.shape),
+                          "byte_offset": offset, "byte_length": 8 * array.size})
+            offset += 8 * array.size
+    return table
+
+
+def save_model(model: Model, out_dir, seed: int | None = None, config: dict | None = None) -> None:
+    """Write ``model.json`` (manifest with the tensor table) and ``model.bin`` (parameters)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": MODEL_FORMAT,
         "layers": model.manifest_layers(),
-        "tensors": tensors,
-        "total_bytes": offset,
+        "tensors": _tensor_table(model),
+        "total_bytes": 8 * model.params.size,
         "seed": seed,
         "config": config,
     }
     (out_dir / "model.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out_dir / "model.bin").write_bytes(b"".join(blobs))
+    (out_dir / "model.bin").write_bytes(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_model(in_dir) -> tuple[Model, dict]:
+    """A float64 model from ``model.json`` and ``model.bin``; ValueError, naming the file,
+    on an unknown format, a tensor table its layers do not imply, or a wrong length."""
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "model.json").read_text())
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError(f"{in_dir / 'model.json'}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
-    blob = (in_dir / "model.bin").read_bytes()
-    if len(blob) != manifest["total_bytes"]:
-        raise ValueError("model.bin length does not match the manifest")
     model = model_from_manifest_layers(manifest["layers"])
-    arrays = []
-    for t in manifest["tensors"]:
-        flat = np.frombuffer(blob, dtype="<f8", count=t["byte_length"] // 8, offset=t["byte_offset"])
-        arrays.append(flat.reshape(t["shape"]).astype(np.float64))
-    model.restore(arrays)
+    if manifest["tensors"] != _tensor_table(model):
+        raise ValueError(f"{in_dir / 'model.json'}: tensor table does not match the layers it lists")
+    blob = (in_dir / "model.bin").read_bytes()
+    if not len(blob) == manifest["total_bytes"] == 8 * model.params.size:
+        raise ValueError(f"{in_dir / 'model.bin'}: {len(blob)} bytes, but the manifest needs "
+                         f"{8 * model.params.size}")
+    model.params[...] = np.frombuffer(blob, dtype="<f8")
     return model, manifest
 
 
@@ -587,7 +575,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig) -> tuple[Mode
         raise ValueError("training and validation splits must be non-empty")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.parameters(), config)
+    optimizer = Adam(model.params, config)
     history = History()
     best_loss = np.inf
     best_params = model.snapshot()
@@ -604,7 +592,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig) -> tuple[Mode
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
             model.backward(dlogits)
-            optimizer.step(model.parameters(), model.gradients())
+            optimizer.step(model.params, model.grads)
             epoch_loss += loss * idx.size
             epoch_correct += int((probs.argmax(axis=1) == onehot[idx].argmax(axis=1)).sum())
 

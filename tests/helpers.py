@@ -113,6 +113,38 @@ def reference_maxpool2x2(x, grad):
     return out, dx
 
 
+class ReferenceAdam:
+    """Adam as one in-place update per tensor of a parameter list."""
+
+    def __init__(self, params, config):
+        self.config = config
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        cfg = self.config
+        self.t += 1
+        b1t = 1.0 - cfg.beta1**self.t
+        b2t = 1.0 - cfg.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
+
+
+def model_tensors(model):
+    """Every parameter tensor of ``model``, in manifest order."""
+    return [array for layer in model._all_layers() for _, array in layer.params()]
+
+
+def reference_model_bin(model):
+    """``model.bin`` as one little-endian float64 ``tobytes`` per tensor, concatenated."""
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in model_tensors(model))
+
+
 def desk_window(label):
     """The first 1024-sample linear window of a 0.25 s, 8192 Hz recording."""
     from vibediag import segmentation, signal_model

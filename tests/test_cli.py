@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -99,6 +100,27 @@ def test_train_eval_smoke(desk_run, tmp_path):
     confusion = (out / "confusion.csv").read_text().strip().splitlines()
     assert len(confusion) == 6
     assert confusion[0].count(",") == 5
+
+
+def test_eval_rejects_a_dataset_other_than_the_one_trained_on(desk_run, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    assert run(["train", "--dataset", desk_run / "dataset", "--out", ckpt, "--branch", "mlp",
+                "--seed", "7", "--max-epochs", "1", "--patience", "1"]) == 0
+    # The same recordings re-featurized at another hop: a valid dataset, other bytes.
+    other = tmp_path / "dataset-hop384"
+    flags = list(FEAT_FLAGS)
+    flags[flags.index("--hop") + 1] = "384"
+    assert run(["featurize", "--recordings", desk_run / "recordings", "--out", other,
+                "--seed", "7", *flags]) == 0
+    assert run(["split", "--dataset", other, "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", ckpt, "--dataset", other, "--out", tmp_path / "eval"]) == 1
+    err = capsys.readouterr().err
+    trained = json.loads((ckpt / "model.json").read_text())["config"]["dataset_sha256"]
+    given = hashlib.sha256((other / "dataset.bin").read_bytes()).hexdigest()
+    assert given != trained
+    assert len(err.splitlines()) == 1 and trained in err and given in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_train_restarts_from_featurized_dataset_alone(desk_run, tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_split_keys
+from helpers import model_tensors, reference_split_keys
 from vibediag.band_features import FeaturePair
 from vibediag.hht import SpectrumImage
 from vibediag.hybrid_model import (
+    BRANCH_BUILDERS,
     Example,
     SplitSpec,
     assign_splits,
@@ -27,6 +28,7 @@ from vibediag.hybrid_model import (
     split,
     split_indices,
 )
+from vibediag.nn_engine import TrainConfig, load_model, save_model, train
 from vibediag.signal_model import FaultLabel
 
 
@@ -71,9 +73,43 @@ def test_single_branch_shapes():
 def test_repeated_builds_are_identical():
     a = build_hybrid(seed=7)
     b = build_hybrid(seed=7)
-    assert a.parameter_count() == b.parameter_count()
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        np.testing.assert_array_equal(pa, pb)
+    assert a.params.size == b.params.size
+    np.testing.assert_array_equal(a.params, b.params)
+
+
+def test_builders_share_one_signature():
+    for build in BRANCH_BUILDERS.values():
+        model = build(channels=1, seed=3, dtype=np.float32)
+        assert model.params.dtype == np.float32
+        with pytest.raises(ValueError, match="channels"):
+            build(channels=2, seed=3)
+
+
+def test_float32_hybrid_keeps_its_store_at_float32_and_checkpoints_as_exact_upcast(tmp_path):
+    rng = np.random.default_rng(5)
+    images, feats = rng.random((24, 32, 32, 3)), rng.random((24, 2))
+    onehot = np.eye(5)[rng.integers(0, 5, size=24)]
+    model = build_hybrid(channels=3, seed=1, dtype=np.float32)
+    before = model.params.copy()
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+    model, history = train(model, (images[:16], feats[:16], onehot[:16]),
+                           (images[16:], feats[16:], onehot[16:]), cfg)
+    assert len(history) == 1 and np.isfinite(history.val_loss[0])
+    assert model.params.dtype == model.grads.dtype == np.float32
+    assert np.any(model.params != before)
+    for layer in model._all_layers():
+        for (_, array), grad in zip(layer.params(), layer.grads()):
+            assert array.dtype == grad.dtype == np.float32
+            assert np.shares_memory(array, model.params) and np.shares_memory(grad, model.grads)
+    # Eval forwards stay at float32. Training forwards do not yet: Dropout's
+    # scale and the one-hot targets are float64.
+    assert model.forward_logits(images[:2], feats[:2]).dtype == np.float32
+
+    save_model(model, tmp_path)
+    loaded, _ = load_model(tmp_path)
+    assert loaded.params.dtype == np.float64
+    np.testing.assert_array_equal(loaded.params, model.params.astype(np.float64))
+    assert [a.shape for a in model_tensors(loaded)] == [a.shape for a in model_tensors(model)]
 
 
 def test_forward_emits_probability_rows():

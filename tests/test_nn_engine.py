@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    ReferenceAdam,
     fd_layer_gradients,
     layer_gradient_cases,
     max_relative_error,
+    model_tensors,
     reference_conv3x3,
     reference_maxpool2x2,
+    reference_model_bin,
 )
 from vibediag.hybrid_model import build_hybrid
 from vibediag.nn_engine import (
@@ -148,9 +151,8 @@ def test_hybrid_gradients_do_not_depend_on_first_layer_input_gradient():
         model.image_layers[0].input_grad = input_grad
         model.forward_logits(images, feats, training=True, rng=np.random.default_rng(5))
         model.backward(dlogits)
-        grads.append([g.copy() for g in model.gradients()])
-    for skipped, computed in zip(*grads):
-        np.testing.assert_array_equal(_bits(skipped), _bits(computed))
+        grads.append(model.grads.copy())
+    np.testing.assert_array_equal(_bits(grads[0]), _bits(grads[1]))
 
 
 def test_maxpool_halves_architecture_shape():
@@ -271,18 +273,33 @@ def test_adam_two_steps_match_hand_recurrence():
 
 def test_adam_class_matches_functional_step():
     rng = np.random.default_rng(11)
-    p_obj = [rng.normal(size=(3, 2))]
-    p_fn = [p.copy() for p in p_obj]
-    g = [rng.normal(size=(3, 2))]
+    p_obj = rng.normal(size=(3, 2))
+    p_fn = p_obj.copy()
+    g = rng.normal(size=(3, 2))
     cfg = TrainConfig(learning_rate=0.01)
     opt = Adam(p_obj, cfg)
     m = np.zeros((3, 2))
     v = np.zeros((3, 2))
     for t in range(1, 4):
         opt.step(p_obj, g)
-        p_fn[0], m, v = adam_step(p_fn[0], g[0], m, v, t=t, learning_rate=0.01,
-                                  beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
-    np.testing.assert_allclose(p_obj[0], p_fn[0], atol=1e-14)
+        p_fn, m, v = adam_step(p_fn, g, m, v, t=t, learning_rate=0.01,
+                               beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
+    np.testing.assert_array_equal(_bits(p_obj), _bits(p_fn))
+
+
+def test_flat_adam_matches_per_parameter_loop_on_hybrid_shapes():
+    model = build_hybrid(channels=3, seed=2)
+    cfg = TrainConfig(learning_rate=1e-3)
+    tensors = [t.copy() for t in model_tensors(model)]
+    flat, per_tensor = Adam(model.params, cfg), ReferenceAdam(tensors, cfg)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        model.grads[...] = rng.normal(size=model.grads.size)
+        flat.step(model.params, model.grads)
+        per_tensor.step(tensors, [g for layer in model._all_layers() for g in layer.grads()])
+    # Each layer's tensor is a view into ``params`` and saw the flat update.
+    for got, want in zip(model_tensors(model), tensors, strict=True):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def make_toy_split(n=120, seed=0, noise=0.1):
@@ -386,6 +403,44 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         model.forward_logits(images, feats), loaded.forward_logits(images, feats)
     )
+
+
+def test_model_bin_is_the_per_tensor_concatenation(tmp_path):
+    model = build_hybrid(channels=1, seed=6)
+    model.params[...] = np.random.default_rng(6).normal(size=model.params.size)
+    save_model(model, tmp_path)
+    assert (tmp_path / "model.bin").read_bytes() == reference_model_bin(model)
+
+
+def _drop_last_tensor(manifest):
+    manifest["tensors"].pop()
+
+
+def _shrink_last_bias(manifest):
+    manifest["tensors"][-1].update(shape=[1], byte_length=8)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_tensor, _shrink_last_bias])
+def test_load_model_rejects_a_tensor_table_its_layers_do_not_imply(tmp_path, corrupt):
+    # model.bin and total_bytes are cut to match, so only the table is wrong.
+    save_model(tiny_mlp(), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    corrupt(manifest)
+    last = manifest["tensors"][-1]
+    manifest["total_bytes"] = last["byte_offset"] + last["byte_length"]
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    blob = (tmp_path / "model.bin").read_bytes()
+    (tmp_path / "model.bin").write_bytes(blob[: manifest["total_bytes"]])
+    with pytest.raises(ValueError, match=r"model\.json: tensor table does not match"):
+        load_model(tmp_path)
+
+
+def test_load_model_rejects_a_model_bin_of_another_length(tmp_path):
+    save_model(tiny_mlp(), tmp_path)
+    blob = (tmp_path / "model.bin").read_bytes()
+    (tmp_path / "model.bin").write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match=r"model\.bin: \d+ bytes"):
+        load_model(tmp_path)
 
 
 def test_load_model_rejects_unknown_format(tmp_path):
