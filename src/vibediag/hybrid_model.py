@@ -421,15 +421,15 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     manifest = json.loads((in_dir / "dataset.json").read_text())
     if manifest.get("format") != DATASET_FORMAT:
         raise ValueError(f"{in_dir / 'dataset.json'}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
-    blob = (in_dir / "dataset.bin").read_bytes()
-    if len(blob) != manifest["total_bytes"]:
-        raise ValueError("dataset.bin length does not match the manifest")
+    bin_path = in_dir / "dataset.bin"
+    size = bin_path.stat().st_size
+    if size != manifest["total_bytes"]:
+        raise ValueError(f"{bin_path}: {size} bytes, but the manifest needs {manifest['total_bytes']}")
 
     def read(name):
         meta = manifest["offsets"][name]
-        flat = np.frombuffer(blob, dtype="<f8", count=meta["byte_length"] // 8,
-                             offset=meta["byte_offset"])
-        return flat.reshape(meta["shape"]).astype(np.float64)
+        return np.fromfile(bin_path, dtype="<f8", count=meta["byte_length"] // 8,
+                           offset=meta["byte_offset"]).reshape(meta["shape"])
 
     scaler = None
     if manifest["scaler"] is not None:

@@ -270,7 +270,7 @@ class Dropout(Layer):
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
-        self._scale = keep / (1.0 - self.rate)
+        self._scale = np.divide(keep, 1.0 - self.rate, dtype=x.dtype)
         return x * self._scale
 
     def backward(self, grad):
@@ -321,6 +321,7 @@ def softmax_crossentropy(logits: np.ndarray, onehot: np.ndarray):
     rows = onehot.sum(axis=1)
     if not (np.allclose(rows, 1.0) and np.all((onehot == 0) | (onehot == 1))):
         raise ValueError("targets must be one-hot")
+    onehot = onehot.astype(logits.dtype, copy=False)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_norm

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from vibediag.hybrid_model import (
     split,
     split_indices,
 )
-from vibediag.nn_engine import TrainConfig, load_model, save_model, train
+from vibediag.nn_engine import TrainConfig, load_model, save_model, softmax_crossentropy, train
 from vibediag.signal_model import FaultLabel
 
 
@@ -101,9 +102,10 @@ def test_float32_hybrid_keeps_its_store_at_float32_and_checkpoints_as_exact_upca
         for (_, array), grad in zip(layer.params(), layer.grads()):
             assert array.dtype == grad.dtype == np.float32
             assert np.shares_memory(array, model.params) and np.shares_memory(grad, model.grads)
-    # Eval forwards stay at float32. Training forwards do not yet: Dropout's
-    # scale and the one-hot targets are float64.
     assert model.forward_logits(images[:2], feats[:2]).dtype == np.float32
+    logits = model.forward_logits(images[:8], feats[:8], training=True, rng=np.random.default_rng(0))
+    _, probs, dlogits = softmax_crossentropy(logits, onehot[:8])
+    assert logits.dtype == probs.dtype == dlogits.dtype == np.float32
 
     save_model(model, tmp_path)
     loaded, _ = load_model(tmp_path)
@@ -325,6 +327,26 @@ def test_load_dataset_rejects_unknown_format(tmp_path):
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"dataset\.json: format 'vibediag-dataset-v2'"):
         load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_a_dataset_bin_of_another_length(tmp_path):
+    save_dataset(dataset_from_examples(make_examples()), tmp_path)
+    blob = (tmp_path / "dataset.bin").read_bytes()
+    (tmp_path / "dataset.bin").write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match=rf"dataset\.bin: {len(blob) - 8} bytes, but the manifest needs {len(blob)}$"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_holds_each_array_once(tmp_path):
+    save_dataset(dataset_from_examples(make_examples(n=200, channels=3)), tmp_path)
+    size = (tmp_path / "dataset.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        load_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte dataset.bin"
 
 
 def test_scaler_is_fit_on_training_split_only(tmp_path):
