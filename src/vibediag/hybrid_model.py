@@ -4,8 +4,9 @@ The image branch is three conv/pool stages (16, 32, 64 kernels of 3x3 with
 same-size zero padding, 2x2 pooling) flattened into dense layers of 16 and
 8 units with dropout 0.5 between them; the feature branch maps the two
 band-power scalars through dense layers of 16 and 8 units. The branch
-outputs are concatenated into a dense layer of 8 units and a 5-way softmax
-output. Single-branch variants reuse the same head for ablations.
+outputs are concatenated into a dense layer of 8 units and a 5-way dense
+output, where the head ends: its outputs are the logits, and ``Model.forward``
+applies softmax to them once. Single-branch variants reuse the head.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from vibediag.nn_engine import (
     MaxPool2x2,
     Model,
     ReLU,
-    Softmax,
     eval_logits,
 )
 from vibediag.signal_model import N_CLASSES, FaultLabel
@@ -128,7 +128,6 @@ def _head(in_width: int, rng, dtype) -> list:
     return [
         Dense(in_width, 8, rng, dtype), ReLU(),
         Dense(8, N_CLASSES, rng, dtype),
-        Softmax(),
     ]
 
 

@@ -282,22 +282,6 @@ class Dropout(Layer):
         return {"type": "dropout", "rate": self.rate}
 
 
-class Softmax(Layer):
-    def forward(self, x, training=False, rng=None):
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
-        self._cache = p if training else None
-        return p
-
-    def backward(self, grad):
-        p = self._saved()
-        return p * (grad - (grad * p).sum(axis=1, keepdims=True))
-
-    def spec(self):
-        return {"type": "softmax"}
-
-
 _LAYER_TYPES = {
     "conv3x3": Conv3x3,
     "maxpool2x2": MaxPool2x2,
@@ -305,8 +289,13 @@ _LAYER_TYPES = {
     "dense": Dense,
     "relu": ReLU,
     "dropout": Dropout,
-    "softmax": Softmax,
 }
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-probabilities by the max-shifted log-sum-exp."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def softmax_crossentropy(logits: np.ndarray, onehot: np.ndarray):
@@ -322,9 +311,7 @@ def softmax_crossentropy(logits: np.ndarray, onehot: np.ndarray):
     if not (np.allclose(rows, 1.0) and np.all((onehot == 0) | (onehot == 1))):
         raise ValueError("targets must be one-hot")
     onehot = onehot.astype(logits.dtype, copy=False)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_norm
+    log_p = _log_softmax(logits)
     loss = float(-(onehot * log_p).sum(axis=1).mean())
     probs = np.exp(log_p)
     grad = (probs - onehot) / logits.shape[0]
@@ -363,8 +350,9 @@ class Adam:
 class Model:
     """Optional image and feature branches merged by concatenation into a head.
 
-    ``forward`` returns class probabilities; training uses
-    ``forward_logits`` plus the fused softmax cross entropy for stability.
+    The head ends at a linear layer, so ``forward_logits`` returns logits;
+    one ``_log_softmax`` turns them into the class probabilities of
+    ``forward`` and the training loss of ``softmax_crossentropy``.
     A missing branch means the corresponding input is ignored entirely.
 
     ``params`` and ``grads`` hold every parameter and gradient in layer
@@ -419,8 +407,7 @@ class Model:
         return self._run(self.head_layers, merged, training, rng)
 
     def forward(self, images, features, training=False, rng=None):
-        logits = self.forward_logits(images, features, training=training, rng=rng)
-        return Softmax().forward(logits)
+        return np.exp(_log_softmax(self.forward_logits(images, features, training=training, rng=rng)))
 
     def backward(self, dlogits):
         grad = dlogits
@@ -522,14 +509,23 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 
 def load_model(in_dir) -> tuple[Model, dict]:
     """A float64 model from ``model.json`` and ``model.bin``; ValueError, naming the file,
-    on an unknown format, a tensor table its layers do not imply, or a wrong length."""
+    on an unknown format or layer type, a tensor table its layers do not imply, or a
+    wrong length. A parameter-free ``softmax`` that ends an older checkpoint's head is
+    dropped: ``forward`` applies softmax itself."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "model.json").read_text())
+    json_path = in_dir / "model.json"
+    manifest = json.loads(json_path.read_text())
     if manifest.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{in_dir / 'model.json'}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
-    model = model_from_manifest_layers(manifest["layers"])
+        raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
+    layers = manifest["layers"]
+    if layers["head"] and layers["head"][-1] == {"type": "softmax"}:
+        layers = {**layers, "head": layers["head"][:-1]}
+    kinds = {spec["type"] for group in layers.values() if group for spec in group}
+    if not kinds <= _LAYER_TYPES.keys():
+        raise ValueError(f"{json_path}: unknown layer types {sorted(kinds - _LAYER_TYPES.keys())}")
+    model = model_from_manifest_layers(layers)
     if manifest["tensors"] != _tensor_table(model):
-        raise ValueError(f"{in_dir / 'model.json'}: tensor table does not match the layers it lists")
+        raise ValueError(f"{json_path}: tensor table does not match the layers it lists")
     blob = (in_dir / "model.bin").read_bytes()
     if not len(blob) == manifest["total_bytes"] == 8 * model.params.size:
         raise ValueError(f"{in_dir / 'model.bin'}: {len(blob)} bytes, but the manifest needs "

@@ -62,7 +62,7 @@ def sampled_away_from_zero(rng, shape, low=0.1, high=1.0):
 
 def layer_gradient_cases(seed):
     """(layer, input, training) triples covering every layer type."""
-    from vibediag.nn_engine import Conv3x3, Dense, Dropout, Flatten, MaxPool2x2, ReLU, Softmax
+    from vibediag.nn_engine import Conv3x3, Dense, Dropout, Flatten, MaxPool2x2, ReLU
 
     rng = np.random.default_rng(seed)
     return [
@@ -72,7 +72,6 @@ def layer_gradient_cases(seed):
         (Flatten(), rng.normal(size=(2, 3, 3, 2)), False),
         (ReLU(), sampled_away_from_zero(rng, (4, 6)), True),
         (Dropout(0.4), rng.normal(size=(3, 8)), True),
-        (Softmax(), rng.normal(size=(3, 5)), True),
     ]
 
 

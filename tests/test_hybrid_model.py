@@ -114,6 +114,21 @@ def test_float32_hybrid_keeps_its_store_at_float32_and_checkpoints_as_exact_upca
     assert [a.shape for a in model_tensors(loaded)] == [a.shape for a in model_tensors(model)]
 
 
+def test_mlp_validation_loss_goes_below_the_double_softmax_floor():
+    # A softmax applied to probabilities in [0, 1] gives the true class at most
+    # e / (e + 4), so a head ending in softmax never reaches a loss below this.
+    floor = -np.log(np.e / (np.e + 4))
+    centers = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.5], [0.1, 0.9], [0.9, 0.9]])
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 5, size=260)
+    feats = centers[labels] + rng.normal(0.0, 0.03, (260, 2))
+    onehot = np.eye(5)[labels]
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=10, patience=10, seed=0)
+    _, history = train(build_mlp_only(seed=0), (None, feats[:200], onehot[:200]),
+                       (None, feats[200:], onehot[200:]), cfg)
+    assert min(history.val_loss) < floor
+
+
 def test_forward_emits_probability_rows():
     rng = np.random.default_rng(0)
     model = build_hybrid(channels=1, seed=0)

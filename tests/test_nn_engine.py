@@ -14,7 +14,7 @@ from helpers import (
     reference_maxpool2x2,
     reference_model_bin,
 )
-from vibediag.hybrid_model import build_hybrid
+from vibediag.hybrid_model import build_hybrid, predict_classes
 from vibediag.nn_engine import (
     Adam,
     Conv3x3,
@@ -25,7 +25,6 @@ from vibediag.nn_engine import (
     MaxPool2x2,
     Model,
     ReLU,
-    Softmax,
     TrainConfig,
     adam_step,
     load_model,
@@ -124,7 +123,6 @@ def test_maxpool_bitwise_equals_argmax_reference(b, h, w, c, seed):
     lambda rng: (Dense(3, 2, rng), rng.normal(size=(2, 3))),
     lambda rng: (MaxPool2x2(), rng.normal(size=(1, 4, 4, 2))),
     lambda rng: (ReLU(), rng.normal(size=(2, 3))),
-    lambda rng: (Softmax(), rng.normal(size=(2, 3))),
 ])
 def test_backward_needs_a_training_forward(make):
     rng = np.random.default_rng(0)
@@ -440,6 +438,31 @@ def test_load_model_rejects_a_model_bin_of_another_length(tmp_path):
     blob = (tmp_path / "model.bin").read_bytes()
     (tmp_path / "model.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError, match=r"model\.bin: \d+ bytes"):
+        load_model(tmp_path)
+
+
+def _edit_head(path, edit):
+    manifest = json.loads((path / "model.json").read_text())
+    edit(manifest["layers"]["head"])
+    (path / "model.json").write_text(json.dumps(manifest))
+
+
+def test_load_model_drops_the_softmax_that_ends_an_older_head(tmp_path):
+    model = build_hybrid(channels=1, seed=8)
+    save_model(model, tmp_path)
+    _edit_head(tmp_path, lambda head: head.append({"type": "softmax"}))
+    loaded, _ = load_model(tmp_path)
+    assert [layer.spec() for layer in loaded.head_layers] == model.manifest_layers()["head"]
+    rng = np.random.default_rng(8)
+    images, feats = rng.random((300, 32, 32, 1)), rng.random((300, 2))
+    np.testing.assert_array_equal(loaded.forward_logits(images, feats), model.forward_logits(images, feats))
+    np.testing.assert_array_equal(predict_classes(loaded, images, feats), predict_classes(model, images, feats))
+
+
+def test_load_model_rejects_a_softmax_inside_the_head(tmp_path):
+    save_model(build_hybrid(channels=1, seed=8), tmp_path)
+    _edit_head(tmp_path, lambda head: head.insert(1, {"type": "softmax"}))
+    with pytest.raises(ValueError, match=r"model\.json: unknown layer types \['softmax'\]$"):
         load_model(tmp_path)
 
 
