@@ -23,6 +23,7 @@ from vibediag.embedding import pca_fit, pca_reduce, subsample_indices, tsne
 from vibediag.hht import write_image
 from vibediag.hybrid_model import (
     BRANCH_BUILDERS,
+    FeaturizedDataset,
     SpectrumImage,
     assign_splits,
     classification_report,
@@ -54,13 +55,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+# The config sections that shape a featurized dataset.
+_FEATURIZE_SECTIONS = ("segmentation", "emd", "hht", "band")
+
+
 def write_manifest(out_dir: Path, command: str, seed: int, config: RunConfig,
-                   artifacts: list[Path], extra: dict | None = None) -> None:
+                   artifacts: list[Path], extra: dict | None = None,
+                   dataset: FeaturizedDataset | None = None) -> None:
+    """Write ``manifest.json``; a stage that reads ``dataset`` echoes the
+    featurize sections the dataset was made with, not its own."""
+    echo = config_to_dict(config)
+    if dataset is not None:
+        echo.update({name: dataset.config_echo[name]
+                     for name in _FEATURIZE_SECTIONS if name in dataset.config_echo})
     manifest = {
         "command": command,
         "version": vibediag.__version__,
         "seed": seed,
-        "config": config_to_dict(config),
+        "config": echo,
         "artifacts": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(artifacts)},
     }
     if extra:
@@ -176,7 +188,7 @@ def cmd_split(args) -> int:
     extra = json.loads(previous.read_text()).get("extra", {}) if previous.is_file() else {}
     write_manifest(dataset_dir, "split", seed, config,
                    [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
-                   extra={**extra, **counts})
+                   extra={**extra, **counts}, dataset=dataset)
     print(f"split: {counts}")
     return 0
 
@@ -207,7 +219,8 @@ def cmd_train(args) -> int:
                    [out / "model.json", out / "model.bin", out / "history.csv"],
                    extra={"branch": args.branch, "epochs_run": len(history),
                           "best_epoch": history.best_epoch,
-                          "best_val_loss": min(history.val_loss)})
+                          "best_val_loss": min(history.val_loss)},
+                   dataset=dataset)
     print(f"train[{args.branch}]: {len(history)} epochs, best epoch {history.best_epoch}, "
           f"val acc {history.val_accuracy[history.best_epoch - 1]:.4f}")
     return 0
@@ -216,7 +229,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
-    model, model_manifest = load_model(args.checkpoint)
+    checkpoint = Path(args.checkpoint)
+    model, model_manifest = load_model(checkpoint)
     trained = model_manifest.get("config") or {}
     if "dataset_sha256" in trained:
         data_bin = Path(args.dataset) / "dataset.bin"
@@ -235,7 +249,10 @@ def cmd_eval(args) -> int:
     confusion_to_csv(metrics.confusion, out / "confusion.csv")
     write_manifest(out, "eval", seed, config,
                    [out / "report.json", out / "confusion.csv"],
-                   extra={"split": args.split, "branch": branch, "accuracy": metrics.accuracy})
+                   extra={"split": args.split, "branch": branch, "accuracy": metrics.accuracy,
+                          "checkpoint": {name: _sha256(checkpoint / name)
+                                         for name in ("model.json", "model.bin")}},
+                   dataset=dataset)
     print(render_report(metrics))
     return 0
 
@@ -275,7 +292,8 @@ def cmd_embed(args) -> int:
                    extra={"points": int(picked.size),
                           "components": int(reduced.shape[1]),
                           "kl_after_exaggeration": float(kl[min(config.tsne.exaggeration_iters, len(kl) - 1)]),
-                          "kl_final": float(kl[-1])})
+                          "kl_final": float(kl[-1])},
+                   dataset=dataset)
     print(f"embed: {picked.size} points, {reduced.shape[1]} components -> {out}")
     return 0
 
@@ -292,7 +310,7 @@ def cmd_export_images(args) -> int:
         path = out / (key.replace(":", "_") + suffix)
         write_image(image, path)
         artifacts.append(path)
-    write_manifest(out, "export-images", seed, config, artifacts)
+    write_manifest(out, "export-images", seed, config, artifacts, dataset=dataset)
     print(f"export-images: {len(artifacts)} files -> {out}")
     return 0
 

@@ -1,12 +1,17 @@
 """Hybrid CNN-MLP assembly, dataset splitting, and evaluation artifacts.
 
-The image branch is three conv/pool stages (16, 32, 64 kernels of 3x3 with
-same-size zero padding, 2x2 pooling) flattened into dense layers of 16 and
-8 units with dropout 0.5 between them; the feature branch maps the two
+The image branch is three conv -> max-pool -> ReLU stages (16, 32, 64
+kernels of 3x3 with same-size zero padding, 2x2 pooling) flattened into
+dense layers of 16 and 8 units with dropout 0.5 between them. Max pooling
+and ReLU commute, gradients included, so pooling first gives the same
+values and runs ReLU on a quarter of the elements; checkpoints that list
+ReLU before pooling load as written. The feature branch maps the two
 band-power scalars through dense layers of 16 and 8 units. The branch
 outputs are concatenated into a dense layer of 8 units and a 5-way dense
 output, where the head ends: its outputs are the logits, and ``Model.forward``
 applies softmax to them once. Single-branch variants reuse the head.
+The builders make float32 models, the precision training runs at;
+``dtype=np.float64`` builds serve the gradient checks.
 """
 
 from __future__ import annotations
@@ -104,12 +109,9 @@ def split(examples: Sequence, spec: SplitSpec):
 
 def _cnn_branch(channels: int, rng, dtype) -> list:
     return [
-        Conv3x3(channels, 16, rng, dtype), ReLU(),
-        MaxPool2x2(),
-        Conv3x3(16, 32, rng, dtype), ReLU(),
-        MaxPool2x2(),
-        Conv3x3(32, 64, rng, dtype), ReLU(),
-        MaxPool2x2(),
+        Conv3x3(channels, 16, rng, dtype), MaxPool2x2(), ReLU(),
+        Conv3x3(16, 32, rng, dtype), MaxPool2x2(), ReLU(),
+        Conv3x3(32, 64, rng, dtype), MaxPool2x2(), ReLU(),
         Flatten(),
         Dense(FLATTEN_WIDTH, 16, rng, dtype), ReLU(),
         Dropout(0.5),
@@ -137,18 +139,18 @@ def _seeded_rng(channels: int, seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def build_hybrid(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
+def build_hybrid(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     """Both branches, concatenated feature-wise into the shared head."""
     rng = _seeded_rng(channels, seed)
     return Model(_cnn_branch(channels, rng, dtype), _mlp_branch(rng, dtype), _head(16, rng, dtype), dtype)
 
 
-def build_cnn_only(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
+def build_cnn_only(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     rng = _seeded_rng(channels, seed)
     return Model(_cnn_branch(channels, rng, dtype), None, _head(8, rng, dtype), dtype)
 
 
-def build_mlp_only(channels: int = 3, seed: int = 0, dtype=np.float64) -> Model:
+def build_mlp_only(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     """The feature branch alone; ``channels`` is checked but no layer reads images."""
     rng = _seeded_rng(channels, seed)
     return Model(None, _mlp_branch(rng, dtype), _head(8, rng, dtype), dtype)

@@ -5,8 +5,10 @@ exact backward passes; training uses Adam with early stopping on
 validation loss and best-parameter restore. A ``Model`` keeps all its
 parameters in one flat array and all its gradients in another: every
 layer's tensors are views into them, so Adam updates, snapshots and
-checkpoint I/O each touch one array. Everything runs in double precision
-by default as a single deterministic sequence; the builders take a dtype.
+checkpoint I/O each touch one array. A model computes at the dtype it
+was built with, as a single deterministic sequence: the hybrid builders
+make float32 models, so training runs at float32, and ``model.bin`` holds
+their float64 upcasts, which are exact. ``load_model`` builds float64.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from vibediag.cli import main
@@ -28,6 +29,22 @@ def desk_run(tmp_path_factory):
     assert run(["simulate", "--out", rec_dir, "--seed", "7", *DESK_FLAGS]) == 0
     assert run(["featurize", "--recordings", rec_dir, "--out", ds_dir, "--seed", "7", *FEAT_FLAGS]) == 0
     assert run(["split", "--dataset", ds_dir, "--seed", "7"]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def hop410_run(desk_run, tmp_path_factory):
+    """The desk geometry, 1024/410: featurize, split, a one-epoch hybrid train, eval."""
+    root = tmp_path_factory.mktemp("hop410")
+    flags = list(FEAT_FLAGS)
+    flags[flags.index("--hop") + 1] = "410"
+    assert run(["featurize", "--recordings", desk_run / "recordings", "--out", root / "dataset",
+                "--seed", "7", *flags]) == 0
+    assert run(["split", "--dataset", root / "dataset", "--seed", "7"]) == 0
+    assert run(["train", "--dataset", root / "dataset", "--out", root / "ckpt", "--branch", "hybrid",
+                "--seed", "7", "--max-epochs", "1", "--patience", "1"]) == 0
+    assert run(["eval", "--checkpoint", root / "ckpt", "--dataset", root / "dataset",
+                "--out", root / "eval"]) == 0
     return root
 
 
@@ -267,3 +284,33 @@ def test_env_seed_feeds_commands(tmp_path, monkeypatch):
     ma = json.loads((a / "manifest.json").read_text())["artifacts"]
     mb = json.loads((b / "manifest.json").read_text())["artifacts"]
     assert ma == mb
+
+
+def test_manifests_echo_the_geometry_the_dataset_was_featurized_with(hop410_run):
+    # split, train and eval resolve their own config, whose default
+    # segmentation is 3897/1559; the dataset was cut at 1024/410.
+    for stage in ("dataset", "ckpt", "eval"):
+        segmentation = json.loads((hop410_run / stage / "manifest.json").read_text())["config"]["segmentation"]
+        assert (segmentation["window_len"], segmentation["hop"]) == (1024, 410), stage
+
+
+def test_train_checkpoints_float32_parameters(hop410_run):
+    params = np.fromfile(hop410_run / "ckpt" / "model.bin", dtype="<f8")
+    assert params.size > 0
+    np.testing.assert_array_equal(params, params.astype(np.float32).astype(np.float64))
+
+
+def test_eval_manifest_names_the_checkpoint_it_evaluated(hop410_run, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(hop410_run / "ckpt", ckpt)
+    params = np.fromfile(ckpt / "model.bin", dtype="<f8")
+    params[-1] = np.nextafter(params[-1], np.inf)  # one ulp on the last output bias
+    params.tofile(ckpt / "model.bin")
+    assert run(["eval", "--checkpoint", ckpt, "--dataset", hop410_run / "dataset", "--out", tmp_path / "eval"]) == 0
+    first = json.loads((hop410_run / "eval" / "manifest.json").read_text())
+    second = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+    assert first["artifacts"] == second["artifacts"]  # the same report and confusion matrix
+    assert first["extra"]["checkpoint"]["model.json"] == second["extra"]["checkpoint"]["model.json"]
+    assert first["extra"]["checkpoint"]["model.bin"] == hashlib.sha256(
+        (hop410_run / "ckpt" / "model.bin").read_bytes()).hexdigest()
+    assert first["extra"]["checkpoint"]["model.bin"] != second["extra"]["checkpoint"]["model.bin"]

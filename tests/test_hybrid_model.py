@@ -29,7 +29,15 @@ from vibediag.hybrid_model import (
     split,
     split_indices,
 )
-from vibediag.nn_engine import TrainConfig, load_model, save_model, softmax_crossentropy, train
+from vibediag.nn_engine import (
+    MaxPool2x2,
+    ReLU,
+    TrainConfig,
+    load_model,
+    save_model,
+    softmax_crossentropy,
+    train,
+)
 from vibediag.signal_model import FaultLabel
 
 
@@ -80,8 +88,9 @@ def test_repeated_builds_are_identical():
 
 def test_builders_share_one_signature():
     for build in BRANCH_BUILDERS.values():
-        model = build(channels=1, seed=3, dtype=np.float32)
-        assert model.params.dtype == np.float32
+        assert build(channels=1, seed=3).params.dtype == np.float32
+        model = build(channels=1, seed=3, dtype=np.float64)
+        assert model.params.dtype == np.float64
         with pytest.raises(ValueError, match="channels"):
             build(channels=2, seed=3)
 
@@ -114,6 +123,29 @@ def test_float32_hybrid_keeps_its_store_at_float32_and_checkpoints_as_exact_upca
     assert [a.shape for a in model_tensors(loaded)] == [a.shape for a in model_tensors(model)]
 
 
+def test_a_checkpoint_with_relu_before_pool_loads_as_written_and_predicts_the_same(tmp_path):
+    # Checkpoints written before the reorder list each ReLU ahead of its pool.
+    old = build_hybrid(channels=3, seed=2, dtype=np.float64)
+    layers = old.image_layers
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i], MaxPool2x2) and isinstance(layers[i + 1], ReLU):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    kinds = [spec["type"] for spec in old.manifest_layers()["image_branch"]]
+    assert kinds[:9] == ["conv3x3", "relu", "maxpool2x2"] * 3
+    save_model(old, tmp_path)
+    loaded, _ = load_model(tmp_path)
+    assert loaded.manifest_layers() == old.manifest_layers()
+    new = build_hybrid(channels=3, seed=2, dtype=np.float64)
+    assert [spec["type"] for spec in new.manifest_layers()["image_branch"]][:3] == [
+        "conv3x3", "maxpool2x2", "relu"]
+    rng = np.random.default_rng(2)
+    images, feats = rng.random((300, 32, 32, 3)), rng.random((300, 2))
+    want = old.forward_logits(images, feats)
+    for model in (loaded, new):
+        np.testing.assert_array_equal(model.forward_logits(images, feats), want)
+        np.testing.assert_array_equal(predict_classes(model, images, feats), want.argmax(axis=1))
+
+
 def test_mlp_validation_loss_goes_below_the_double_softmax_floor():
     # A softmax applied to probabilities in [0, 1] gives the true class at most
     # e / (e + 4), so a head ending in softmax never reaches a loss below this.
@@ -131,7 +163,7 @@ def test_mlp_validation_loss_goes_below_the_double_softmax_floor():
 
 def test_forward_emits_probability_rows():
     rng = np.random.default_rng(0)
-    model = build_hybrid(channels=1, seed=0)
+    model = build_hybrid(channels=1, seed=0, dtype=np.float64)
     probs = model.forward(rng.random((2, 32, 32, 1)), rng.random((2, 2)))
     assert probs.shape == (2, 5)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)

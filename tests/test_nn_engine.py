@@ -96,7 +96,8 @@ def test_conv_matches_nine_tap_reference(b, h, w, cin, cout, seed):
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.itemsize}")
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,6 +117,52 @@ def test_maxpool_bitwise_equals_argmax_reference(b, h, w, c, seed):
     np.testing.assert_array_equal(_bits(out), _bits(want_out))
     np.testing.assert_array_equal(_bits(dx), _bits(want_dx))
     np.testing.assert_array_equal(_bits(MaxPool2x2().forward(x)), _bits(want_out))
+
+
+_TIE_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+def _two_stage_model(pool_first, channels, flat_width, dtype):
+    rng = np.random.default_rng(0)
+
+    def stage(cin, cout):
+        act = (MaxPool2x2(), ReLU()) if pool_first else (ReLU(), MaxPool2x2())
+        return [Conv3x3(cin, cout, rng, dtype), *act]
+
+    return Model([*stage(channels, 3), *stage(3, 2), Flatten()], None,
+                 [Dense(flat_width, 5, rng, dtype)], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=150, deadline=None)
+@given(b=st.integers(1, 3), h4=st.integers(1, 3), w4=st.integers(1, 3), c=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pool_before_relu_gives_the_bits_of_relu_before_pool(dtype, b, h4, w4, c, seed):
+    # Inputs, parameters and the loss gradient take few dyadic values, signed
+    # zeros among them, so conv outputs are exact and pooling blocks hold ties
+    # and all-nonpositive maxima. Both orders forward the same values: ReLU
+    # maps -0.0 to +0.0. Backward, the pair of layers places one signed zero
+    # differently: in a block whose maximum is <= 0, under a negative upstream
+    # gradient, -0.0 lands on the block's first corner (ReLU first) or on its
+    # first maximum (pool first). A signed zero can change a sum only when
+    # every term is zero, and the conv's kernel GEMMs and bias sums return
+    # +0.0 for such sums in both orders, so no parameter gradient bit differs.
+    rng = np.random.default_rng(seed)
+    images = rng.choice(_TIE_VALUES, size=(b, 4 * h4, 4 * w4, c))
+    dlogits = rng.choice(_TIE_VALUES, size=(b, 5)).astype(dtype)
+    params = None
+    runs = []
+    for pool_first in (False, True):
+        model = _two_stage_model(pool_first, c, 2 * h4 * w4, dtype)
+        if params is None:
+            params = rng.choice(_TIE_VALUES, size=model.params.size)
+        model.params[...] = params
+        logits = model.forward_logits(images, None, training=True)
+        model.backward(dlogits)
+        runs.append((logits, model.grads))
+    for old, new in zip(*runs):
+        assert old.dtype == new.dtype == dtype
+        np.testing.assert_array_equal(_bits(old), _bits(new))
 
 
 @pytest.mark.parametrize("make", [
@@ -144,7 +191,7 @@ def test_hybrid_gradients_do_not_depend_on_first_layer_input_gradient():
     dlogits = rng.normal(size=(4, 5))
     grads = []
     for input_grad in (False, True):
-        model = build_hybrid(channels=3, seed=4)
+        model = build_hybrid(channels=3, seed=4, dtype=np.float64)
         assert model.image_layers[0].input_grad is False
         model.image_layers[0].input_grad = input_grad
         model.forward_logits(images, feats, training=True, rng=np.random.default_rng(5))
@@ -286,7 +333,7 @@ def test_adam_class_matches_functional_step():
 
 
 def test_flat_adam_matches_per_parameter_loop_on_hybrid_shapes():
-    model = build_hybrid(channels=3, seed=2)
+    model = build_hybrid(channels=3, seed=2, dtype=np.float64)
     cfg = TrainConfig(learning_rate=1e-3)
     tensors = [t.copy() for t in model_tensors(model)]
     flat, per_tensor = Adam(model.params, cfg), ReferenceAdam(tensors, cfg)
@@ -448,7 +495,7 @@ def _edit_head(path, edit):
 
 
 def test_load_model_drops_the_softmax_that_ends_an_older_head(tmp_path):
-    model = build_hybrid(channels=1, seed=8)
+    model = build_hybrid(channels=1, seed=8, dtype=np.float64)
     save_model(model, tmp_path)
     _edit_head(tmp_path, lambda head: head.append({"type": "softmax"}))
     loaded, _ = load_model(tmp_path)
