@@ -10,7 +10,7 @@ band-power scalars through dense layers of 16 and 8 units. The branch
 outputs are concatenated into a dense layer of 8 units and a 5-way dense
 output, where the head ends: its outputs are the logits, and ``Model.forward``
 applies softmax to them once. Single-branch variants reuse the head.
-The builders make float32 models, the precision training runs at;
+The builders make float32 models, so training runs at float32;
 ``dtype=np.float64`` builds serve the gradient checks.
 """
 

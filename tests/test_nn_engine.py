@@ -150,12 +150,10 @@ def test_pool_before_relu_gives_the_bits_of_relu_before_pool(dtype, b, h4, w4, c
     rng = np.random.default_rng(seed)
     images = rng.choice(_TIE_VALUES, size=(b, 4 * h4, 4 * w4, c))
     dlogits = rng.choice(_TIE_VALUES, size=(b, 5)).astype(dtype)
-    params = None
+    models = [_two_stage_model(pool_first, c, 2 * h4 * w4, dtype) for pool_first in (False, True)]
+    params = rng.choice(_TIE_VALUES, size=models[0].params.size)
     runs = []
-    for pool_first in (False, True):
-        model = _two_stage_model(pool_first, c, 2 * h4 * w4, dtype)
-        if params is None:
-            params = rng.choice(_TIE_VALUES, size=model.params.size)
+    for model in models:
         model.params[...] = params
         logits = model.forward_logits(images, None, training=True)
         model.backward(dlogits)
