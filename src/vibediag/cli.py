@@ -86,9 +86,20 @@ def _prepare_out(path: str) -> Path:
     return out
 
 
-def _override(obj, name, value):
-    if value is not None:
-        setattr(obj, name, value)
+def _configure(args) -> tuple[RunConfig, int]:
+    """The run config with every given ``section.field`` flag applied, and the resolved seed."""
+    config = load_config(args.config)
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, name = dest.split(".")
+            setattr(getattr(config, section), name, value)
+    return config, resolve_seed(args.seed, config)
+
+
+def _torsional_peaks(recording_path, band):
+    rec = load_recording(recording_path)
+    spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz, taper=band.taper)
+    return find_torsional_peaks(spectrum, band.search_lo_hz, band.search_hi_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +107,8 @@ def _override(obj, name, value):
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     sim = config.simulate
-    for name in ("duration_s", "noise_sigma", "sample_rate_hz", "recordings_per_class"):
-        _override(sim, name, getattr(args, name))
     out = _prepare_out(args.out)
     artifacts = []
     for label in FaultLabel:
@@ -125,37 +133,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_srs(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    band = config.band
-    _override(band, "search_lo_hz", args.lo)
-    _override(band, "search_hi_hz", args.hi)
-    rec = load_recording(args.recording)
-    spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz, taper=band.taper)
-    peaks = find_torsional_peaks(spectrum, band.search_lo_hz, band.search_hi_hz)
+    config, _ = _configure(args)
+    peaks = _torsional_peaks(args.recording, config.band)
     payload = {
         "peaks_hz": [p.center_hz for p in peaks],
         "prominence": [p.prominence for p in peaks],
     }
     if args.out:
-        out = _prepare_out(Path(args.out).parent or Path("."))
+        _prepare_out(Path(args.out).parent)
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload))
     return 0
 
 
 def cmd_featurize(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
-    _override(config.segmentation, "window_len", args.window_len)
-    _override(config.segmentation, "hop", args.hop)
-    _override(config.hht, "channels", args.channels)
-    _override(config.hht, "freq_max_hz", args.freq_max_hz)
+    config, seed = _configure(args)
     if args.srs:
-        rec = load_recording(args.srs)
-        spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz, taper=config.band.taper)
-        peaks = find_torsional_peaks(spectrum, config.band.search_lo_hz, config.band.search_hi_hz)
-        config.band.centers_hz = tuple(p.center_hz for p in peaks)
+        config.band.centers_hz = tuple(p.center_hz for p in _torsional_peaks(args.srs, config.band))
     windows = recording_windows(load_recordings_dir(args.recordings), config)
     examples = featurize_windows(windows, config, jobs=args.jobs)
     dataset = dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
@@ -170,14 +164,9 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     spec = config.split
     spec.seed = seed
-    _override(spec, "test_fraction", args.test_fraction)
-    _override(spec, "val_fraction", args.val_fraction)
-    if args.stratified:
-        spec.stratified = True
     dataset_dir = Path(args.dataset)
     dataset = load_dataset(dataset_dir)
     assign_splits(dataset, spec)
@@ -194,13 +183,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     tcfg = config.train
     tcfg.seed = seed
-    for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
-        _override(tcfg, name, getattr(args, name))
-
     dataset = load_dataset(args.dataset)
     channels = dataset.images.shape[3]
     model = BRANCH_BUILDERS[args.branch](channels=channels, seed=seed)
@@ -227,8 +212,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     checkpoint = Path(args.checkpoint)
     model, model_manifest = load_model(checkpoint)
     trained = model_manifest.get("config") or {}
@@ -258,12 +242,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     config.tsne.seed = seed
-    _override(config.tsne, "perplexity", args.perplexity)
-    _override(config.tsne, "iterations", args.iterations)
-
     dataset = load_dataset(args.dataset)
     flat = dataset.images.reshape(len(dataset), -1)
     model = pca_fit(flat)
@@ -299,8 +279,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_export_images(args) -> int:
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     dataset = load_dataset(args.dataset)
     out = _prepare_out(args.out)
     suffix = ".ppm" if dataset.images.shape[3] == 3 else ".pgm"
@@ -317,8 +296,7 @@ def cmd_export_images(args) -> int:
 
 def cmd_import(args) -> int:
     """Adapt an externally downloaded raw CSV into the recording format."""
-    config = load_config(args.config)
-    seed = resolve_seed(args.seed, config)
+    config, seed = _configure(args)
     src = Path(args.src)
     raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0)
     if raw.ndim == 1:
@@ -362,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize one recording set per fault class")
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--sample-rate-hz", dest="sample_rate_hz", type=float)
-    p.add_argument("--recordings-per-class", dest="recordings_per_class", type=int)
+    p.add_argument("--duration-s", dest="simulate.duration_s", type=float)
+    p.add_argument("--noise-sigma", dest="simulate.noise_sigma", type=float)
+    p.add_argument("--sample-rate-hz", dest="simulate.sample_rate_hz", type=float)
+    p.add_argument("--recordings-per-class", dest="simulate.recordings_per_class", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("srs", help="locate torsional resonance peaks in a shock recording")
     _add_common(p)
     p.add_argument("--recording", required=True)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
+    p.add_argument("--lo", dest="band.search_lo_hz", type=float)
+    p.add_argument("--hi", dest="band.search_hi_hz", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_srs)
 
@@ -382,18 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--srs", help="shock recording; overrides band centers")
-    p.add_argument("--window-len", dest="window_len", type=int)
-    p.add_argument("--hop", type=int)
-    p.add_argument("--channels", type=int, choices=(1, 3))
-    p.add_argument("--freq-max-hz", dest="freq_max_hz", type=float)
+    p.add_argument("--window-len", dest="segmentation.window_len", type=int)
+    p.add_argument("--hop", dest="segmentation.hop", type=int)
+    p.add_argument("--channels", dest="hht.channels", type=int, choices=(1, 3))
+    p.add_argument("--freq-max-hz", dest="hht.freq_max_hz", type=float)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("split", help="attach train/val/test membership and the feature scaler")
     _add_common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--stratified", action="store_true")
+    p.add_argument("--test-fraction", dest="split.test_fraction", type=float)
+    p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
+    p.add_argument("--stratified", dest="split.stratified", action="store_true", default=None)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train a model branch on a featurized dataset")
@@ -401,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--branch", choices=("hybrid", "cnn", "mlp"), default="hybrid")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--max-epochs", dest="train.max_epochs", type=int)
+    p.add_argument("--patience", dest="train.patience", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
@@ -421,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--target", type=float, help="variance fraction for PCA reduction")
     p.add_argument("--max-points", dest="max_points", type=int, default=2000)
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--perplexity", dest="tsne.perplexity", type=float)
+    p.add_argument("--iterations", dest="tsne.iterations", type=int)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("export-images", help="write one PPM/PGM per window")

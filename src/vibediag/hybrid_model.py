@@ -11,12 +11,14 @@ outputs are concatenated into a dense layer of 8 units and a 5-way dense
 output, where the head ends: its outputs are the logits, and ``Model.forward``
 applies softmax to them once. Single-branch variants reuse the head.
 The builders make float32 models, so training runs at float32;
-``dtype=np.float64`` builds serve the gradient checks.
+``dtype=np.float64`` builds serve the gradient checks. Only ``Model``
+takes the dtype: the layers build float64 and the model casts them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -107,29 +109,29 @@ def split(examples: Sequence, spec: SplitSpec):
     return tuple([examples[i] for i in idx] for idx in split_indices(len(examples), spec, labels))
 
 
-def _cnn_branch(channels: int, rng, dtype) -> list:
+def _cnn_branch(channels: int, rng) -> list:
     return [
-        Conv3x3(channels, 16, rng, dtype), MaxPool2x2(), ReLU(),
-        Conv3x3(16, 32, rng, dtype), MaxPool2x2(), ReLU(),
-        Conv3x3(32, 64, rng, dtype), MaxPool2x2(), ReLU(),
+        Conv3x3(channels, 16, rng), MaxPool2x2(), ReLU(),
+        Conv3x3(16, 32, rng), MaxPool2x2(), ReLU(),
+        Conv3x3(32, 64, rng), MaxPool2x2(), ReLU(),
         Flatten(),
-        Dense(FLATTEN_WIDTH, 16, rng, dtype), ReLU(),
+        Dense(FLATTEN_WIDTH, 16, rng), ReLU(),
         Dropout(0.5),
-        Dense(16, 8, rng, dtype), ReLU(),
+        Dense(16, 8, rng), ReLU(),
     ]
 
 
-def _mlp_branch(rng, dtype) -> list:
+def _mlp_branch(rng) -> list:
     return [
-        Dense(2, 16, rng, dtype), ReLU(),
-        Dense(16, 8, rng, dtype), ReLU(),
+        Dense(2, 16, rng), ReLU(),
+        Dense(16, 8, rng), ReLU(),
     ]
 
 
-def _head(in_width: int, rng, dtype) -> list:
+def _head(in_width: int, rng) -> list:
     return [
-        Dense(in_width, 8, rng, dtype), ReLU(),
-        Dense(8, N_CLASSES, rng, dtype),
+        Dense(in_width, 8, rng), ReLU(),
+        Dense(8, N_CLASSES, rng),
     ]
 
 
@@ -142,18 +144,18 @@ def _seeded_rng(channels: int, seed: int) -> np.random.Generator:
 def build_hybrid(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     """Both branches, concatenated feature-wise into the shared head."""
     rng = _seeded_rng(channels, seed)
-    return Model(_cnn_branch(channels, rng, dtype), _mlp_branch(rng, dtype), _head(16, rng, dtype), dtype)
+    return Model(_cnn_branch(channels, rng), _mlp_branch(rng), _head(16, rng), dtype)
 
 
 def build_cnn_only(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     rng = _seeded_rng(channels, seed)
-    return Model(_cnn_branch(channels, rng, dtype), None, _head(8, rng, dtype), dtype)
+    return Model(_cnn_branch(channels, rng), None, _head(8, rng), dtype)
 
 
 def build_mlp_only(channels: int = 3, seed: int = 0, dtype=np.float32) -> Model:
     """The feature branch alone; ``channels`` is checked but no layer reads images."""
     rng = _seeded_rng(channels, seed)
-    return Model(None, _mlp_branch(rng, dtype), _head(8, rng, dtype), dtype)
+    return Model(None, _mlp_branch(rng), _head(8, rng), dtype)
 
 
 BRANCH_BUILDERS = {"hybrid": build_hybrid, "cnn": build_cnn_only, "mlp": build_mlp_only}
@@ -166,19 +168,15 @@ def shape_trace(model: Model, channels: int = 3, feature_width: int = 2):
         rows = []
         for layer in layers:
             x = layer.forward(x, training=False)
-            rows.append((layer.spec()["type"], x.shape[1:]))
+            rows.append((layer.kind, x.shape[1:]))
         return rows, x
 
-    trace = {}
-    parts = []
-    if model.image_layers is not None:
-        rows, out = run(model.image_layers, np.zeros((1, IMAGE_SIZE, IMAGE_SIZE, channels)))
-        trace["image"] = rows
-        parts.append(out)
-    if model.feature_layers is not None:
-        rows, out = run(model.feature_layers, np.zeros((1, feature_width)))
-        trace["feature"] = rows
-        parts.append(out)
+    trace, parts = {}, []
+    probes = (np.zeros((1, IMAGE_SIZE, IMAGE_SIZE, channels)), np.zeros((1, feature_width)))
+    for name, layers, probe in zip(("image", "feature"), model.branches, probes):
+        if layers is not None:
+            trace[name], out = run(layers, probe)
+            parts.append(out)
     merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     trace["head"], _ = run(model.head_layers, merged)
     return trace
@@ -370,10 +368,12 @@ def dataset_from_examples(examples: Sequence[Example], config_echo: dict | None 
 DATASET_FORMAT = "vibediag-dataset-v1"
 
 
+_BINARY_NAMES = ("images", "features", "labels_onehot")
+
+
 def _binary_arrays(dataset: FeaturizedDataset):
     """The arrays of ``dataset.bin`` in file order."""
-    return (("images", dataset.images), ("features", dataset.features_raw),
-            ("labels_onehot", np.eye(N_CLASSES)[dataset.labels]))
+    return zip(_BINARY_NAMES, (dataset.images, dataset.features_raw, np.eye(N_CLASSES)[dataset.labels]))
 
 
 def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
@@ -418,14 +418,28 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> FeaturizedDataset:
+    """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
+    unknown format, a wrong length, or an ``offsets`` entry that is missing or incomplete, is
+    not 8 bytes per value of its shape, or reaches outside ``total_bytes``."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "dataset.json").read_text())
+    json_path = in_dir / "dataset.json"
+    manifest = json.loads(json_path.read_text())
     if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{in_dir / 'dataset.json'}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
+        raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
+    total = manifest["total_bytes"]
+    for name in _BINARY_NAMES:
+        meta = manifest["offsets"].get(name)
+        if meta is None or not {"byte_offset", "byte_length", "shape"} <= meta.keys():
+            raise ValueError(f"{json_path}: offsets entry {name!r} is missing or lacks byte_offset, "
+                             "byte_length or shape")
+        start, length = meta["byte_offset"], meta["byte_length"]
+        if length != 8 * math.prod(meta["shape"]) or not 0 <= start <= total - length:
+            raise ValueError(f"{json_path}: offsets entry {name!r} {meta} is not 8 bytes per value "
+                             f"of its shape inside total_bytes {total}")
     bin_path = in_dir / "dataset.bin"
     size = bin_path.stat().st_size
-    if size != manifest["total_bytes"]:
-        raise ValueError(f"{bin_path}: {size} bytes, but the manifest needs {manifest['total_bytes']}")
+    if size != total:
+        raise ValueError(f"{bin_path}: {size} bytes, but the manifest needs {total}")
 
     def read(name):
         meta = manifest["offsets"][name]

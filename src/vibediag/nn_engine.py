@@ -5,10 +5,12 @@ exact backward passes; training uses Adam with early stopping on
 validation loss and best-parameter restore. A ``Model`` keeps all its
 parameters in one flat array and all its gradients in another: every
 layer's tensors are views into them, so Adam updates, snapshots and
-checkpoint I/O each touch one array. A model computes at the dtype it
-was built with, as a single deterministic sequence: the hybrid builders
-make float32 models, so training runs at float32, and ``model.bin`` holds
-their float64 upcasts, which are exact. ``load_model`` builds float64.
+checkpoint I/O each touch one array. Layers build float64 and the
+``Model`` casts them to its dtype, at which it computes, as a single
+deterministic sequence: the hybrid builders make float32 models, so
+training runs at float32, and ``model.bin`` holds their float64 upcasts,
+which are exact. ``load_model`` builds float32 when every stored value is
+a float32 value, and float64 otherwise.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class History:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Layer:
@@ -79,9 +81,14 @@ class Layer:
     place: inside a ``Model`` that array is a view into ``Model.grads``.
     """
 
+    kind = ""  # the layer's ``type`` in model.json
+    spec_fields = ()  # constructor arguments, recorded in model.json in this order
     input_grad = True
     param_names = ()  # parameter attributes; each has a gradient ``d_<name>``
     _cache = None
+
+    def spec(self) -> dict:
+        return {"type": self.kind, **{name: getattr(self, name) for name in self.spec_fields}}
 
     def _saved(self):
         if self._cache is None:
@@ -116,15 +123,15 @@ class Conv3x3(Layer):
     correlating the output gradient with the flipped kernels.
     """
 
+    kind = "conv3x3"
+    spec_fields = ("in_channels", "out_channels")
     param_names = ("kernels", "bias")
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernels = glorot_uniform(
-            rng, (3, 3, in_channels, out_channels), 9 * in_channels, 9 * out_channels, dtype
-        )
-        self.bias = np.zeros(out_channels, dtype=dtype)
+        self.kernels = glorot_uniform(rng, (3, 3, in_channels, out_channels), 9 * in_channels, 9 * out_channels)
+        self.bias = np.zeros(out_channels)
         self.d_kernels = np.zeros_like(self.kernels)
         self.d_bias = np.zeros_like(self.bias)
 
@@ -165,9 +172,6 @@ class Conv3x3(Layer):
                 )
         return dxp[:, 1 : 1 + h, 1 : 1 + w, :]
 
-    def spec(self):
-        return {"type": "conv3x3", "in_channels": self.in_channels, "out_channels": self.out_channels}
-
 
 # Reading-order index of each corner of a 2x2 block, laid out as the block.
 _CORNERS = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
@@ -182,6 +186,8 @@ class MaxPool2x2(Layer):
     of zero included. A training forward keeps the winning corner of every
     block as one byte.
     """
+
+    kind = "maxpool2x2"
 
     def forward(self, x, training=False, rng=None):
         b, h, w, c = x.shape
@@ -202,11 +208,10 @@ class MaxPool2x2(Layer):
         b, h, _, w, _, c = dx.shape
         return dx.reshape(b, 2 * h, 2 * w, c)
 
-    def spec(self):
-        return {"type": "maxpool2x2"}
-
 
 class Flatten(Layer):
+    kind = "flatten"
+
     def forward(self, x, training=False, rng=None):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -214,18 +219,17 @@ class Flatten(Layer):
     def backward(self, grad):
         return grad.reshape(self._in_shape)
 
-    def spec(self):
-        return {"type": "flatten"}
-
 
 class Dense(Layer):
+    kind = "dense"
+    spec_fields = ("in_features", "out_features")
     param_names = ("weights", "bias")
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
         self.out_features = out_features
-        self.weights = glorot_uniform(rng, (in_features, out_features), in_features, out_features, dtype)
-        self.bias = np.zeros(out_features, dtype=dtype)
+        self.weights = glorot_uniform(rng, (in_features, out_features), in_features, out_features)
+        self.bias = np.zeros(out_features)
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
 
@@ -240,11 +244,10 @@ class Dense(Layer):
         grad.sum(axis=0, out=self.d_bias)
         return grad @ self.weights.T if self.input_grad else None
 
-    def spec(self):
-        return {"type": "dense", "in_features": self.in_features, "out_features": self.out_features}
-
 
 class ReLU(Layer):
+    kind = "relu"
+
     def forward(self, x, training=False, rng=None):
         self._cache = x > 0 if training else None
         return np.maximum(x, 0.0)
@@ -252,12 +255,12 @@ class ReLU(Layer):
     def backward(self, grad):
         return grad * self._saved()
 
-    def spec(self):
-        return {"type": "relu"}
-
 
 class Dropout(Layer):
     """Inverted dropout: survivors are scaled by 1/(1-rate); identity in eval mode."""
+
+    kind = "dropout"
+    spec_fields = ("rate",)
 
     def __init__(self, rate: float = 0.5):
         if not 0.0 <= rate < 1.0:
@@ -280,18 +283,8 @@ class Dropout(Layer):
             return grad
         return grad * self._scale
 
-    def spec(self):
-        return {"type": "dropout", "rate": self.rate}
 
-
-_LAYER_TYPES = {
-    "conv3x3": Conv3x3,
-    "maxpool2x2": MaxPool2x2,
-    "flatten": Flatten,
-    "dense": Dense,
-    "relu": ReLU,
-    "dropout": Dropout,
-}
+_LAYER_TYPES = {cls.kind: cls for cls in (Conv3x3, MaxPool2x2, Flatten, Dense, ReLU, Dropout)}
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -349,6 +342,10 @@ class Adam:
         )
 
 
+# The layer groups of model.json, in ``Model`` argument order.
+_GROUP_KEYS = ("image_branch", "feature_branch", "head")
+
+
 class Model:
     """Optional image and feature branches merged by concatenation into a head.
 
@@ -357,9 +354,10 @@ class Model:
     ``forward`` and the training loss of ``softmax_crossentropy``.
     A missing branch means the corresponding input is ignored entirely.
 
-    ``params`` and ``grads`` hold every parameter and gradient in layer
-    order, flattened row-major; each layer's tensors become views into them,
-    with the values the layers were built with.
+    The model owns its precision: ``params`` and ``grads`` hold every
+    parameter and gradient at ``dtype``, in layer order, flattened
+    row-major; each layer's tensors become views into them, with the values
+    the layers were built with, cast to ``dtype``.
     """
 
     def __init__(self, image_layers, feature_layers, head_layers, dtype=np.float64):
@@ -369,8 +367,8 @@ class Model:
         self.feature_layers = feature_layers
         self.head_layers = head_layers
         self.dtype = dtype
-        self._image_width = None
-        for branch in (image_layers, feature_layers):
+        self._merged = ((), ())  # the branches the last forward ran, and where their outputs meet
+        for branch in self.branches:
             if branch:
                 branch[0].input_grad = False
         owned = [(layer, name) for layer in self._all_layers() for name in layer.param_names]
@@ -384,10 +382,14 @@ class Model:
             setattr(layer, "d_" + name, self.grads[view].reshape(value.shape))
             offset = view.stop
 
+    @property
+    def branches(self):
+        """``(image_layers, feature_layers)``, the order of the inputs and of the merge."""
+        return self.image_layers, self.feature_layers
+
     def used_inputs(self, images, features):
         """``(images, features)``, each replaced by None when its branch is missing."""
-        return (None if self.image_layers is None else images,
-                None if self.feature_layers is None else features)
+        return tuple(None if layers is None else x for layers, x in zip(self.branches, (images, features)))
 
     def _run(self, layers, x, training, rng):
         for layer in layers:
@@ -395,16 +397,15 @@ class Model:
         return x
 
     def forward_logits(self, images, features, training=False, rng=None):
-        parts = []
-        if self.image_layers is not None:
-            if images is None:
-                raise ValueError("model has an image branch but no images were given")
-            parts.append(self._run(self.image_layers, np.asarray(images, self.dtype), training, rng))
-            self._image_width = parts[-1].shape[1]
-        if self.feature_layers is not None:
-            if features is None:
-                raise ValueError("model has a feature branch but no features were given")
-            parts.append(self._run(self.feature_layers, np.asarray(features, self.dtype), training, rng))
+        ran, parts = [], []
+        for name, layers, x in zip(("image", "feature"), self.branches, (images, features)):
+            if layers is None:
+                continue
+            if x is None:
+                raise ValueError(f"the model's {name} branch needs {name}s, but none were given")
+            ran.append(layers)
+            parts.append(self._run(layers, np.asarray(x, self.dtype), training, rng))
+        self._merged = ran, np.cumsum([part.shape[1] for part in parts])[:-1]
         merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return self._run(self.head_layers, merged, training, rng)
 
@@ -415,25 +416,14 @@ class Model:
         grad = dlogits
         for layer in reversed(self.head_layers):
             grad = layer.backward(grad)
-        if self.image_layers is not None and self.feature_layers is not None:
-            g_img, g_feat = grad[:, : self._image_width], grad[:, self._image_width :]
-        elif self.image_layers is not None:
-            g_img, g_feat = grad, None
-        else:
-            g_img, g_feat = None, grad
-        if self.image_layers is not None:
-            g = g_img
-            for layer in reversed(self.image_layers):
-                g = layer.backward(g)
-        if self.feature_layers is not None:
-            g = g_feat
-            for layer in reversed(self.feature_layers):
+        ran, split_at = self._merged
+        for layers, g in zip(ran, np.split(grad, split_at, axis=1)):
+            for layer in reversed(layers):
                 g = layer.backward(g)
 
     def _all_layers(self):
-        for group in (self.image_layers, self.feature_layers, self.head_layers):
-            if group is not None:
-                yield from group
+        for group in (*self.branches, self.head_layers):
+            yield from group or ()
 
     def snapshot(self) -> np.ndarray:
         return self.params.copy()
@@ -442,41 +432,22 @@ class Model:
         self.params[...] = snapshot
 
     def manifest_layers(self) -> dict:
-        def describe(group):
-            return None if group is None else [layer.spec() for layer in group]
-
-        return {
-            "image_branch": describe(self.image_layers),
-            "feature_branch": describe(self.feature_layers),
-            "head": describe(self.head_layers),
-        }
+        groups = (*self.branches, self.head_layers)
+        return {key: None if group is None else [layer.spec() for layer in group]
+                for key, group in zip(_GROUP_KEYS, groups)}
 
 
-def _build_group(specs, rng, dtype):
-    if specs is None:
-        return None
-    layers = []
-    for s in specs:
-        kind = s["type"]
-        if kind == "conv3x3":
-            layers.append(Conv3x3(s["in_channels"], s["out_channels"], rng, dtype))
-        elif kind == "dense":
-            layers.append(Dense(s["in_features"], s["out_features"], rng, dtype))
-        elif kind == "dropout":
-            layers.append(Dropout(s["rate"]))
-        else:
-            layers.append(_LAYER_TYPES[kind]())
-    return layers
+def _build_group(specs, rng):
+    def build(cls, spec):
+        args = {name: spec[name] for name in cls.spec_fields}
+        return cls(**args, rng=rng) if cls.param_names else cls(**args)
+
+    return None if specs is None else [build(_LAYER_TYPES[spec["type"]], spec) for spec in specs]
 
 
 def model_from_manifest_layers(layer_groups: dict, dtype=np.float64) -> Model:
     rng = np.random.default_rng(0)  # placeholder values, overwritten on load
-    return Model(
-        _build_group(layer_groups["image_branch"], rng, dtype),
-        _build_group(layer_groups["feature_branch"], rng, dtype),
-        _build_group(layer_groups["head"], rng, dtype),
-        dtype=dtype,
-    )
+    return Model(*(_build_group(layer_groups[key], rng) for key in _GROUP_KEYS), dtype=dtype)
 
 
 MODEL_FORMAT = "vibediag-model-v1"
@@ -510,10 +481,11 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 
 
 def load_model(in_dir) -> tuple[Model, dict]:
-    """A float64 model from ``model.json`` and ``model.bin``; ValueError, naming the file,
-    on an unknown format or layer type, a tensor table its layers do not imply, or a
-    wrong length. A parameter-free ``softmax`` that ends an older checkpoint's head is
-    dropped: ``forward`` applies softmax itself."""
+    """A model from ``model.json`` and ``model.bin``: float32 when every stored value is a
+    float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
+    file, on an unknown format or layer type, a layer spec with missing or unknown keys, a
+    tensor table its layers do not imply, or a wrong length. A parameter-free ``softmax``
+    that ends an older checkpoint's head is dropped: ``forward`` applies softmax itself."""
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
     manifest = json.loads(json_path.read_text())
@@ -522,17 +494,26 @@ def load_model(in_dir) -> tuple[Model, dict]:
     layers = manifest["layers"]
     if layers["head"] and layers["head"][-1] == {"type": "softmax"}:
         layers = {**layers, "head": layers["head"][:-1]}
-    kinds = {spec["type"] for group in layers.values() if group for spec in group}
+    kinds = {spec.get("type") for group in layers.values() if group for spec in group}
     if not kinds <= _LAYER_TYPES.keys():
-        raise ValueError(f"{json_path}: unknown layer types {sorted(kinds - _LAYER_TYPES.keys())}")
-    model = model_from_manifest_layers(layers)
+        raise ValueError(f"{json_path}: unknown layer types {sorted(kinds - _LAYER_TYPES.keys(), key=str)}")
+    for key, group in layers.items():
+        for i, spec in enumerate(group or ()):
+            want = {"type", *_LAYER_TYPES[spec["type"]].spec_fields}
+            if spec.keys() != want:
+                raise ValueError(f"{json_path}: {key} layer {i} ({spec['type']}) has keys {sorted(spec)}, "
+                                 f"not {sorted(want)}")
+    blob = (in_dir / "model.bin").read_bytes()
+    values = np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)
+    with np.errstate(over="ignore"):  # beyond float32's range casts to inf: not equal, float64
+        exact32 = np.array_equal(values, values.astype(np.float32))
+    model = model_from_manifest_layers(layers, np.float32 if exact32 else np.float64)
     if manifest["tensors"] != _tensor_table(model):
         raise ValueError(f"{json_path}: tensor table does not match the layers it lists")
-    blob = (in_dir / "model.bin").read_bytes()
     if not len(blob) == manifest["total_bytes"] == 8 * model.params.size:
         raise ValueError(f"{in_dir / 'model.bin'}: {len(blob)} bytes, but the manifest needs "
                          f"{8 * model.params.size}")
-    model.params[...] = np.frombuffer(blob, dtype="<f8")
+    model.params[...] = values
     return model, manifest
 
 

@@ -264,6 +264,16 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"train": {"shuffle": True}})
 
 
+def test_flags_override_the_config_fields_they_name_and_absent_flags_keep_them(desk_run, tmp_path):
+    copy = tmp_path / "dataset"
+    shutil.copytree(desk_run / "dataset", copy)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"split": {"test_fraction": 0.3, "stratified": True}}))
+    assert run(["split", "--dataset", copy, "--config", config, "--val-fraction", "0.25"]) == 0
+    split = json.loads((copy / "manifest.json").read_text())["config"]["split"]
+    assert (split["test_fraction"], split["val_fraction"], split["stratified"]) == (0.3, 0.25, True)
+
+
 def test_seed_resolution_order(monkeypatch):
     cfg = RunConfig()
     monkeypatch.delenv("VIBEDIAG_SEED", raising=False)

@@ -118,9 +118,25 @@ def test_float32_hybrid_keeps_its_store_at_float32_and_checkpoints_as_exact_upca
 
     save_model(model, tmp_path)
     loaded, _ = load_model(tmp_path)
-    assert loaded.params.dtype == np.float64
+    assert loaded.params.dtype == np.float32
     np.testing.assert_array_equal(loaded.params, model.params.astype(np.float64))
     assert [a.shape for a in model_tensors(loaded)] == [a.shape for a in model_tensors(model)]
+
+
+@pytest.mark.parametrize("off_float32", [lambda v: np.nextafter(v, np.inf), lambda v: 1e300],
+                         ids=["one-ulp", "out-of-range"])
+def test_a_checkpoint_with_a_value_float32_cannot_hold_loads_float64_and_predicts_as_saved(tmp_path, off_float32):
+    model = build_hybrid(channels=3, seed=4, dtype=np.float64)
+    model.params[...] = model.params.astype(np.float32)  # every value a float32 value but one:
+    model.params[-1] = off_float32(model.params[-1])
+    save_model(model, tmp_path)
+    loaded, _ = load_model(tmp_path)
+    assert loaded.params.dtype == np.float64
+    np.testing.assert_array_equal(loaded.params, model.params)
+    rng = np.random.default_rng(4)
+    images, feats = rng.random((40, 32, 32, 3)), rng.random((40, 2))
+    np.testing.assert_array_equal(loaded.forward_logits(images, feats), model.forward_logits(images, feats))
+    np.testing.assert_array_equal(predict_classes(loaded, images, feats), predict_classes(model, images, feats))
 
 
 def test_a_checkpoint_with_relu_before_pool_loads_as_written_and_predicts_the_same(tmp_path):
@@ -382,6 +398,35 @@ def test_load_dataset_rejects_a_dataset_bin_of_another_length(tmp_path):
     (tmp_path / "dataset.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError, match=rf"dataset\.bin: {len(blob) - 8} bytes, but the manifest needs {len(blob)}$"):
         load_dataset(tmp_path)
+
+
+def _reshape_features(offsets):
+    offsets["features"]["shape"] = [3, 2]
+
+
+def _drop_labels(offsets):
+    del offsets["labels_onehot"]
+
+
+def _drop_a_feature_offset(offsets):
+    del offsets["features"]["byte_offset"]
+
+
+def _move_labels_past_the_end(offsets):
+    offsets["labels_onehot"]["byte_offset"] += 8
+
+
+@pytest.mark.parametrize("corrupt, entry", [(_reshape_features, "features"), (_drop_labels, "labels_onehot"),
+                                            (_drop_a_feature_offset, "features"),
+                                            (_move_labels_past_the_end, "labels_onehot")])
+def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_path, corrupt, entry):
+    save_dataset(dataset_from_examples(make_examples()), tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    corrupt(manifest["offsets"])
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"dataset\.json: offsets entry '{entry}' ") as excinfo:
+        load_dataset(tmp_path)
+    assert len(str(excinfo.value).splitlines()) == 1
 
 
 def test_load_dataset_holds_each_array_once(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -127,10 +128,9 @@ def _two_stage_model(pool_first, channels, flat_width, dtype):
 
     def stage(cin, cout):
         act = (MaxPool2x2(), ReLU()) if pool_first else (ReLU(), MaxPool2x2())
-        return [Conv3x3(cin, cout, rng, dtype), *act]
+        return [Conv3x3(cin, cout, rng), *act]
 
-    return Model([*stage(channels, 3), *stage(3, 2), Flatten()], None,
-                 [Dense(flat_width, 5, rng, dtype)], dtype)
+    return Model([*stage(channels, 3), *stage(3, 2), Flatten()], None, [Dense(flat_width, 5, rng)], dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -508,6 +508,17 @@ def test_load_model_rejects_a_softmax_inside_the_head(tmp_path):
     save_model(build_hybrid(channels=1, seed=8), tmp_path)
     _edit_head(tmp_path, lambda head: head.insert(1, {"type": "softmax"}))
     with pytest.raises(ValueError, match=r"model\.json: unknown layer types \['softmax'\]$"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("edit, keys", [
+    (lambda spec: spec.pop("out_features"), "['in_features', 'type']"),
+    (lambda spec: spec.update(units=8), "['in_features', 'out_features', 'type', 'units']"),
+], ids=["missing", "unknown"])
+def test_load_model_names_model_json_and_the_layer_of_a_bad_spec(tmp_path, edit, keys):
+    save_model(build_hybrid(channels=1, seed=8), tmp_path)
+    _edit_head(tmp_path, lambda head: edit(head[0]))
+    with pytest.raises(ValueError, match=rf"model\.json: head layer 0 \(dense\) has keys {re.escape(keys)}, not"):
         load_model(tmp_path)
 
 
