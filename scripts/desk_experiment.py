@@ -55,7 +55,7 @@ def main():
         ckpt = out / f"model-{branch}"
         run(["train", "--dataset", ds_dir, "--out", ckpt, "--branch", branch,
              "--seed", args.seed, "--learning-rate", 1e-3,
-             "--max-epochs", args.max_epochs, "--patience", 20])
+             "--max-epochs", args.max_epochs, "--patience", min(20, args.max_epochs)])
         eval_dir = out / f"eval-{branch}"
         run(["eval", "--checkpoint", ckpt, "--dataset", ds_dir, "--out", eval_dir])
         report = json.loads((eval_dir / "report.json").read_text())

@@ -18,13 +18,12 @@ import numpy as np
 
 import vibediag
 from vibediag.band_features import find_torsional_peaks, magnitude_spectrum
-from vibediag.config import RunConfig, config_to_dict, load_config, resolve_seed
+from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
 from vibediag.embedding import pca_fit, pca_reduce, subsample_indices, tsne
 from vibediag.hht import write_image
 from vibediag.hybrid_model import (
     BRANCH_BUILDERS,
     FeaturizedDataset,
-    SpectrumImage,
     assign_splits,
     classification_report,
     confusion_to_csv,
@@ -87,12 +86,14 @@ def _prepare_out(path: str) -> Path:
 
 
 def _configure(args) -> tuple[RunConfig, int]:
-    """The run config with every given ``section.field`` flag applied, and the resolved seed."""
-    config = load_config(args.config)
+    """The run config with every given ``section.field`` flag laid over the config file, each
+    section validated once over both, and the resolved seed."""
+    payload = config_to_dict(load_config(args.config))
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
             section, name = dest.split(".")
-            setattr(getattr(config, section), name, value)
+            payload[section][name] = value
+    config = config_from_dict(payload)
     return config, resolve_seed(args.seed, config)
 
 
@@ -150,15 +151,17 @@ def cmd_featurize(args) -> int:
     config, seed = _configure(args)
     if args.srs:
         config.band.centers_hz = tuple(p.center_hz for p in _torsional_peaks(args.srs, config.band))
-    windows = recording_windows(load_recordings_dir(args.recordings), config)
-    examples = featurize_windows(windows, config, jobs=args.jobs)
+    # The windows are views into the recordings; both go once featurize returns,
+    # and the examples go once the dataset holds their arrays.
+    examples = featurize_windows(recording_windows(load_recordings_dir(args.recordings), config),
+                                 config, jobs=args.jobs)
+    counters = {"examples": len(examples), **sift_counters(examples, config.emd.max_sift_iterations)}
     dataset = dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
+    del examples
     out = _prepare_out(args.out)
     save_dataset(dataset, out)
     write_manifest(out, "featurize", seed, config,
-                   [out / "dataset.json", out / "dataset.bin"],
-                   extra={"examples": len(dataset),
-                          **sift_counters(examples, config.emd.max_sift_iterations)})
+                   [out / "dataset.json", out / "dataset.bin"], extra=counters)
     print(f"featurize: {len(dataset)} windows -> {out}")
     return 0
 
@@ -284,10 +287,9 @@ def cmd_export_images(args) -> int:
     out = _prepare_out(args.out)
     suffix = ".ppm" if dataset.images.shape[3] == 3 else ".pgm"
     artifacts = []
-    for i, key in enumerate(dataset.provenance):
-        image = SpectrumImage(pixels=dataset.images[i], freq_max_hz=0.0)
+    for pixels, key in zip(dataset.images, dataset.provenance):
         path = out / (key.replace(":", "_") + suffix)
-        write_image(image, path)
+        write_image(pixels, path)
         artifacts.append(path)
     write_manifest(out, "export-images", seed, config, artifacts, dataset=dataset)
     print(f"export-images: {len(artifacts)} files -> {out}")

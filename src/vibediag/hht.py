@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from vibediag.emd import ImfSet
-from vibediag.signal_model import FaultLabel
 
 IMAGE_SIZE = 32
 
@@ -45,14 +44,6 @@ class SpectrumImage:
     """
 
     pixels: np.ndarray
-    freq_max_hz: float
-    recording_id: str = ""
-    start_index: int = 0
-    label: FaultLabel | None = None
-
-    @property
-    def key(self) -> str:
-        return f"{self.recording_id}:{self.start_index}"
 
 
 def analytic_signal(series: np.ndarray, dt: float | None = None) -> AnalyticSignal:
@@ -137,10 +128,6 @@ def render_spectrum_image(
     freq_max_hz: float | None = None,
     channels: int = 3,
     log_compress: bool = True,
-    *,
-    recording_id: str = "",
-    start_index: int = 0,
-    label: FaultLabel | None = None,
 ) -> SpectrumImage:
     """Rasterize the Hilbert spectrum of the first three modes.
 
@@ -184,23 +171,16 @@ def render_spectrum_image(
     else:
         pixels = np.zeros((IMAGE_SIZE, IMAGE_SIZE, channels))
 
-    return SpectrumImage(
-        pixels=pixels,
-        freq_max_hz=freq_max_hz,
-        recording_id=recording_id,
-        start_index=start_index,
-        label=label,
-    )
+    return SpectrumImage(pixels=pixels)
 
 
-def write_image(image: SpectrumImage, path) -> None:
-    """Export as binary PPM (P6, 3 channels) or PGM (P5, 1 channel), maxval 255.
+def write_image(pixels: np.ndarray, path) -> None:
+    """Export (h, w, C) ``pixels`` as binary PPM (P6, C = 3) or PGM (P5, C = 1), maxval 255.
 
     Rows are written top-down with the highest frequency bin first so the
     rendered file reads like a spectrogram.
     """
-    pixels = np.flipud(image.pixels)
-    raster = np.round(255.0 * pixels).astype(np.uint8)
+    raster = np.round(255.0 * np.flipud(pixels)).astype(np.uint8)
     h, w, c = raster.shape
     magic = b"P6" if c == 3 else b"P5"
     with open(path, "wb") as fh:

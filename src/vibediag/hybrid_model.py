@@ -44,16 +44,11 @@ FLATTEN_WIDTH = 64 * (IMAGE_SIZE // 8) ** 2  # 64 maps of 4x4 -> 1024
 
 @dataclass
 class Example:
+    key: str  # the window's provenance key, ``Window.key``
     image: SpectrumImage
     features: FeaturePair  # raw band power; scaled only after the split stage
     label: FaultLabel
-    recording_id: str
-    start_index: int
     sift_iterations: tuple[int, ...] = ()  # sifting passes per IMF of the image
-
-    @property
-    def key(self) -> str:
-        return f"{self.recording_id}:{self.start_index}"
 
 
 @dataclass
@@ -98,15 +93,6 @@ def split_indices(n: int, spec: SplitSpec,
     if min(train.size, val.size, test.size) == 0:
         raise ValueError("split leaves an empty subset")
     return train, val, test
-
-
-def split(examples: Sequence, spec: SplitSpec):
-    """Split any sequence into (train, val, test) lists, disjoint and exhaustive.
-
-    With ``spec.stratified`` the items must expose ``.label``.
-    """
-    labels = [int(e.label) for e in examples] if spec.stratified else None
-    return tuple([examples[i] for i in idx] for idx in split_indices(len(examples), spec, labels))
 
 
 def _cnn_branch(channels: int, rng) -> list:
@@ -256,19 +242,6 @@ def evaluate_arrays(model: Model, images, features, labels: np.ndarray) -> Metri
     return metrics_from_confusion(confusion)
 
 
-def examples_to_arrays(examples: Sequence[Example]):
-    images = np.stack([e.image.pixels for e in examples])
-    features = np.array([[e.features.n1, e.features.n2] for e in examples])
-    labels = np.array([int(e.label) for e in examples])
-    return images, features, labels
-
-
-def evaluate(model: Model, examples: Sequence[Example]) -> Metrics:
-    if len(examples) == 0:
-        raise ValueError("cannot evaluate on an empty example set")
-    return evaluate_arrays(model, *examples_to_arrays(examples))
-
-
 def classification_report(metrics: Metrics) -> dict:
     """JSON-ready per-class precision/recall/f1/support plus accuracy."""
     classes = {}
@@ -354,11 +327,10 @@ class FeaturizedDataset:
 
 def dataset_from_examples(examples: Sequence[Example], config_echo: dict | None = None,
                           seed: int | None = None) -> FeaturizedDataset:
-    images, features, labels = examples_to_arrays(examples)
     return FeaturizedDataset(
-        images=images,
-        features_raw=features,
-        labels=labels,
+        images=np.stack([e.image.pixels for e in examples]),
+        features_raw=np.array([[e.features.n1, e.features.n2] for e in examples]),
+        labels=np.array([int(e.label) for e in examples]),
         provenance=[e.key for e in examples],
         config_echo=config_echo or {},
         seed=seed,
@@ -409,23 +381,36 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
     The binary layout is images, then features, then one-hot labels, all
     little-endian 64-bit floats at the offsets recorded in the manifest.
+    Each array goes straight from memory to the file, with no bytes copy.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset_json(dataset, out_dir)
-    (out_dir / "dataset.bin").write_bytes(b"".join(
-        np.ascontiguousarray(array, dtype="<f8").tobytes() for _, array in _binary_arrays(dataset)))
+    with open(out_dir / "dataset.bin", "wb") as fh:
+        for _, array in _binary_arrays(dataset):
+            np.ascontiguousarray(array, dtype="<f8").tofile(fh)
 
 
 def load_dataset(in_dir) -> FeaturizedDataset:
     """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
-    unknown format, a wrong length, or an ``offsets`` entry that is missing or incomplete, is
-    not 8 bytes per value of its shape, or reaches outside ``total_bytes``."""
+    unknown format, a missing top-level key, a wrong length, an ``offsets`` entry that is
+    missing or incomplete, is not 8 bytes per value of its shape, or reaches outside
+    ``total_bytes``, or a split that names a window twice or one ``provenance`` lacks."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
     manifest = json.loads(json_path.read_text())
     if manifest.get("format") != DATASET_FORMAT:
         raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
+    for key in ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed"):
+        if key not in manifest:
+            raise ValueError(f"{json_path}: no top-level key {key!r}")
+    split_of = dict.fromkeys(manifest["provenance"])  # window key -> the split that names it
+    for split_name, keys in (manifest["splits"] or {}).items():
+        for key in keys:
+            if key not in split_of or split_of[key] is not None:
+                where = "not in provenance" if key not in split_of else f"in split {split_of[key]!r} too"
+                raise ValueError(f"{json_path}: split {split_name!r} names window {key!r}, {where}")
+            split_of[key] = split_name
     total = manifest["total_bytes"]
     for name in _BINARY_NAMES:
         meta = manifest["offsets"].get(name)

@@ -483,14 +483,18 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 def load_model(in_dir) -> tuple[Model, dict]:
     """A model from ``model.json`` and ``model.bin``: float32 when every stored value is a
     float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
-    file, on an unknown format or layer type, a layer spec with missing or unknown keys, a
-    tensor table its layers do not imply, or a wrong length. A parameter-free ``softmax``
-    that ends an older checkpoint's head is dropped: ``forward`` applies softmax itself."""
+    file, on an unknown format, a missing top-level key, an unknown layer type, a layer spec
+    with missing or unknown keys, a tensor table its layers do not imply, or a wrong length.
+    A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: ``forward``
+    applies softmax itself."""
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
     manifest = json.loads(json_path.read_text())
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
+    for key in ("layers", "tensors", "total_bytes"):
+        if key not in manifest:
+            raise ValueError(f"{json_path}: no top-level key {key!r}")
     layers = manifest["layers"]
     if layers["head"] and layers["head"][-1] == {"type": "softmax"}:
         layers = {**layers, "head": layers["head"][:-1]}

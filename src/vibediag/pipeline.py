@@ -18,20 +18,11 @@ from vibediag.signal_model import Recording, load_recording
 def _featurize_window(task: tuple[Window, RunConfig]) -> Example:
     window, config = task
     modes = sift(window.linear, config.emd)
-    image = render_spectrum_image(
-        modes, window.dt,
-        freq_max_hz=config.hht.freq_max_hz,
-        channels=config.hht.channels,
-        log_compress=config.hht.log_compress,
-        recording_id=window.recording_id,
-        start_index=window.start_index,
-        label=window.label,
-    )
-    band = config.band
+    hht, band = config.hht, config.band
+    image = render_spectrum_image(modes, window.dt, hht.freq_max_hz, hht.channels, hht.log_compress)
     pair = extract_features(window.angular, 1.0 / window.dt, centers_hz=tuple(band.centers_hz),
                             half_width_hz=band.half_width_hz, squared=band.squared, taper=band.taper)
-    return Example(image=image, features=pair, label=window.label,
-                   recording_id=window.recording_id, start_index=window.start_index,
+    return Example(key=window.key, image=image, features=pair, label=window.label,
                    sift_iterations=tuple(modes.iterations))
 
 

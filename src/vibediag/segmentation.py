@@ -51,26 +51,21 @@ def segment(
 ) -> list[Window]:
     """Slice ``recording`` into windows ordered by start index.
 
-    Trailing samples that do not fill a window are dropped. A recording
-    shorter than one window yields an empty list.
+    Each window's channels are read-only views into the recording, so a
+    window costs no copy of its samples. Trailing samples that do not fill
+    a window are dropped. A recording shorter than one window yields an
+    empty list.
     """
     if linear_channel >= recording.linear.shape[0]:
         raise ValueError(
             f"linear_channel {linear_channel} out of range for {recording.linear.shape[0]} channel(s)"
         )
-    count = window_count(recording.n_samples, window_len, hop)
     lin = recording.linear[linear_channel]
     windows = []
-    for k in range(count):
+    for k in range(window_count(recording.n_samples, window_len, hop)):
         start = k * hop
-        windows.append(
-            Window(
-                recording_id=recording.id,
-                label=recording.label,
-                start_index=start,
-                linear=lin[start : start + window_len].copy(),
-                angular=recording.angular[start : start + window_len].copy(),
-                dt=recording.dt,
-            )
-        )
+        linear, angular = lin[start : start + window_len], recording.angular[start : start + window_len]
+        linear.flags.writeable = angular.flags.writeable = False
+        windows.append(Window(recording_id=recording.id, label=recording.label, start_index=start,
+                              linear=linear, angular=angular, dt=recording.dt))
     return windows

@@ -274,6 +274,22 @@ def test_flags_override_the_config_fields_they_name_and_absent_flags_keep_them(d
     assert (split["test_fraction"], split["val_fraction"], split["stratified"]) == (0.3, 0.25, True)
 
 
+def test_train_rejects_batch_size_zero_with_the_config_message(desk_run, tmp_path, capsys):
+    assert run(["train", "--dataset", desk_run / "dataset", "--out", tmp_path / "ckpt", "--batch-size", "0"]) == 1
+    assert capsys.readouterr().err == "error: learning_rate, batch_size, max_epochs and patience must be positive\n"
+
+
+def test_flags_are_validated_as_the_same_values_in_a_config_file(desk_run, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 5}}))
+    train = ["train", "--dataset", desk_run / "dataset", "--out", tmp_path / "ckpt", "--branch", "mlp"]
+    assert run([*train, "--config", config]) == 1
+    from_file = capsys.readouterr().err
+    assert run([*train, "--max-epochs", "2", "--patience", "5"]) == 1
+    assert capsys.readouterr().err == from_file == "error: patience must not exceed max_epochs\n"
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_seed_resolution_order(monkeypatch):
     cfg = RunConfig()
     monkeypatch.delenv("VIBEDIAG_SEED", raising=False)

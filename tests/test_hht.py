@@ -166,7 +166,7 @@ def test_colormap_matches_golden_table():
 def test_image_export_formats(tmp_path):
     img = render_spectrum_image(tone_imfs(), dt=1e-3, freq_max_hz=200.0, channels=3)
     p6 = tmp_path / "w.ppm"
-    write_image(img, p6)
+    write_image(img.pixels, p6)
     data = p6.read_bytes()
     assert data.startswith(b"P6\n32 32\n255\n")
     raster = data.split(b"255\n", 1)[1]
@@ -176,7 +176,7 @@ def test_image_export_formats(tmp_path):
 
     gray = render_spectrum_image(tone_imfs(), dt=1e-3, freq_max_hz=200.0, channels=1)
     p5 = tmp_path / "w.pgm"
-    write_image(gray, p5)
+    write_image(gray.pixels, p5)
     data = p5.read_bytes()
     assert data.startswith(b"P5\n32 32\n255\n")
     assert len(data.split(b"255\n", 1)[1]) == 32 * 32

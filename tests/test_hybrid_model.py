@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import model_tensors, reference_split_keys
 from vibediag.band_features import FeaturePair
+from vibediag.cli import main
 from vibediag.hht import SpectrumImage
 from vibediag.hybrid_model import (
     BRANCH_BUILDERS,
@@ -19,14 +21,13 @@ from vibediag.hybrid_model import (
     classification_report,
     confusion_to_csv,
     dataset_from_examples,
-    evaluate,
+    evaluate_arrays,
     load_dataset,
     metrics_from_confusion,
     predict_classes,
     render_report,
     save_dataset,
     shape_trace,
-    split,
     split_indices,
 )
 from vibediag.nn_engine import (
@@ -218,19 +219,20 @@ def test_split_reproduces_partition_arithmetic():
 
 
 def test_split_small_case_ceil_arithmetic():
-    train, val, test = split(list(range(20)), SplitSpec(seed=1))
+    train, val, test = split_indices(20, SplitSpec(seed=1))
     assert (len(test), len(val), len(train)) == (3, 3, 14)
 
 
 def test_split_disjoint_exhaustive_deterministic():
     items = list(range(101))
-    a = split(items, SplitSpec(seed=9))
-    b = split(items, SplitSpec(seed=9))
+    split = lambda spec: [idx.tolist() for idx in split_indices(len(items), spec)]
+    a = split(SplitSpec(seed=9))
+    b = split(SplitSpec(seed=9))
     for sa, sb in zip(a, b):
         assert sa == sb
     merged = sorted(a[0] + a[1] + a[2])
     assert merged == items
-    c = split(items, SplitSpec(seed=10))
+    c = split(SplitSpec(seed=10))
     assert c[2] != a[2]
 
 
@@ -240,7 +242,9 @@ def test_split_stratified_option():
             self.label = label
 
     items = [Item(FaultLabel(i % 5)) for i in range(100)]
-    train, val, test = split(items, SplitSpec(seed=0, stratified=True))
+    labels = [int(i.label) for i in items]
+    train, val, test = ([items[i] for i in idx]
+                        for idx in split_indices(len(items), SplitSpec(seed=0, stratified=True), labels))
     for subset, expected in ((test, 3), (val, 3), (train, 14)):
         counts = np.bincount([int(i.label) for i in subset], minlength=5)
         assert np.all(counts == expected)
@@ -351,18 +355,16 @@ def make_examples(n=30, channels=1, seed=0):
         label = FaultLabel(i % 5)
         pixels = rng.random((32, 32, channels))
         pixels /= pixels.max()
-        image = SpectrumImage(pixels=pixels, freq_max_hz=500.0, recording_id=f"rec{i % 3}",
-                              start_index=i * 100, label=label)
-        examples.append(Example(image=image, features=FeaturePair(rng.random(), rng.random()),
-                                label=label, recording_id=image.recording_id,
-                                start_index=image.start_index))
+        examples.append(Example(key=f"rec{i % 3}:{i * 100}", image=SpectrumImage(pixels=pixels),
+                                features=FeaturePair(rng.random(), rng.random()), label=label))
     return examples
 
 
 def test_evaluate_on_examples_matches_arrays():
     examples = make_examples()
     model = build_hybrid(channels=1, seed=0)
-    m = evaluate(model, examples)
+    ds = dataset_from_examples(examples)
+    m = evaluate_arrays(model, ds.images, ds.features_raw, ds.labels)
     assert m.confusion.sum() == len(examples)
     np.testing.assert_array_equal(m.support, np.bincount([int(e.label) for e in examples], minlength=5))
 
@@ -429,15 +431,78 @@ def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_pa
     assert len(str(excinfo.value).splitlines()) == 1
 
 
-def test_load_dataset_holds_each_array_once(tmp_path):
-    save_dataset(dataset_from_examples(make_examples(n=200, channels=3)), tmp_path)
-    size = (tmp_path / "dataset.bin").stat().st_size
+def _drop_key(key):
+    def corrupt(manifest):
+        del manifest[key]
+        return f"no top-level key '{key}'"
+    return corrupt
+
+
+def _name_a_train_window_in_val(manifest):
+    key = manifest["splits"]["train"][0]
+    manifest["splits"]["val"].append(key)
+    return f"split 'val' names window '{key}', in split 'train' too"
+
+
+def _name_a_window_provenance_lacks(manifest):
+    manifest["splits"]["test"].append("nosuch:0")
+    return "split 'test' names window 'nosuch:0', not in provenance"
+
+
+_TOP_LEVEL_KEYS = ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed")
+
+
+@pytest.mark.parametrize("corrupt", [*map(_drop_key, _TOP_LEVEL_KEYS), _name_a_train_window_in_val,
+                                     _name_a_window_provenance_lacks],
+                         ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window"])
+def test_load_dataset_names_dataset_json_and_the_key_it_rejects(tmp_path, corrupt):
+    ds = dataset_from_examples(make_examples())
+    save_dataset(assign_splits(ds, SplitSpec(seed=2)), tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    message = corrupt(manifest)
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"dataset\.json: {re.escape(message)}$"):
+        load_dataset(tmp_path)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates above what is allocated before it."""
     tracemalloc.start()
     try:
-        load_dataset(tmp_path)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_save_dataset_writes_the_arrays_without_copies(tmp_path):
+    ds = dataset_from_examples(make_examples(n=200, channels=3))
+    peak = _traced_peak(lambda: save_dataset(ds, tmp_path))
+    size = (tmp_path / "dataset.bin").stat().st_size
+    assert peak <= 0.1 * size, f"peak {peak} bytes for a {size}-byte dataset.bin"
+
+
+def test_cli_featurize_holds_about_two_copies_of_dataset_bin(tmp_path):
+    # Desk windows (1024 samples at 8192 Hz) at a hop of 205, so that 1 s per
+    # class gives over 4 MB of 3-channel images. One IMF of at most two
+    # sifting passes keeps the run short; the memory is in the images.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"emd": {"max_imfs": 1, "max_sift_iterations": 2}}))
+    argv = ["simulate", "--out", tmp_path / "rec", "--seed", "0", "--sample-rate-hz", "8192", "--duration-s", "1"]
+    assert main([str(a) for a in argv]) == 0
+    argv = ["featurize", "--recordings", tmp_path / "rec", "--out", tmp_path / "ds", "--seed", "0",
+            "--config", config, "--window-len", "1024", "--hop", "205", "--jobs", "1"]
+    peak = _traced_peak(lambda: main([str(a) for a in argv]))
+    size = (tmp_path / "ds" / "dataset.bin").stat().st_size
+    assert size >= 4_000_000
+    assert peak <= 2.3 * size, f"peak {peak} bytes for a {size}-byte dataset.bin"
+
+
+def test_load_dataset_holds_each_array_once(tmp_path):
+    save_dataset(dataset_from_examples(make_examples(n=200, channels=3)), tmp_path)
+    size = (tmp_path / "dataset.bin").stat().st_size
+    peak = _traced_peak(lambda: load_dataset(tmp_path))
     assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte dataset.bin"
 
 

@@ -531,6 +531,16 @@ def test_load_model_rejects_unknown_format(tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize("key", ["layers", "tensors", "total_bytes"])
+def test_load_model_names_model_json_and_a_missing_top_level_key(tmp_path, key):
+    save_model(tiny_mlp(), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    del manifest[key]
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"model\.json: no top-level key '{key}'$"):
+        load_model(tmp_path)
+
+
 def test_history_csv(tmp_path):
     h = History(train_loss=[1.0], train_accuracy=[0.5], val_loss=[2.0], val_accuracy=[0.25], best_epoch=1)
     path = tmp_path / "history.csv"

@@ -82,3 +82,13 @@ def test_window_key():
     rec = make_recording(64)
     w = segment(rec, window_len=16, hop=16)[1]
     assert w.key == "r:16"
+
+
+def test_windows_are_read_only_views_into_the_recording():
+    rec = make_recording(64, channels=2)
+    w = segment(rec, window_len=16, hop=8, linear_channel=1)[1]
+    assert np.shares_memory(w.linear, rec.linear[1]) and np.shares_memory(w.angular, rec.angular)
+    for channel in (w.linear, w.angular):
+        with pytest.raises(ValueError, match="read-only"):
+            channel[0] = -1.0
+    assert rec.linear.flags.writeable and rec.angular.flags.writeable
