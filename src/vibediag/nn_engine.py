@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +118,10 @@ class Conv3x3(Layer):
 
     Forward and the kernel gradient take one GEMM per kernel row, on a
     ``(b*h*w, 3*cin)`` window matrix of the padded input; the full
-    ``9*cin`` im2col matrix is never formed. The input gradient adds one
-    product per kernel tap into the padded gradient: at batch 20 that
+    ``9*cin`` im2col matrix is never formed. A training forward keeps all
+    three for the backward, ``9*b*h*w*cin`` values (2.2 MB for the hybrid's
+    conv1 at batch 20); an eval forward refills one. The input gradient adds
+    one product per kernel tap into the padded gradient: at batch 20 that
     measured faster than a per-row GEMM followed by col2im adds, and than
     correlating the output gradient with the flipped kernels.
     """
@@ -141,50 +144,53 @@ class Conv3x3(Layer):
         b, h, w, c = x.shape
         dtype = self.kernels.dtype
         xp = np.pad(x.astype(dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
-        windows = np.empty((b * h * w, 3 * c), dtype)
+        rows = (b * h * w, 3 * c)
+        windows = [np.empty(rows, dtype) for _ in range(3)] if training else [np.empty(rows, dtype)] * 3
         out = np.empty((b * h * w, self.out_channels), dtype)
         out[...] = self.bias
         # out += windows @ kernels[di], accumulated in place by BLAS gemm
         # (beta=1) on the column-major transposes of the row-major arrays.
         gemm = get_blas_funcs("gemm", (out,))
         for di in range(3):
-            gemm(1.0, self.kernels[di].reshape(3 * c, -1).T, _row_windows(xp, di, windows).T,
+            gemm(1.0, self.kernels[di].reshape(3 * c, -1).T, _row_windows(xp, di, windows[di]).T,
                  beta=1.0, c=out.T, overwrite_c=True)
-        self._cache = xp if training else None
+        self._cache = windows if training else None
         return out.reshape(b, h, w, self.out_channels)
 
     def backward(self, grad):
-        xp = self._saved()
+        windows = self._saved()
         b, h, w, _ = grad.shape
         gm = grad.reshape(-1, self.out_channels)
         gm.sum(axis=0, out=self.d_bias)
-        windows = np.empty((gm.shape[0], 3 * self.in_channels), xp.dtype)
         d_rows = self.d_kernels.reshape(3, 3 * self.in_channels, -1)
         for di in range(3):
-            np.matmul(_row_windows(xp, di, windows).T, gm, out=d_rows[di])
+            np.matmul(windows[di].T, gm, out=d_rows[di])
         if not self.input_grad:
             return None
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((b, h + 2, w + 2, self.in_channels), self.kernels.dtype)
         for di in range(3):
             for dj in range(3):
-                dxp[:, di : di + h, dj : dj + w, :] += (gm @ self.kernels[di, dj].T).reshape(
-                    b, h, w, self.in_channels
-                )
+                dxp[:, di : di + h, dj : dj + w, :] += (gm @ self.kernels[di, dj].T).reshape(b, h, w, -1)
         return dxp[:, 1 : 1 + h, 1 : 1 + w, :]
 
 
-# Reading-order index of each corner of a 2x2 block, laid out as the block.
-_CORNERS = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+@lru_cache(maxsize=8)
+def _block_origins(shape) -> np.ndarray:
+    """Flat index, into an NHWC array of ``shape``, of the top-left element of each 2x2 block."""
+    origins = np.arange(np.prod(shape)).reshape(shape)[:, ::2, ::2].copy()
+    origins.flags.writeable = False
+    return origins
 
 
 class MaxPool2x2(Layer):
     """2x2 max pooling; the gradient flows to the first maximal element of a block.
 
     The four corners of every block are strided views of one reshape, so
-    neither pass copies the input. ``np.maximum`` returns its second operand
-    on ties, so ordering the operands keeps the earlier corner's value, sign
-    of zero included. A training forward keeps the winning corner of every
-    block as one byte.
+    the forward does not copy the input. ``np.maximum`` returns its second
+    operand on ties, so ordering the operands keeps the earlier corner's
+    value, sign of zero included. A training forward keeps the flat input
+    index of each block's winner, one ``intp`` per output (655 KB for the
+    hybrid's pool1 at batch 20), and ``backward`` scatters to them.
     """
 
     kind = "maxpool2x2"
@@ -196,17 +202,18 @@ class MaxPool2x2(Layer):
         q = x.reshape(b, h // 2, 2, w // 2, 2, c)
         q00, q01, q10, q11 = q[:, :, 0, :, 0], q[:, :, 0, :, 1], q[:, :, 1, :, 0], q[:, :, 1, :, 1]
         top, bottom = np.maximum(q01, q00), np.maximum(q11, q10)
-        # A later corner wins only when strictly greater: the first maximum.
-        self._cache = (
-            np.where(bottom > top, (q11 > q10) + np.uint8(2), q01 > q00) if training else None
-        )
+        self._cache = None
+        if training:
+            # A later corner wins only when strictly greater: the first maximum.
+            corner = np.where(bottom > top, (q11 > q10) + np.uint8(2), q01 > q00)
+            self._cache = np.take((0, c, w * c, w * c + c), corner) + _block_origins(x.shape), x.shape
         return np.maximum(bottom, top)
 
     def backward(self, grad):
-        corner = self._saved()[:, :, None, :, None]
-        dx = np.where(corner == _CORNERS, grad[:, :, None, :, None], 0.0)
-        b, h, _, w, _, c = dx.shape
-        return dx.reshape(b, 2 * h, 2 * w, c)
+        winners, in_shape = self._saved()
+        dx = np.zeros(in_shape, grad.dtype)
+        dx.reshape(-1)[winners] = grad
+        return dx
 
 
 class Flatten(Layer):
@@ -279,9 +286,7 @@ class Dropout(Layer):
         return x * self._scale
 
     def backward(self, grad):
-        if self._scale is None:
-            return grad
-        return grad * self._scale
+        return grad if self._scale is None else grad * self._scale
 
 
 _LAYER_TYPES = {cls.kind: cls for cls in (Conv3x3, MaxPool2x2, Flatten, Dense, ReLU, Dropout)}

@@ -248,15 +248,11 @@ def save_recording(recording: Recording, path: str | Path) -> None:
     Samples are written with full repr so a load round-trips bitwise.
     """
     path = Path(path)
-    n_lin = recording.linear.shape[0]
-    header = ["index", "linear_x"] + (["linear_y"] if n_lin == 2 else []) + ["angular"]
+    header = ["index", "linear_x", "linear_y"][: 1 + len(recording.linear)] + ["angular"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(recording.n_samples):
-            row = [str(i)] + [repr(float(recording.linear[c, i])) for c in range(n_lin)]
-            row.append(repr(float(recording.angular[i])))
-            writer.writerow(row)
+        writer.writerows(zip(range(recording.n_samples), *recording.linear.tolist(), recording.angular.tolist()))
     meta = {
         "sample_rate_hz": recording.sample_rate_hz,
         "rpm": recording.rpm,
@@ -266,11 +262,27 @@ def save_recording(recording: Recording, path: str | Path) -> None:
     _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def load_recording(path: str | Path) -> Recording:
-    """Load a recording CSV and its metadata sidecar.
+def _first_bad_row(path: Path, width: int) -> str:
+    """Why ``load_recording`` rejects ``path``, naming its first bad 1-based data row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != width:
+                return f"ragged row {row_no}: expected {width} fields, got {len(row)}"
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                return f"non-numeric value in row {row_no}"
+            if not np.isfinite(values[1:]).all():
+                return f"non-finite value in row {row_no}"
+    return f"{path}: no data rows, or a row that numpy cannot read as numbers"
 
-    Raises ValueError naming the offending 1-based data row for ragged rows
-    and non-finite samples; FileNotFoundError when either file is missing.
+
+def load_recording(path: str | Path) -> Recording:
+    """Load a recording CSV, parsed by one ``np.loadtxt`` call that skips blank lines, and its
+    metadata sidecar. Raises ValueError naming the first offending 1-based data row for ragged
+    rows, non-numeric values and non-finite samples; FileNotFoundError when either file is missing.
     """
     path = Path(path)
     if not path.exists():
@@ -285,41 +297,23 @@ def load_recording(path: str | Path) -> Recording:
             raise ValueError(f"sidecar {sidecar} is missing required field {key!r}")
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        header = [h.strip() for h in fh.readline().split(",")]
+        if header == [""]:
+            raise ValueError(f"{path} is empty: missing header")
+        if header not in (["index", "linear_x", "angular"], ["index", "linear_x", "linear_y", "angular"]):
+            raise ValueError(f"malformed header {header!r}; expected index,linear_x[,linear_y],angular")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty: missing header") from None
-        header = [h.strip() for h in header]
-        if header == ["index", "linear_x", "angular"]:
-            n_lin = 1
-        elif header == ["index", "linear_x", "linear_y", "angular"]:
-            n_lin = 2
-        else:
-            raise ValueError(
-                f"malformed header {header!r}; expected index,linear_x[,linear_y],angular"
-            )
-        width = len(header)
-        linear_cols: list[list[float]] = [[] for _ in range(n_lin)]
-        angular_col: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ValueError(f"ragged row {row_no}: expected {width} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ValueError(f"non-numeric value in row {row_no}") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"non-finite value in row {row_no}")
-            for c in range(n_lin):
-                linear_cols[c].append(values[c])
-            angular_col.append(values[-1])
-
+            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data[:, 1:]).all():
+        raise ValueError(_first_bad_row(path, len(header)))
+    columns = np.ascontiguousarray(data.T)
     return Recording(
         sample_rate_hz=float(meta["sample_rate_hz"]),
         rpm=float(meta["rpm"]),
         label=FaultLabel.from_name(meta["label"]),
-        linear=np.array(linear_cols, dtype=np.float64),
-        angular=np.array(angular_col, dtype=np.float64),
+        linear=columns[1:-1],
+        angular=columns[-1],
         id=str(meta["id"]),
     )

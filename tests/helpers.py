@@ -97,6 +97,31 @@ def reference_conv3x3(x, kernels, bias, grad):
     return out.reshape(b, h, w, cout), d_kernels, gm.sum(axis=0), dxp[:, 1 : 1 + h, 1 : 1 + w, :]
 
 
+def rebuilt_windows_conv3x3_backward(conv, x, grad):
+    """``Conv3x3.backward`` as it was when the forward kept only the padded
+    input: the three row-window matrices are rebuilt from it. Returns
+    (d_kernels, d_bias, input gradient) for the input ``x`` and the output
+    gradient ``grad``."""
+    from vibediag.nn_engine import _row_windows
+
+    xp = np.pad(x.astype(conv.kernels.dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    b, h, w, _ = grad.shape
+    gm = grad.reshape(-1, conv.out_channels)
+    d_kernels, d_bias = np.empty_like(conv.kernels), np.empty_like(conv.bias)
+    gm.sum(axis=0, out=d_bias)
+    windows = np.empty((gm.shape[0], 3 * conv.in_channels), xp.dtype)
+    d_rows = d_kernels.reshape(3, 3 * conv.in_channels, -1)
+    for di in range(3):
+        np.matmul(_row_windows(xp, di, windows).T, gm, out=d_rows[di])
+    dxp = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di : di + h, dj : dj + w, :] += (gm @ conv.kernels[di, dj].T).reshape(
+                b, h, w, conv.in_channels
+            )
+    return d_kernels, d_bias, dxp[:, 1 : 1 + h, 1 : 1 + w, :]
+
+
 def reference_maxpool2x2(x, grad):
     """Pooling by a transposed copy of the blocks and argmax (first maximum on
     ties); returns (output, input gradient)."""

@@ -11,6 +11,7 @@ from helpers import (
     layer_gradient_cases,
     max_relative_error,
     model_tensors,
+    rebuilt_windows_conv3x3_backward,
     reference_conv3x3,
     reference_maxpool2x2,
     reference_model_bin,
@@ -101,16 +102,17 @@ def _bits(a):
     return a.view(f"u{a.itemsize}")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @settings(max_examples=200, deadline=None)
 @given(
     b=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_maxpool_bitwise_equals_argmax_reference(b, h, w, c, seed):
+def test_maxpool_bitwise_equals_argmax_reference(dtype, b, h, w, c, seed):
     # Few distinct values, signed zeros among them, so most blocks hold ties.
     rng = np.random.default_rng(seed)
-    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(b, 2 * h, 2 * w, c))
-    grad = rng.normal(size=(b, h, w, c))
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(b, 2 * h, 2 * w, c)).astype(dtype)
+    grad = rng.normal(size=(b, h, w, c)).astype(dtype)
     pool = MaxPool2x2()
     out = pool.forward(x, training=True)
     dx = pool.backward(grad)
@@ -121,6 +123,55 @@ def test_maxpool_bitwise_equals_argmax_reference(b, h, w, c, seed):
 
 
 _TIE_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6), cin=st.integers(1, 5),
+    cout=st.integers(1, 5), ties=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_backward_on_kept_windows_gives_the_bits_of_rebuilt_windows(
+    dtype, b, h, w, cin, cout, ties, seed
+):
+    # Tie values make signed zeros and exact sums; normal values make the
+    # rounding of every product and sum count.
+    rng = np.random.default_rng(seed)
+    draw = (lambda size: rng.choice(_TIE_VALUES, size=size)) if ties else (lambda size: rng.normal(size=size))
+    conv = Conv3x3(cin, cout, rng)
+    conv.kernels, conv.bias = draw(conv.kernels.shape).astype(dtype), draw(cout).astype(dtype)
+    conv.d_kernels, conv.d_bias = np.zeros_like(conv.kernels), np.zeros_like(conv.bias)
+    x, grad = draw((b, h, w, cin)), draw((b, h, w, cout)).astype(dtype)
+    conv.forward(x, training=True)
+    dx = conv.backward(grad)
+    for got, want in zip((conv.d_kernels, conv.d_bias, dx), rebuilt_windows_conv3x3_backward(conv, x, grad)):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_an_eval_forward_drops_the_kept_window_matrices_and_winner_indices():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 6, 4, 3))
+    conv, pool = Conv3x3(3, 5, rng), MaxPool2x2()
+    conv.forward(x, training=True)
+    windows = conv._cache
+    assert [m.shape for m in windows] == [(2 * 6 * 4, 3 * 3)] * 3 and len({id(m) for m in windows}) == 3
+    pool.forward(x, training=True)
+    winners, in_shape = pool._cache
+    assert winners.shape == (2, 3, 2, 3) and in_shape == x.shape
+    for layer in (conv, pool):
+        layer.forward(x)
+        assert layer._cache is None
+
+
+def test_no_layer_holds_a_training_cache_after_train():
+    rng = np.random.default_rng(8)
+    images, feats = rng.uniform(size=(7, 32, 32, 3)), rng.uniform(size=(7, 2))
+    onehot = np.eye(5)[rng.integers(0, 5, size=7)]
+    model, _ = train(build_hybrid(channels=3, seed=1), (images, feats, onehot), (images, feats, onehot),
+                     TrainConfig(batch_size=4, max_epochs=2, patience=1))
+    for layer in model._all_layers():
+        assert layer._cache is None and getattr(layer, "_scale", None) is None, layer.kind
 
 
 def _two_stage_model(pool_first, channels, flat_width, dtype):

@@ -70,6 +70,22 @@ def test_ragged_row_names_row(tmp_path):
         load_recording(p)
 
 
+def test_non_numeric_value_names_row(tmp_path):
+    p = tmp_path / "text.csv"
+    rows = [[0, 1.0, 1.0], [1, 1.0, "abc"], [2, 1.0, 1.0]]
+    write_csv(p, ["index", "linear_x", "angular"], rows, GOOD_META)
+    with pytest.raises(ValueError, match="non-numeric value in row 2$"):
+        load_recording(p)
+
+
+def test_inf_names_row(tmp_path):
+    p = tmp_path / "inf.csv"
+    rows = [[0, 1.0, 1.0, 1.0], [1, 1.0, 1.0, 1.0], [2, 1.0, 1.0, 1.0], [3, 1.0, "-inf", 1.0]]
+    write_csv(p, ["index", "linear_x", "linear_y", "angular"], rows, GOOD_META)
+    with pytest.raises(ValueError, match="non-finite value in row 4$"):
+        load_recording(p)
+
+
 def test_malformed_header(tmp_path):
     p = tmp_path / "hdr.csv"
     write_csv(p, ["time", "x", "ang"], [[0, 1, 2]], GOOD_META)
