@@ -10,11 +10,13 @@ suppressed by mirroring the first and last few extrema about the series ends
 before splining. Extraction stops once the residual is monotone or has fewer
 than three interior extrema.
 
-Each envelope's knot slopes come from one tridiagonal solve by LAPACK
-``gtsv``, the routine behind scipy's natural ``CubicSpline``; the pieces are
-built and evaluated in scipy's operation order, so envelopes are bitwise
-equal to ``CubicSpline(xs, ys, bc_type="natural")`` (scipy 1.17) without
-its per-call validation and object set-up.
+Each pass builds both envelopes in one :func:`spline_envelope` call: the two
+mirrored knot sets share one set of band arrays, and each set's knot slopes
+come from its own tridiagonal solve by LAPACK ``gtsv``, the routine behind
+scipy's natural ``CubicSpline``, so a pass makes two ``gtsv`` calls. The
+pieces are built and evaluated in scipy's operation order, so each envelope
+is bitwise equal to ``CubicSpline(xs, ys, bc_type="natural")`` (scipy 1.17)
+on its own knots, without its per-call validation and object set-up.
 """
 
 from __future__ import annotations
@@ -79,18 +81,20 @@ def find_extrema(series: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tup
     x = np.asarray(series, dtype=np.float64)
     if x.size < 3:
         raise ValueError("series must have length >= 3")
-    slope = np.sign(np.diff(x))
-    nz = np.flatnonzero(slope)
+    d = x[1:] - x[:-1]
+    nz = np.flatnonzero(d)
     if nz.size < 2:
         empty = np.zeros(0, dtype=int), np.zeros(0)
         return empty, (np.zeros(0, dtype=int), np.zeros(0))
-    s = slope[nz]
-    turn = np.flatnonzero(s[:-1] != s[1:])
-    # A +/- turn is a maximum; the extremum spans samples nz[k]+1 .. nz[k+1].
+    rising = d[nz] > 0
+    turn = np.flatnonzero(rising[:-1] != rising[1:])
+    # A rise then a fall is a maximum; the extremum spans samples
+    # nz[k]+1 .. nz[k+1]. Maxima and minima alternate, so every other
+    # turn is a maximum.
     mids = (nz[turn] + 1 + nz[turn + 1]) // 2
-    is_max = s[turn] > 0
-    max_idx = mids[is_max]
-    min_idx = mids[~is_max]
+    first_max = 0 if turn.size == 0 or rising[turn[0]] else 1
+    max_idx = mids[first_max::2]
+    min_idx = mids[1 - first_max::2]
     return (max_idx, x[max_idx]), (min_idx, x[min_idx])
 
 
@@ -103,97 +107,129 @@ def zero_crossings(series: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
-def spline_knots(idx: np.ndarray, val: np.ndarray, n: int, pad: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror-extended knot set used by :func:`spline_envelope`.
+def spline_knots(
+    extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    n: int,
+    pad: int = 2,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both mirror-extended knot sets used by :func:`spline_envelope`, in one array.
 
-    The first and last ``min(pad, len(idx))`` extrema are mirrored about
-    sample 0 and sample n-1; knots are sorted by position and, where two
-    coincide, the first in (left mirror, extrema, right mirror) order is
-    kept.
+    ``extrema`` is :func:`find_extrema`'s ((max_idx, max_val), (min_idx,
+    min_val)). Returns (xs, ys, a): knots [:a] are the maxima's and knots
+    [a:] the minima's. On each side the first and last ``min(pad, len(idx))``
+    extrema are mirrored about sample 0 and sample n-1; with ``pad > 0``
+    each side's knots are sorted by position and, where two coincide, the
+    first in (left mirror, extrema, right mirror) order is kept.
     """
-    idx = np.asarray(idx)
-    val = np.asarray(val, dtype=np.float64)
-    xs = idx.astype(np.float64)
-    if pad <= 0 or idx.size == 0:
-        return xs, val
-    p = min(pad, idx.size)
-    all_x = np.concatenate((-xs[p - 1::-1], xs, 2.0 * (n - 1) - xs[:-p - 1:-1]))
-    all_y = np.concatenate((val[p - 1::-1], val, val[:-p - 1:-1]))
-    gaps = all_x[1:] - all_x[:-1]
+    xs, ys, sizes = [], [], []
+    for idx, val in extrema:
+        x = np.asarray(idx).astype(np.float64)
+        y = np.asarray(val, dtype=np.float64)
+        p = max(min(pad, x.size), 0)
+        if p:
+            xs += (-x[p - 1::-1], x, 2.0 * (n - 1) - x[:-p - 1:-1])
+            ys += (y[p - 1::-1], y, y[:-p - 1:-1])
+        else:
+            xs.append(x)
+            ys.append(y)
+        sizes.append(x.size + 2 * p)
+    a, m = sizes[0], sum(sizes)
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
+    if pad <= 0:
+        return xs, ys, a
+    # The step from the last maximum knot to the first minimum knot is no
+    # gap; slicing leaves it out when either side is empty.
+    gaps = xs[1:] - xs[:-1]
+    gaps[a - 1:a] = 1.0
     if (gaps < 0).any():
-        order = np.argsort(all_x, kind="stable")
-        all_x, all_y = all_x[order], all_y[order]
-        gaps = all_x[1:] - all_x[:-1]
+        order = np.lexsort((xs, np.arange(m) >= a))  # stable: by side, then position
+        xs, ys = xs[order], ys[order]
+        gaps = xs[1:] - xs[:-1]
+        gaps[a - 1:a] = 1.0
     if gaps.all():
-        return all_x, all_y
+        return xs, ys, a
     keep = np.concatenate(([True], gaps > 0))
-    return all_x[keep], all_y[keep]
+    return xs[keep], ys[keep], int(np.count_nonzero(keep[:a]))
 
 
 @lru_cache(maxsize=8)
 def _sample_grid(n: int) -> np.ndarray:
-    grid = np.arange(n, dtype=np.float64)
+    """The integer grid 0..n-1 twice over: one copy per envelope."""
+    grid = np.tile(np.arange(n, dtype=np.float64), 2)
     grid.flags.writeable = False
     return grid
 
 
 def spline_envelope(
-    idx: np.ndarray,
-    val: np.ndarray,
+    extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     n: int,
     pad: int = 2,
     grid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Natural cubic spline through the mirror-extended extrema.
+    """Upper and lower natural cubic splines through the mirror-extended extrema.
 
-    Sampled on the integer grid 0..n-1 unless an explicit ``grid`` of
-    (possibly fractional) positions is given; points beyond the end knots
-    extrapolate the end pieces. The result is bitwise equal to
+    ``extrema`` is :func:`find_extrema`'s ((max_idx, max_val), (min_idx,
+    min_val)); row 0 of the (2, len(grid)) result splines the maxima, row 1
+    the minima. Sampled on the integer grid 0..n-1 unless an explicit
+    ``grid`` of (possibly fractional) positions is given; points beyond the
+    end knots extrapolate the end pieces. Each row is bitwise equal to
     ``scipy.interpolate.CubicSpline(xs, ys, bc_type="natural")(grid)``
-    (scipy 1.17): the same tridiagonal system is solved by the same LAPACK
-    routine, and the pieces are built and evaluated in scipy's operation
-    order. Raises ValueError("monotone component") when the knots do not
-    define an envelope (a non-finite value, fewer than two knots, knots not
-    strictly increasing, or a singular or non-finite solve), the signal for
-    the sift loop to terminate; non-finite values are rejected before any
-    arithmetic, so no floating-point warning precedes the error.
+    (scipy 1.17) on its own knots: each row's tridiagonal system is solved by
+    the same LAPACK routine, and the pieces are built and evaluated in
+    scipy's operation order. Raises ValueError("monotone component") when
+    either knot set does not define an envelope (a non-finite value, fewer
+    than two knots, knots not strictly increasing, or a singular or
+    non-finite solve), the signal for the sift loop to terminate; non-finite
+    values are rejected before any arithmetic, so no floating-point warning
+    precedes the error.
     """
-    if np.count_nonzero(np.isfinite(val)) != len(val):  # half the cost of .all() per call
+    for _, val in extrema:
+        if np.count_nonzero(np.isfinite(val)) != len(val):  # half the cost of .all() per call
+            raise ValueError("monotone component")
+    # Block 0 holds the maxima's knots 0..a-1, block 1 the minima's knots
+    # a..m-1. Piece a-1 joins the blocks; it gets a unit width and no grid
+    # points, and no system row reads it.
+    xs, ys, a = spline_knots(extrema, n, pad)
+    m = xs.size
+    if a < 2 or m - a < 2:
         raise ValueError("monotone component")
-    xs, ys = spline_knots(idx, val, n, pad)
-    if xs.size < 2:
-        raise ValueError("monotone component")
+    blocks = ((0, a - 1), (a, m - 1))  # first and last knot of each block
     dx = xs[1:] - xs[:-1]
+    dx[a - 1] = 1.0
     if not (dx > 0).all():
         raise ValueError("monotone component")
-    default_grid = grid is None
-    if default_grid:
-        grid = _sample_grid(n)
-    if xs.size == 2:
-        # Degenerate knot set: straight line.
-        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        return ys[0] + slope * (grid - xs[0])
 
     # Knot slopes s from CubicSpline's tridiagonal system, row i:
     # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = b[i],
     # with the natural end rows 2 dx s[0] + dx s[1] = 3 (y[1] - y[0]).
     dy = ys[1:] - ys[:-1]
     slope = dy / dx
-    m = xs.size
     diag = np.empty(m)
-    diag[0] = 2 * dx[0]
     diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    diag[-1] = 2 * dx[-1]
     rhs = np.empty(m)
-    rhs[0] = 3 * dy[0]
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # scipy adds the zero second derivative as 0.5 * 0 * dx**2, which turns
-    # a -0.0 into +0.0.
-    rhs[-1] = 3 * dy[-1] + 0.0
-    upper = np.concatenate((dx[:1], dx[:-1]))
-    lower = np.concatenate((dx[1:], dx[-1:]))
-    *_, s, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-    if info != 0 or not np.isfinite(s).all():
+    upper = np.empty(m - 1)
+    upper[1:] = dx[:-1]
+    lower = np.empty(m - 1)
+    lower[:-1] = dx[1:]
+    for lo, hi in blocks:
+        diag[lo] = 2 * dx[lo]
+        diag[hi] = 2 * dx[hi - 1]
+        rhs[lo] = 3 * dy[lo]
+        # scipy adds the zero second derivative as 0.5 * 0 * dx**2, which
+        # turns a -0.0 into +0.0.
+        rhs[hi] = 3 * dy[hi - 1] + 0.0
+        upper[lo] = dx[lo]
+        lower[hi - 1] = dx[hi - 1]
+    # One solve per block, each on contiguous slices that gtsv overwrites
+    # in place, so rhs ends up holding both blocks' slopes. The entries
+    # coupling row a-1 to row a lie outside every slice.
+    for lo, hi in blocks:
+        *_, info = dgtsv(lower[lo:hi], diag[lo:hi + 1], upper[lo:hi], rhs[lo:hi + 1], 1, 1, 1, 1)
+        if info != 0:
+            raise ValueError("monotone component")
+    s = rhs
+    if not np.isfinite(s).all():
         raise ValueError("monotone component")
 
     # Piece coefficients as in CubicHermiteSpline. scipy's evaluator starts
@@ -204,32 +240,39 @@ def spline_envelope(
     lin = s[:-1]
     const = 0.0 + ys[:-1]
 
-    # Piece k covers xs[k] <= g < xs[k+1]; the end pieces extrapolate.
-    if default_grid:
+    # Piece k covers xs[k] <= g < xs[k+1]; each block's end pieces
+    # extrapolate. The grid is walked once per block, and each piece's
+    # knot and coefficients are spread over the grid points it covers.
+    pieces = (xs[:-1], const, lin, quad, cubic)
+    if grid is None:
         # Grid point g lies right of the knots with ceil(xs) <= g, so each
         # piece spans a run of points given by differences of ceil(xs).
-        first = np.ceil(xs).astype(np.intp)
-        np.clip(first, 0, n, out=first)
+        first = np.ceil(xs)
+        np.maximum(first, 0, out=first)  # np.clip costs twice as much per call
+        np.minimum(first, n, out=first)
+        first = first.astype(np.intp)
         counts = first[1:] - first[:-1]
-        counts[0] += first[0]
-        counts[-1] += n - first[-1]
-        k = np.repeat(np.arange(m - 1), counts)
+        counts[a - 1] = 0
+        for lo, hi in blocks:
+            counts[lo] += first[lo]
+            counts[hi - 1] += n - first[hi]
+        x0, c3, c2, c1, c0 = (np.repeat(c, counts) for c in pieces)
+        grid = _sample_grid(n)
     else:
         grid = np.asarray(grid, dtype=np.float64)
-        k = np.clip(np.searchsorted(xs, grid, side="right") - 1, 0, m - 2)
-    # PPoly's term order: ((y + s z) + c1 z^2) + c0 (z^2 z).
-    z = grid - xs[k]
+        k = np.concatenate([
+            lo + np.clip(np.searchsorted(xs[lo:hi + 1], grid, side="right") - 1, 0, hi - lo - 1)
+            for lo, hi in blocks])
+        x0, c3, c2, c1, c0 = (c[k] for c in pieces)
+        grid = np.concatenate((grid, grid))
+    # PPoly's term order: ((c3 + c2 z) + c1 z^2) + c0 (z^2 z).
+    z = grid - x0
     z2 = z * z
-    out = const[k] + lin[k] * z
-    out += quad[k] * z2
+    out = c3 + c2 * z
+    out += c1 * z2
     z2 *= z
-    out += cubic[k] * z2
-    return out
-
-
-def _interior_extrema_count(series: np.ndarray) -> tuple[int, int]:
-    (max_idx, _), (min_idx, _) = find_extrema(series)
-    return max_idx.size, min_idx.size
+    out += c0 * z2
+    return out.reshape(2, -1)
 
 
 def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
@@ -252,22 +295,22 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
     iterations: list[int] = []
 
     for _ in range(config.max_imfs):
-        n_max, n_min = _interior_extrema_count(residual)
-        if n_max + n_min < 3:
+        (max_idx, _), (min_idx, _) = find_extrema(residual)
+        if max_idx.size + min_idx.size < 3:
             break
         h = residual.copy()
         passes = 0
         while passes < config.max_sift_iterations:
-            (max_idx, max_val), (min_idx, min_val) = find_extrema(h)
+            extrema = find_extrema(h)
+            (max_idx, _), (min_idx, _) = extrema
             if max_idx.size < 2 or min_idx.size < 2:
                 break
             try:
-                upper = spline_envelope(max_idx, max_val, n, pad)
-                lower = spline_envelope(min_idx, min_val, n, pad)
+                upper, lower = spline_envelope(extrema, n, pad)
             except ValueError:
                 break
             mean_env = 0.5 * (upper + lower)
-            h = h - mean_env
+            h -= mean_env
             passes += 1
             # Rilling's rule as comparisons, so that samples where the
             # envelopes touch (a = 0) need no special case.

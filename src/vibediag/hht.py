@@ -47,13 +47,17 @@ class SpectrumImage:
 
 
 def analytic_signal(series: np.ndarray, dt: float | None = None) -> AnalyticSignal:
-    """Analytic signal via the one-sided spectrum method."""
+    """Analytic signal via the one-sided spectrum method, along the last axis.
+
+    A (k, n) stack gives k analytic signals from one forward and one inverse
+    FFT, each row bitwise equal to its own one-dimensional call.
+    """
     x = np.asarray(series, dtype=np.float64)
-    if x.size < 4:
+    if x.ndim == 0 or x.shape[-1] < 4:
         raise ValueError("series must have length >= 4")
     if not np.isfinite(x).all():
         raise ValueError("series contains non-finite values")
-    n = x.size
+    n = x.shape[-1]
     spectrum = np.fft.fft(x)
     gain = np.zeros(n)
     if n % 2 == 0:
@@ -71,13 +75,13 @@ def analytic_signal(series: np.ndarray, dt: float | None = None) -> AnalyticSign
 
 
 def _phase_rate_hz(phase: np.ndarray, dt: float) -> np.ndarray:
-    """Clamped central-difference frequency of an unwrapped phase."""
+    """Clamped central-difference frequency of an unwrapped phase, along the last axis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     freq = np.empty_like(phase)
-    freq[1:-1] = (phase[2:] - phase[:-2]) / (4.0 * np.pi * dt)
-    freq[0] = (phase[1] - phase[0]) / (2.0 * np.pi * dt)
-    freq[-1] = (phase[-1] - phase[-2]) / (2.0 * np.pi * dt)
+    freq[..., 1:-1] = (phase[..., 2:] - phase[..., :-2]) / (4.0 * np.pi * dt)
+    freq[..., 0] = (phase[..., 1] - phase[..., 0]) / (2.0 * np.pi * dt)
+    freq[..., -1] = (phase[..., -1] - phase[..., -2]) / (2.0 * np.pi * dt)
     return np.maximum(freq, 0.0)
 
 
@@ -147,19 +151,18 @@ def render_spectrum_image(
     if freq_max_hz > nyquist * (1.0 + 1e-12):
         raise ValueError(f"freq_max_hz {freq_max_hz} exceeds the Nyquist frequency {nyquist}")
 
-    n = imfs.imfs[0].size
+    modes = imfs.imfs[:3]
+    n = modes[0].size
     time_bins = (np.arange(n) * IMAGE_SIZE) // n
     df = freq_max_hz / IMAGE_SIZE
-    cells, weights = [], []
-    for imf in imfs.imfs[:3]:
-        z = analytic_signal(imf, dt)
-        keep = z.frequency_hz <= freq_max_hz
-        fbin = np.minimum((z.frequency_hz[keep] / df).astype(int), IMAGE_SIZE - 1)
-        cells.append(fbin * IMAGE_SIZE + time_bins[keep])
-        weights.append(z.amplitude[keep])
-    # One bincount over all modes adds each cell's amplitudes in sample
-    # order, mode after mode, as a sequential scatter-add would.
-    grid = np.bincount(np.concatenate(cells), weights=np.concatenate(weights),
+    z = analytic_signal(np.stack(modes), dt)
+    keep = z.frequency_hz <= freq_max_hz
+    fbin = np.minimum((z.frequency_hz[keep] / df).astype(int), IMAGE_SIZE - 1)
+    cells = fbin * IMAGE_SIZE + np.broadcast_to(time_bins, keep.shape)[keep]
+    # One bincount over the masked (modes, samples) stack adds each cell's
+    # amplitudes in sample order, mode after mode, as a sequential
+    # scatter-add would.
+    grid = np.bincount(cells, weights=z.amplitude[keep],
                        minlength=IMAGE_SIZE * IMAGE_SIZE).reshape(IMAGE_SIZE, IMAGE_SIZE)
 
     if log_compress:

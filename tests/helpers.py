@@ -178,6 +178,24 @@ def desk_window(label):
     return segmentation.segment(rec, 1024, 410)[0].linear
 
 
+def reference_find_extrema(series):
+    """``emd.find_extrema`` as it was before it dropped ``np.sign``: turns of
+    the sign of the nonzero first differences."""
+    x = np.asarray(series, dtype=np.float64)
+    slope = np.sign(np.diff(x))
+    nz = np.flatnonzero(slope)
+    if nz.size < 2:
+        empty = np.zeros(0, dtype=int), np.zeros(0)
+        return empty, (np.zeros(0, dtype=int), np.zeros(0))
+    s = slope[nz]
+    turn = np.flatnonzero(s[:-1] != s[1:])
+    mids = (nz[turn] + 1 + nz[turn + 1]) // 2
+    is_max = s[turn] > 0
+    max_idx = mids[is_max]
+    min_idx = mids[~is_max]
+    return (max_idx, x[max_idx]), (min_idx, x[min_idx])
+
+
 def reference_render_pixels(imfs, dt, freq_max_hz, channels=3, log_compress=True):
     """The Hilbert raster by a sequential ``np.add.at`` scatter, with the
     frequency taken from a second unwrap of the analytic phase."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from helpers import desk_window
+from helpers import desk_window, reference_find_extrema
 from vibediag import emd, signal_model
 from vibediag.config import config_from_dict
 from vibediag.emd import (
@@ -50,17 +50,36 @@ def test_find_extrema_tone_counts():
     assert mn_i.size == 5
 
 
+# Runs of repeated values make plateaus; -0.0 next to 0.0 is a zero step.
+plateau_series = st.lists(
+    st.tuples(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]), st.integers(1, 4)),
+    min_size=1, max_size=80,
+).map(lambda runs: np.array([v for v, r in runs for _ in range(r)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plateau_series | st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=80).map(np.array))
+def test_find_extrema_matches_sign_of_differences_reference(x):
+    assume(x.size >= 3)
+    for (idx, val), (ref_idx, ref_val) in zip(find_extrema(x), reference_find_extrema(x)):
+        assert idx.dtype == ref_idx.dtype
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert bitwise_equal(val, ref_val)
+
+
 def test_spline_constant_knots():
     n = 50
-    env = spline_envelope(np.array([0, n - 1]), np.array([1.0, 1.0]), n)
-    np.testing.assert_allclose(env, np.ones(n), atol=1e-12)
+    knots = (np.array([0, n - 1]), np.array([1.0, 1.0]))
+    for env in spline_envelope((knots, knots), n):
+        np.testing.assert_allclose(env, np.ones(n), atol=1e-12)
 
 
 def test_spline_interpolates_knots_exactly():
     idx = np.array([3, 7, 12, 18, 25, 31])
     val = (idx - 14.0) ** 2 / 10.0
-    env = spline_envelope(idx, val, 40)
-    np.testing.assert_allclose(env[idx], val, atol=1e-9)
+    upper, lower = spline_envelope(((idx, val), (idx[1:], -val[1:])), 40)
+    np.testing.assert_allclose(upper[idx], val, atol=1e-9)
+    np.testing.assert_allclose(lower[idx[1:]], -val[1:], atol=1e-9)
 
 
 def test_spline_second_derivative_continuous_at_knots():
@@ -73,13 +92,16 @@ def test_spline_second_derivative_continuous_at_knots():
     n = 40
     h = 0.05
 
+    # The spline under test is the second row, past the block junction.
+    extrema = ((idx[::2], -val[::2]), (idx, val))
+
     def second_derivative(x0):
         pts = np.array([x0 - h, x0, x0 + h])
-        e = spline_envelope(idx, val, n, grid=pts)
+        _, e = spline_envelope(extrema, n, grid=pts)
         return (e[0] - 2 * e[1] + e[2]) / h**2
 
-    xs, _ = spline_knots(idx, val, n, pad=2)
-    interior = xs[1:-1]
+    xs, _, a = spline_knots(extrema, n, pad=2)
+    interior = xs[a + 1:-1]
     for xk in interior:
         left = 2 * second_derivative(xk - 0.2) - second_derivative(xk - 0.4)
         right = 2 * second_derivative(xk + 0.2) - second_derivative(xk + 0.4)
@@ -87,72 +109,110 @@ def test_spline_second_derivative_continuous_at_knots():
 
 
 def test_spline_fewer_than_two_knots_signals_monotone():
-    with pytest.raises(ValueError, match="monotone"):
-        spline_envelope(np.array([], dtype=int), np.array([]), 10)
+    empty = (np.array([], dtype=int), np.array([]))
+    good = (np.array([2, 5, 7]), np.array([1.0, -1.0, 0.5]))
+    for extrema in ((empty, good), (good, empty)):
+        with pytest.raises(ValueError, match="monotone"):
+            spline_envelope(extrema, 10)
 
 
 def bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@st.composite
-def knot_sets(draw, size=st.integers(1, 60), pad=st.integers(0, 3), seam=False):
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+# Values whose differences include zeros of either sign, the case that
+# scipy's ``+ 0.0`` end row and ``0.0 +`` constant term are written for.
+SIGNED_ZEROS = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+
+
+def draw_extrema(draw, n, size, seam, values=FLOATS):
     """Sorted distinct integer extrema positions with values, as find_extrema gives."""
-    n = draw(st.integers(4, 400))
     count = min(draw(size), n)
     idx = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True))
     if seam:
         idx[0] = 0  # mirrored to -0.0, a duplicate of the knot at 0
         if draw(st.booleans()):
             idx[-1] = n - 1
-    idx = np.array(sorted(set(idx)))
-    values = st.floats(-1e6, 1e6, allow_nan=False)
+    idx = np.array(sorted(set(idx)), dtype=int)
     val = np.array(draw(st.lists(values, min_size=idx.size, max_size=idx.size)))
-    return idx, val, n, draw(pad)
+    return idx, val
 
 
-def scipy_envelope(idx, val, n, pad=2, grid=None):
-    xs, ys = spline_knots(idx, val, n, pad)
-    return CubicSpline(xs, ys, bc_type="natural")(np.arange(n) if grid is None else grid)
+@st.composite
+def knot_pairs(draw, size=st.integers(1, 60), pad=st.integers(0, 3), seam=False, other_size=None,
+               values=FLOATS):
+    """Maxima and minima on one series length with one pad, as sift passes
+    them to spline_envelope; ``other_size`` sizes one side, drawn at random."""
+    n = draw(st.integers(4, 400))
+    other = size if other_size is None else other_size
+    pair = [draw_extrema(draw, n, size, seam, values), draw_extrema(draw, n, other, seam, values)]
+    if draw(st.booleans()):
+        pair.reverse()
+    return tuple(pair), n, draw(pad)
+
+
+def scipy_envelope(extrema, n, pad=2, grid=None):
+    xs, ys, a = spline_knots(extrema, n, pad)
+    grid = np.arange(n) if grid is None else grid
+    return np.stack([CubicSpline(xs[side], ys[side], bc_type="natural")(grid)
+                     for side in (slice(None, a), slice(a, None))])
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
-        knot_sets(),
-        knot_sets(size=st.just(3), pad=st.just(0)),
-        knot_sets(pad=st.integers(1, 3), seam=True),
+        knot_pairs(),
+        knot_pairs(size=st.just(3), pad=st.just(0)),
+        knot_pairs(pad=st.integers(1, 3), seam=True),
         # No mirrored knots: the grid usually extends past both end knots.
-        knot_sets(size=st.integers(3, 60), pad=st.just(0)),
+        knot_pairs(size=st.integers(3, 60), pad=st.just(0)),
+        # One side of two knots: CubicSpline's straight line.
+        knot_pairs(size=st.integers(3, 60), pad=st.just(0), other_size=st.just(2)),
+        knot_pairs(size=st.integers(2, 8), values=SIGNED_ZEROS),
     ),
     st.none() | st.lists(st.floats(-10.0, 410.0), min_size=1, max_size=50).map(sorted),
 )
 def test_spline_envelope_matches_cubic_spline_bitwise(knots, grid):
-    assume(spline_knots(*knots)[0].size >= 3)  # two knots give a straight line
+    # Each row must equal its own CubicSpline, whatever the other row holds.
+    extrema, n, pad = knots
+    xs, _, a = spline_knots(extrema, n, pad)
+    assume(a >= 2 and xs.size - a >= 2)
     grid = None if grid is None else np.array(grid)
-    expected = scipy_envelope(*knots, grid=grid)
-    assert bitwise_equal(spline_envelope(*knots, grid=grid), expected)
+    expected = scipy_envelope(extrema, n, pad, grid=grid)
+    assert bitwise_equal(spline_envelope(extrema, n, pad, grid=grid), expected)
 
 
 @settings(max_examples=100, deadline=None)
-@given(knot_sets(seam=True) | knot_sets(), st.randoms(use_true_random=False))
+@given(knot_pairs(seam=True) | knot_pairs() | knot_pairs(size=st.integers(0, 4)),
+       st.randoms(use_true_random=False))
 def test_spline_knots_match_sorted_deduplicated_mirror(knots, rnd):
-    # Reference: concatenate the mirrors, stable-sort by position and keep
-    # the first of coinciding knots. Unsorted extrema take the same path.
-    idx, val, n, pad = knots
-    if rnd.random() < 0.3:
-        perm = np.array(rnd.sample(range(idx.size), idx.size))
-        idx, val = idx[perm], val[perm]
-    xs, ys = spline_knots(idx, val, n, pad)
-    p = min(pad, idx.size)
-    x = idx.astype(np.float64)
-    if p:
-        x = np.concatenate([(-x[:p])[::-1], x, (2.0 * (n - 1) - x[-p:])[::-1]])
-        val = np.concatenate([val[:p][::-1], val, val[-p:][::-1]])
-        order = np.argsort(x, kind="stable")
-        x, val = x[order], val[order]
-        keep = np.concatenate([[True], np.diff(x) > 0])
-        x, val = x[keep], val[keep]
+    # Reference, one side at a time: concatenate the mirrors, stable-sort by
+    # position and keep the first of coinciding knots. Unsorted extrema take
+    # the same path.
+    extrema, n, pad = knots
+    sides = []
+    for idx, val in extrema:
+        if rnd.random() < 0.3:
+            perm = np.array(rnd.sample(range(idx.size), idx.size), dtype=int)
+            idx, val = idx[perm], val[perm]
+        sides.append((idx, val))
+    xs, ys, a = spline_knots(sides, n, pad)
+    expected = []
+    for idx, val in sides:
+        p = min(pad, idx.size)
+        x = idx.astype(np.float64)
+        if p:
+            x = np.concatenate([(-x[:p])[::-1], x, (2.0 * (n - 1) - x[-p:])[::-1]])
+            val = np.concatenate([val[:p][::-1], val, val[-p:][::-1]])
+            order = np.argsort(x, kind="stable")
+            x, val = x[order], val[order]
+            keep = np.concatenate([[True], np.diff(x) > 0])
+            x, val = x[keep], val[keep]
+        expected.append((x, val))
+    (x0, v0), (x1, v1) = expected
+    assert a == x0.size
+    x, val = np.concatenate([x0, x1]), np.concatenate([v0, v1])
     assert bitwise_equal(xs, x) and bitwise_equal(ys, val)
 
 
@@ -170,12 +230,15 @@ def test_spline_degenerate_knots_signal_monotone(idx, val):
     # A floating-point warning before the error would escape the sift loop
     # under -W error, so warnings fail the test.
     idx, val = np.array(idx), np.array(val)
+    good = (np.array([1, 4, 8]), np.array([0.5, -1.0, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            CubicSpline(*spline_knots(idx, val, 10, pad=0), bc_type="natural")
-        with pytest.raises(ValueError, match="monotone component"):
-            spline_envelope(idx, val, 10, pad=0)
+            xs, ys, a = spline_knots(((idx, val), good), 10, pad=0)
+            CubicSpline(xs[:a], ys[:a], bc_type="natural")
+        for extrema in (((idx, val), good), (good, (idx, val))):
+            with pytest.raises(ValueError, match="monotone component"):
+                spline_envelope(extrema, 10, pad=0)
 
 
 @pytest.mark.parametrize("label", list(signal_model.FaultLabel))

@@ -180,3 +180,15 @@ def test_image_export_formats(tmp_path):
     data = p5.read_bytes()
     assert data.startswith(b"P5\n32 32\n255\n")
     assert len(data.split(b"255\n", 1)[1]) == 32 * 32
+
+
+@pytest.mark.parametrize("n", [255, 256, 3897])
+def test_stacked_analytic_signal_equals_one_call_per_row_bitwise(n):
+    rows = np.random.default_rng(n).normal(size=(3, n))
+    dt = 1 / 31175.0
+    stacked = analytic_signal(rows, dt)
+    for k, row in enumerate(rows):
+        single = analytic_signal(row, dt)
+        for field in ("x", "y", "amplitude", "phase", "frequency_hz"):
+            a, b = getattr(stacked, field)[k], getattr(single, field)
+            assert a.tobytes() == b.tobytes(), field
