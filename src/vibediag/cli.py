@@ -274,8 +274,8 @@ def cmd_embed(args) -> int:
                    [out / "variance_curve.csv", out / "embedding.csv"],
                    extra={"points": int(picked.size),
                           "components": int(reduced.shape[1]),
-                          "kl_after_exaggeration": float(kl[min(config.tsne.exaggeration_iters, len(kl) - 1)]),
-                          "kl_final": float(kl[-1])},
+                          "kl_after_exaggeration": float(kl[0]),
+                          "kl_final": float(kl[1])},
                    dataset=dataset)
     print(f"embed: {picked.size} points, {reduced.shape[1]} components -> {out}")
     return 0

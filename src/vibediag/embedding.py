@@ -6,7 +6,10 @@ covariance when samples outnumber features, of the Gram matrix otherwise
 algorithm: per-point Gaussian bandwidths found by bisection against the
 perplexity entropy, symmetrized and floored affinities, Student-t
 low-dimensional kernel, and momentum gradient descent with early
-exaggeration. Practical cap: a few thousand points.
+exaggeration. Each iteration reuses one set of n x n workspaces, and the
+KL divergence is computed only at the two iterations the embed manifest
+records (the end of exaggeration and the last iteration), not as a
+per-iteration history. Practical cap: a few thousand points.
 """
 
 from __future__ import annotations
@@ -37,8 +40,15 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.perplexity <= 0 or self.iterations < 1 or self.learning_rate <= 0:
-            raise ValueError("perplexity, iterations and learning_rate must be positive")
+        for name in ("perplexity", "iterations", "learning_rate", "early_exaggeration"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"tsne {name} must be positive, got {getattr(self, name)}")
+        for name in ("exaggeration_iters", "momentum_switch_iter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"tsne {name} must be >= 0, got {getattr(self, name)}")
+        for name in ("momentum_start", "momentum_final"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"tsne {name} must lie in [0, 1), got {getattr(self, name)}")
 
 
 def pca_fit(data: np.ndarray) -> PcaModel:
@@ -122,12 +132,17 @@ def pca_reconstruct(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
 
 def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
                             n_steps: int = 50, tol: float = 1e-5) -> np.ndarray:
-    """Row-stochastic P with per-row bandwidth found by bisection."""
+    """Row-stochastic P with per-row bandwidth found by bisection.
+
+    Rows are bisected one at a time: a masked 2-D sum over all rows would
+    add in another order once ``exp`` underflows, so it is not bitwise.
+    """
     n = sq_dists.shape[0]
     target_entropy = np.log(perplexity)
     p = np.zeros_like(sq_dists)
+    off_diag = ~np.eye(n, dtype=bool)
     for i in range(n):
-        d = np.delete(sq_dists[i], i)
+        d = sq_dists[i, off_diag[i]]
         beta, lo, hi = 1.0, 0.0, np.inf
         row = None
         for _ in range(n_steps):
@@ -138,7 +153,8 @@ def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
                 row = np.full_like(d, 1.0 / d.size)
             else:
                 row /= total
-                entropy = float(-np.sum(row[row > 0] * np.log(row[row > 0])))
+                positive = row[row > 0]
+                entropy = float(-np.sum(positive * np.log(positive)))
             if abs(entropy - target_entropy) < tol:
                 break
             if entropy > target_entropy:  # too diffuse: sharpen
@@ -147,16 +163,19 @@ def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
             else:
                 hi = beta
                 beta = 0.5 * (beta + lo)
-        p[i, np.arange(n) != i] = row
+        p[i, off_diag[i]] = row
     return p
 
 
 def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact t-SNE to two dimensions.
 
-    Returns (embedding (n, 2), per-iteration KL divergence against the
-    un-exaggerated affinities). The embedding is re-centered every
-    iteration and the affinity floor keeps duplicated points finite.
+    Returns (embedding (n, 2), kl (2,)): the KL divergence against the
+    un-exaggerated affinities at iteration ``min(exaggeration_iters,
+    iterations - 1)`` and at the last iteration, each taken before that
+    iteration's update. No other iteration computes it. The embedding is
+    re-centered every iteration and the affinity floor keeps duplicated
+    points finite.
     """
     config = config or TsneConfig()
     x = np.asarray(data, dtype=np.float64)
@@ -175,20 +194,42 @@ def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray
     rng = np.random.default_rng(config.seed)
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
-    kl_history = np.zeros(config.iterations)
+    kl_at = np.array([min(config.exaggeration_iters, config.iterations - 1), config.iterations - 1])
+    kl = np.zeros(2)
     off_diag = ~np.eye(n, dtype=bool)
+    p_off = p[off_diag]
+    p_exaggerated = p * config.early_exaggeration
+    # One set of n x n workspaces, written in the order of the textbook
+    # expressions, so every element rounds as it would in fresh arrays.
+    num, q, w = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    w_diag = w.reshape(-1)[:: n + 1]
 
     for it in range(config.iterations):
+        # num = 1 / (1 + max(|y_i|^2 + |y_j|^2 - 2 y_i.y_j, 0)), zero diagonal
         ysq = np.sum(y * y, axis=1)
-        num = 1.0 / (1.0 + np.maximum(ysq[:, None] + ysq[None, :] - 2.0 * (y @ y.T), 0.0))
+        np.matmul(y, y.T, out=num)
+        num *= 2.0
+        np.add(ysq[:, None], ysq[None, :], out=q)
+        np.subtract(q, num, out=num)
+        np.maximum(num, 0.0, out=num)
+        num += 1.0
+        np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), 1e-12)
+        np.divide(num, num.sum(), out=q)
+        np.maximum(q, 1e-12, out=q)
 
-        kl_history[it] = float(np.sum(p[off_diag] * np.log(p[off_diag] / q[off_diag])))
+        if it in kl_at:  # both slots when the two iterations coincide
+            kl[kl_at == it] = np.sum(p_off * np.log(p_off / q[off_diag]))
 
-        p_eff = p * config.early_exaggeration if it < config.exaggeration_iters else p
-        w = (p_eff - q) * num
-        grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        # w = (p_eff - q) * num; the gradient is 4 (diag(rowsum w) - w) @ y.
+        # 0.0 - w keeps the +0.0 that np.negative would turn into -0.0.
+        np.subtract(p_exaggerated if it < config.exaggeration_iters else p, q, out=w)
+        w *= num
+        row_sums = w.sum(axis=1)
+        w_ii = w_diag.copy()
+        np.subtract(0.0, w, out=w)
+        np.subtract(row_sums, w_ii, out=w_diag)
+        grad = 4.0 * (w @ y)
 
         momentum = config.momentum_start if it < config.momentum_switch_iter else config.momentum_final
         velocity = momentum * velocity - config.learning_rate * grad
@@ -197,7 +238,7 @@ def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray
         if not np.isfinite(y).all():
             raise RuntimeError(f"t-SNE diverged at iteration {it + 1}")
 
-    return y, kl_history
+    return y, kl
 
 
 def subsample_indices(n: int, cap: int, seed: int) -> np.ndarray:

@@ -304,3 +304,68 @@ def reference_split_keys(keys, labels, spec):
             tr_parts.append(order[n_test + n_val :])
         tr, va, te = np.concatenate(tr_parts), np.concatenate(va_parts), np.concatenate(te_parts)
     return {name: [items[i].key for i in idx] for name, idx in (("train", tr), ("val", va), ("test", te))}
+
+
+def reference_conditional_affinities(sq_dists, perplexity, n_steps=50, tol=1e-5):
+    """``embedding._conditional_affinities`` as it was before it took the
+    positive entries and the off-diagonal mask once: per-row bisection of
+    the Gaussian bandwidth against the perplexity entropy."""
+    n = sq_dists.shape[0]
+    target_entropy = np.log(perplexity)
+    p = np.zeros_like(sq_dists)
+    for i in range(n):
+        d = np.delete(sq_dists[i], i)
+        beta, lo, hi = 1.0, 0.0, np.inf
+        row = None
+        for _ in range(n_steps):
+            row = np.exp(-d * beta)
+            total = row.sum()
+            if total <= 0:
+                entropy = 0.0
+                row = np.full_like(d, 1.0 / d.size)
+            else:
+                row /= total
+                entropy = float(-np.sum(row[row > 0] * np.log(row[row > 0])))
+            if abs(entropy - target_entropy) < tol:
+                break
+            if entropy > target_entropy:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else 0.5 * (beta + hi)
+            else:
+                hi = beta
+                beta = 0.5 * (beta + lo)
+        p[i, np.arange(n) != i] = row
+    return p
+
+
+def reference_tsne(data, config):
+    """``embedding.tsne`` as it was before it reused its n x n workspaces:
+    fresh temporaries every iteration, ``np.diag`` in the gradient, and the
+    KL divergence of every iteration, returned as the whole history."""
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    cond = reference_conditional_affinities(sq_dists, config.perplexity)
+    p = (cond + cond.T) / (2.0 * n)
+    p = np.maximum(p, 1e-12)
+
+    rng = np.random.default_rng(config.seed)
+    y = rng.normal(scale=1e-4, size=(n, 2))
+    velocity = np.zeros_like(y)
+    kl_history = np.zeros(config.iterations)
+    off_diag = ~np.eye(n, dtype=bool)
+    for it in range(config.iterations):
+        ysq = np.sum(y * y, axis=1)
+        num = 1.0 / (1.0 + np.maximum(ysq[:, None] + ysq[None, :] - 2.0 * (y @ y.T), 0.0))
+        np.fill_diagonal(num, 0.0)
+        q = np.maximum(num / num.sum(), 1e-12)
+        kl_history[it] = float(np.sum(p[off_diag] * np.log(p[off_diag] / q[off_diag])))
+        p_eff = p * config.early_exaggeration if it < config.exaggeration_iters else p
+        w = (p_eff - q) * num
+        grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        momentum = config.momentum_start if it < config.momentum_switch_iter else config.momentum_final
+        velocity = momentum * velocity - config.learning_rate * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y, kl_history

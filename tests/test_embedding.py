@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_conditional_affinities, reference_tsne
+from vibediag.config import config_from_dict, load_config
 from vibediag.embedding import (
     PcaModel,
     TsneConfig,
+    _conditional_affinities,
     components_for_target,
     pca_fit,
     pca_reconstruct,
@@ -110,7 +116,7 @@ def test_tsne_separates_two_clusters():
     assert embedding.shape == (200, 2)
     assert np.isfinite(embedding).all()
     assert nn_purity(embedding, labels) >= 0.90
-    assert kl[-1] < kl[config.exaggeration_iters]
+    assert kl[-1] < kl[0]
 
 
 def test_tsne_handles_duplicated_points():
@@ -134,6 +140,65 @@ def test_tsne_is_deterministic():
 def test_tsne_infeasible_perplexity():
     with pytest.raises(ValueError, match="infeasible"):
         tsne(np.random.default_rng(0).normal(size=(20, 3)), TsneConfig(perplexity=30.0))
+
+
+@st.composite
+def tsne_cases(draw):
+    """Inputs of 31 to 80 points, some with every point repeated, and
+    schedules that end before, at or after the exaggeration phase."""
+    copies = draw(st.sampled_from([1, 2, 4]))
+    base = draw(st.integers(-(-31 // copies), 80 // copies))
+    n = base * copies
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.tile(rng.normal(size=(base, draw(st.integers(1, 6)))), (copies, 1))
+    config = TsneConfig(
+        perplexity=draw(st.floats(2.0, (n - 1) / 3)),
+        iterations=draw(st.integers(1, 40)),
+        early_exaggeration=draw(st.sampled_from([1.0, 4.0, 12.0])),
+        exaggeration_iters=draw(st.integers(0, 50)),
+        momentum_switch_iter=draw(st.integers(0, 50)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return data, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(tsne_cases())
+def test_tsne_bitwise_equal_to_per_iteration_reference(case):
+    data, config = case
+    sq = np.sum(data * data, axis=1)
+    sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (data @ data.T), 0.0)
+    affinities = _conditional_affinities(sq_dists, config.perplexity)
+    assert affinities.tobytes() == reference_conditional_affinities(sq_dists, config.perplexity).tobytes()
+
+    embedding, kl = tsne(data, config)
+    ref_embedding, ref_history = reference_tsne(data, config)
+    assert embedding.tobytes() == ref_embedding.tobytes()
+    read_at = [min(config.exaggeration_iters, config.iterations - 1), config.iterations - 1]
+    assert kl.shape == (2,)
+    assert kl.tobytes() == ref_history[read_at].tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("perplexity", 0.0),
+    ("iterations", 0),
+    ("learning_rate", -1.0),
+    ("early_exaggeration", -3.0),
+    ("early_exaggeration", 0.0),
+    ("exaggeration_iters", -5),
+    ("momentum_switch_iter", -1),
+    ("momentum_start", -0.1),
+    ("momentum_start", 1.0),
+    ("momentum_final", 1.5),
+])
+def test_tsne_config_rejects_each_bad_field_in_one_line(field, value):
+    with pytest.raises(ValueError, match=f"^tsne {field} must [^\n]*$"):
+        config_from_dict({"tsne": {field: value}})
+
+
+def test_tsne_config_accepts_the_checked_in_defaults():
+    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.json")
+    assert loaded.tsne == TsneConfig()
 
 
 def test_subsample_indices():

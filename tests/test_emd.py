@@ -183,6 +183,21 @@ def test_spline_envelope_matches_cubic_spline_bitwise(knots, grid):
     assert bitwise_equal(spline_envelope(extrema, n, pad, grid=grid), expected)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_spline_envelope_sums_from_zero_at_a_signed_zero_knot(side):
+    # At x = 9 the spline's value is -0.0 and its linear, quadratic and cubic
+    # coefficients are negative, so every term of the sum is -0.0 there.
+    # Only scipy's sum starting from 0.0 makes the value +0.0.
+    idx, val = np.array([2, 9, 11, 12]), np.array([3.0, -0.0, -2.0, -4.0])
+    assert (CubicSpline(idx.astype(np.float64), val, bc_type="natural").c[:3, 1] < 0).all()
+    other = (np.array([0, 5, 13]), np.array([-5.0, -6.0, -5.0]))
+    extrema = ((idx, val), other) if side == 0 else (other, (idx, val))
+    grid = np.array([9.0])
+    out = spline_envelope(extrema, 14, pad=0, grid=grid)
+    assert bitwise_equal(out, scipy_envelope(extrema, 14, pad=0, grid=grid))
+    assert not np.signbit(out[side, 0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(knot_pairs(seam=True) | knot_pairs() | knot_pairs(size=st.integers(0, 4)),
        st.randoms(use_true_random=False))
