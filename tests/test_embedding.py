@@ -1,11 +1,9 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_conditional_affinities, reference_tsne
-from vibediag.config import config_from_dict, load_config
+from vibediag.config import config_from_dict
 from vibediag.embedding import (
     PcaModel,
     TsneConfig,
@@ -194,11 +192,6 @@ def test_tsne_bitwise_equal_to_per_iteration_reference(case):
 def test_tsne_config_rejects_each_bad_field_in_one_line(field, value):
     with pytest.raises(ValueError, match=f"^tsne {field} must [^\n]*$"):
         config_from_dict({"tsne": {field: value}})
-
-
-def test_tsne_config_accepts_the_checked_in_defaults():
-    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.json")
-    assert loaded.tsne == TsneConfig()
 
 
 def test_subsample_indices():
