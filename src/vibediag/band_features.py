@@ -2,8 +2,8 @@
 
 The two scalar features of a window are sums of FFT magnitude components in
 bands around the first and second torsional resonances of the angular
-acceleration spectrum. Resonance centers default to 240 and 820 Hz and can
-be re-derived from a shock recording with :func:`find_torsional_peaks`.
+acceleration spectrum. ``BandConfig`` sets the centers (240 and 820 Hz) and
+can be re-derived from a shock recording with :func:`find_torsional_peaks`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.signal import find_peaks, peak_prominences
 
-DEFAULT_PEAK_CENTERS_HZ = (240.0, 820.0)
-DEFAULT_HALF_WIDTH_HZ = 40.0
+_N_PEAKS, _SMOOTH_BINS, _MIN_PROMINENCE_RATIO = 2, 5, 3.0  # of find_torsional_peaks
 
 
 @dataclass
@@ -65,24 +64,16 @@ class MinMaxScaler:
             raise ValueError("scaler maximum must be >= minimum")
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def magnitude_spectrum(
     samples: np.ndarray,
     sample_rate_hz: float,
-    pad_pow2: bool = True,
     taper: str = "rect",
 ) -> Spectrum:
     """One-sided |FFT| of ``samples``.
 
-    With ``pad_pow2`` the input is zero padded to the next power of two,
-    keeping a radix-2 transform (the 3897-sample default window becomes
-    4096 points, bin width about 7.6 Hz at the default rate).
+    The input is zero padded to the next power of two, keeping a radix-2
+    transform (the 3897-sample default window becomes 4096 points, bin
+    width about 7.6 Hz at the default rate).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
@@ -93,7 +84,7 @@ def magnitude_spectrum(
         x = x * np.hanning(x.size)
     elif taper != "rect":
         raise ValueError(f"unknown taper {taper!r}")
-    n_fft = _next_pow2(x.size) if pad_pow2 else x.size
+    n_fft = 1 << (x.size - 1).bit_length()  # the next power of two
     mags = np.abs(np.fft.rfft(x, n=n_fft))
     return Spectrum(magnitudes=mags, sample_rate_hz=float(sample_rate_hz), n_fft=n_fft)
 
@@ -102,38 +93,34 @@ def find_torsional_peaks(
     spectrum: Spectrum,
     search_lo_hz: float,
     search_hi_hz: float,
-    n_peaks: int = 2,
-    smooth_bins: int = 5,
-    min_prominence_ratio: float = 3.0,
 ) -> list[Peak]:
-    """The ``n_peaks`` most prominent local maxima of the smoothed spectrum.
+    """The two most prominent local maxima of the smoothed spectrum.
 
-    The magnitude spectrum is smoothed with a moving average (width
-    ``smooth_bins``), restricted to the search band, and peaks whose
-    prominence falls below ``min_prominence_ratio`` times the band median
-    are rejected. Results are sorted by ascending frequency. Raises
-    ValueError when fewer than ``n_peaks`` prominent maxima exist.
+    The magnitude spectrum is smoothed with a 5-bin moving average,
+    restricted to the search band, and peaks whose prominence falls below
+    3 times the band median are rejected. Results are sorted by ascending
+    frequency. Raises ValueError when fewer than two prominent maxima exist.
     """
     freqs = spectrum.freqs_hz
     if search_lo_hz < 0 or search_hi_hz > freqs[-1] or search_lo_hz >= search_hi_hz:
         raise ValueError("search band must lie within the spectrum range")
-    smoothed = np.convolve(spectrum.magnitudes, np.ones(smooth_bins) / smooth_bins, mode="same")
+    smoothed = np.convolve(spectrum.magnitudes, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same")
     band = (freqs >= search_lo_hz) & (freqs <= search_hi_hz)
     band_idx = np.flatnonzero(band)
     segment = smoothed[band_idx]
     peak_pos, _ = find_peaks(segment)
     if peak_pos.size == 0:
-        raise ValueError(f"insufficient peaks: found 0 of {n_peaks} in the search band")
+        raise ValueError(f"insufficient peaks: found 0 of {_N_PEAKS} in the search band")
     prominences = peak_prominences(segment, peak_pos)[0]
-    floor = min_prominence_ratio * float(np.median(segment))
+    floor = _MIN_PROMINENCE_RATIO * float(np.median(segment))
     keep = prominences >= floor if floor > 0 else prominences > 0
     peak_pos = peak_pos[keep]
     prominences = prominences[keep]
-    if peak_pos.size < n_peaks:
+    if peak_pos.size < _N_PEAKS:
         raise ValueError(
-            f"insufficient peaks: found {peak_pos.size} of {n_peaks} above the prominence threshold"
+            f"insufficient peaks: found {peak_pos.size} of {_N_PEAKS} above the prominence threshold"
         )
-    top = np.argsort(prominences)[::-1][:n_peaks]
+    top = np.argsort(prominences)[::-1][:_N_PEAKS]
     chosen = peak_pos[top]
     order = np.argsort(chosen)
     return [
@@ -165,8 +152,8 @@ def band_power(
 def extract_features(
     angular: np.ndarray,
     sample_rate_hz: float,
-    centers_hz: Sequence[float] = DEFAULT_PEAK_CENTERS_HZ,
-    half_width_hz: float = DEFAULT_HALF_WIDTH_HZ,
+    centers_hz: Sequence[float],
+    half_width_hz: float,
     squared: bool = False,
     taper: str = "rect",
 ) -> FeaturePair:

@@ -125,9 +125,7 @@ def cmd_simulate(args) -> int:
             rec_seed = seed * 1000 + int(label) * 10 + rep
             rec_id = f"{label.canonical_name.lower()}-r{rep}"
             rec = synthesize_recording(spec, rec_seed, id=rec_id)
-            path = out / f"{rec_id}.csv"
-            save_recording(rec, path)
-            artifacts.extend([path, path.with_suffix("").with_suffix(".meta.json")])
+            artifacts.extend(save_recording(rec, out / f"{rec_id}.csv"))
     write_manifest(out, "simulate", seed, config, artifacts)
     print(f"simulate: wrote {len(artifacts) // 2} recordings to {out}")
     return 0
@@ -317,10 +315,8 @@ def cmd_import(args) -> int:
         id=args.id or src.stem,
     )
     out = _prepare_out(args.out)
-    path = out / f"{rec.id}.csv"
-    save_recording(rec, path)
-    write_manifest(out, "import", seed, config,
-                   [path, path.with_suffix("").with_suffix(".meta.json")])
+    path, sidecar = save_recording(rec, out / f"{rec.id}.csv")
+    write_manifest(out, "import", seed, config, [path, sidecar])
     print(f"import: {src} -> {path} ({rec.n_samples} samples)")
     return 0
 

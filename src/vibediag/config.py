@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,15 +84,27 @@ _SECTION_TYPES = {
 }
 
 
+def _check_type(field_name: str, declared: str, hint, value) -> None:
+    """Reject ``value`` unless it has the field's declared type: an int may stand for a
+    float, a bool is not an int, and a ``float | None`` field also takes None."""
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (typing.get_origin(hint) or hint,)
+    if float in kinds:
+        kinds += (int,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"config field {field_name} must be {declared}, got {value!r}")
+
+
 def _build_section(cls, payload: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - hints.keys()
     if unknown:
         raise ValueError(f"unknown key(s) in config section {section!r}: {sorted(unknown)}")
     kwargs = dict(payload)
     for f in dataclasses.fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(kwargs[f.name])
+        if f.name in kwargs:
+            if isinstance(kwargs[f.name], list):
+                kwargs[f.name] = tuple(kwargs[f.name])
+            _check_type(f"{section}.{f.name}", f.type, hints[f.name], kwargs[f.name])
     return cls(**kwargs)
 
 

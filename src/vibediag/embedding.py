@@ -125,14 +125,9 @@ def pca_reduce(model: PcaModel, data: np.ndarray, target) -> np.ndarray:
     return (np.asarray(data, dtype=np.float64) - model.mean) @ model.components[:k].T
 
 
-def pca_reconstruct(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    k = reduced.shape[1]
-    return reduced @ model.components[:k] + model.mean
-
-
-def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
-                            n_steps: int = 50, tol: float = 1e-5) -> np.ndarray:
-    """Row-stochastic P with per-row bandwidth found by bisection.
+def _conditional_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
+    """Row-stochastic P with per-row bandwidth found by bisection: at most 50
+    steps, stopping once the row entropy is within 1e-5 of log(perplexity).
 
     Rows are bisected one at a time: a masked 2-D sum over all rows would
     add in another order once ``exp`` underflows, so it is not bitwise.
@@ -144,8 +139,7 @@ def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
     for i in range(n):
         d = sq_dists[i, off_diag[i]]
         beta, lo, hi = 1.0, 0.0, np.inf
-        row = None
-        for _ in range(n_steps):
+        for _ in range(50):
             row = np.exp(-d * beta)
             total = row.sum()
             if total <= 0:
@@ -155,7 +149,7 @@ def _conditional_affinities(sq_dists: np.ndarray, perplexity: float,
                 row /= total
                 positive = row[row > 0]
                 entropy = float(-np.sum(positive * np.log(positive)))
-            if abs(entropy - target_entropy) < tol:
+            if abs(entropy - target_entropy) < 1e-5:
                 break
             if entropy > target_entropy:  # too diffuse: sharpen
                 lo = beta

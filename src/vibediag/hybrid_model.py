@@ -8,8 +8,8 @@ values and runs ReLU on a quarter of the elements; checkpoints that list
 ReLU before pooling load as written. The feature branch maps the two
 band-power scalars through dense layers of 16 and 8 units. The branch
 outputs are concatenated into a dense layer of 8 units and a 5-way dense
-output, where the head ends: its outputs are the logits, and ``Model.forward``
-applies softmax to them once. Single-branch variants reuse the head.
+output, where the head ends: its outputs are the logits, which the loss
+turns into probabilities. Single-branch variants reuse the head.
 The builders make float32 models, so training runs at float32;
 ``dtype=np.float64`` builds serve the gradient checks. Only ``Model``
 takes the dtype: the layers build float64 and the model casts them.
@@ -198,21 +198,10 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     col_sums = confusion.sum(axis=0).astype(np.float64)
     row_sums = confusion.sum(axis=1).astype(np.float64)
 
-    degenerate = []
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    for i in range(k):
-        if col_sums[i] > 0:
-            precision[i] = diag[i] / col_sums[i]
-        else:
-            degenerate.append(i)
-        if row_sums[i] > 0:
-            recall[i] = diag[i] / row_sums[i]
-        elif i not in degenerate:
-            degenerate.append(i)
-        pr = precision[i] + recall[i]
-        f1[i] = 2.0 * precision[i] * recall[i] / pr if pr > 0 else 0.0
+    precision = np.divide(diag, col_sums, out=np.zeros(k), where=col_sums > 0)
+    recall = np.divide(diag, row_sums, out=np.zeros(k), where=row_sums > 0)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(k), where=pr > 0)
 
     accuracy = float(diag.sum() / total) if total > 0 else 0.0
     return Metrics(
@@ -222,15 +211,15 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
         recall=recall,
         f1=f1,
         support=row_sums.astype(int),
-        degenerate_classes=sorted(degenerate),
+        degenerate_classes=np.flatnonzero((col_sums == 0) | (row_sums == 0)).tolist(),
     )
 
 
-def predict_classes(model: Model, images, features, chunk: int = 256) -> np.ndarray:
+def predict_classes(model: Model, images, features) -> np.ndarray:
     """Argmax predictions in eval mode; ties resolve to the lowest class index."""
     n = len(images if images is not None else features)
     out = np.empty(n, dtype=int)
-    for rows, logits in eval_logits(model, images, features, n, chunk):
+    for rows, logits in eval_logits(model, images, features, n):
         out[rows] = logits.argmax(axis=1)
     return out
 
@@ -340,23 +329,21 @@ def dataset_from_examples(examples: Sequence[Example], config_echo: dict | None 
 DATASET_FORMAT = "vibediag-dataset-v1"
 
 
-_BINARY_NAMES = ("images", "features", "labels_onehot")
-
-
-def _binary_arrays(dataset: FeaturizedDataset):
-    """The arrays of ``dataset.bin`` in file order."""
-    return zip(_BINARY_NAMES, (dataset.images, dataset.features_raw, np.eye(N_CLASSES)[dataset.labels]))
+def dataset_layout(n: int, channels: int) -> tuple[dict, int]:
+    """The ``offsets`` table and ``total_bytes`` of a ``dataset.bin`` of ``n`` windows: images of
+    ``channels`` channels, then the two features, then one-hot labels, all little-endian float64."""
+    offsets, offset = {}, 0
+    for name, shape in (("images", [n, IMAGE_SIZE, IMAGE_SIZE, channels]), ("features", [n, 2]),
+                        ("labels_onehot", [n, N_CLASSES])):
+        offsets[name] = {"byte_offset": offset, "byte_length": 8 * math.prod(shape), "shape": shape}
+        offset += offsets[name]["byte_length"]
+    return offsets, offset
 
 
 def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
     """Write ``dataset.json``, the manifest of the ``dataset.bin`` that
     :func:`save_dataset` writes for the same arrays."""
-    offsets = {}
-    offset = 0
-    for name, array in _binary_arrays(dataset):
-        length = array.size * 8
-        offsets[name] = {"byte_offset": offset, "byte_length": length, "shape": list(array.shape)}
-        offset += length
+    offsets, total = dataset_layout(len(dataset), dataset.images.shape[3])
     per_class = {l.canonical_name: int((dataset.labels == int(l)).sum()) for l in FaultLabel}
     manifest = {
         "format": DATASET_FORMAT,
@@ -371,7 +358,7 @@ def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
         "splits": dataset.splits,
         "config_echo": dataset.config_echo,
         "seed": dataset.seed,
-        "total_bytes": offset,
+        "total_bytes": total,
     }
     (Path(out_dir) / "dataset.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -379,23 +366,23 @@ def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
 def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
     """Write ``dataset.json`` (manifest) and ``dataset.bin`` (arrays).
 
-    The binary layout is images, then features, then one-hot labels, all
-    little-endian 64-bit floats at the offsets recorded in the manifest.
-    Each array goes straight from memory to the file, with no bytes copy.
+    The binary layout is :func:`dataset_layout`, the table the manifest
+    records. Each array goes straight from memory to the file, with no
+    bytes copy.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset_json(dataset, out_dir)
     with open(out_dir / "dataset.bin", "wb") as fh:
-        for _, array in _binary_arrays(dataset):
+        for array in (dataset.images, dataset.features_raw, np.eye(N_CLASSES)[dataset.labels]):
             np.ascontiguousarray(array, dtype="<f8").tofile(fh)
 
 
 def load_dataset(in_dir) -> FeaturizedDataset:
     """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
-    unknown format, a missing top-level key, a wrong length, an ``offsets`` entry that is
-    missing or incomplete, is not 8 bytes per value of its shape, or reaches outside
-    ``total_bytes``, or a split that names a window twice or one ``provenance`` lacks."""
+    unknown format, a missing top-level key, ``offsets`` or ``total_bytes`` that differ from the
+    :func:`dataset_layout` of ``len(provenance)`` windows, a wrong length, a label row that is
+    not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
     manifest = json.loads(json_path.read_text())
@@ -411,25 +398,32 @@ def load_dataset(in_dir) -> FeaturizedDataset:
                 where = "not in provenance" if key not in split_of else f"in split {split_of[key]!r} too"
                 raise ValueError(f"{json_path}: split {split_name!r} names window {key!r}, {where}")
             split_of[key] = split_name
-    total = manifest["total_bytes"]
-    for name in _BINARY_NAMES:
-        meta = manifest["offsets"].get(name)
-        if meta is None or not {"byte_offset", "byte_length", "shape"} <= meta.keys():
-            raise ValueError(f"{json_path}: offsets entry {name!r} is missing or lacks byte_offset, "
-                             "byte_length or shape")
-        start, length = meta["byte_offset"], meta["byte_length"]
-        if length != 8 * math.prod(meta["shape"]) or not 0 <= start <= total - length:
-            raise ValueError(f"{json_path}: offsets entry {name!r} {meta} is not 8 bytes per value "
-                             f"of its shape inside total_bytes {total}")
+    n, given = len(manifest["provenance"]), manifest["offsets"]
+    channels = 1 if given.get("images") == dataset_layout(n, 1)[0]["images"] else 3
+    offsets, total = dataset_layout(n, channels)
+    for name in [*offsets, *sorted(given.keys() - offsets.keys())]:
+        if given.get(name) != offsets.get(name):
+            raise ValueError(f"{json_path}: offsets entry {name!r} {given.get(name)} is not "
+                             f"{offsets.get(name)}, the layout of {n} windows in provenance")
+    if manifest["total_bytes"] != total:
+        raise ValueError(f"{json_path}: total_bytes {manifest['total_bytes']} is not {total}, for {n} windows")
     bin_path = in_dir / "dataset.bin"
     size = bin_path.stat().st_size
     if size != total:
         raise ValueError(f"{bin_path}: {size} bytes, but the manifest needs {total}")
 
     def read(name):
-        meta = manifest["offsets"][name]
+        meta = offsets[name]
         return np.fromfile(bin_path, dtype="<f8", count=meta["byte_length"] // 8,
                            offset=meta["byte_offset"]).reshape(meta["shape"])
+
+    onehot = read("labels_onehot")
+    labels = onehot.argmax(axis=1)
+    not_onehot = np.flatnonzero((onehot != np.eye(N_CLASSES)[labels]).any(axis=1))
+    if not_onehot.size:
+        row = not_onehot[0]
+        raise ValueError(f"{bin_path}: labels_onehot row {row} (window {manifest['provenance'][row]!r}) "
+                         f"is {onehot[row].tolist()}, not one 1.0 and {N_CLASSES - 1} 0.0")
 
     scaler = None
     if manifest["scaler"] is not None:
@@ -438,7 +432,7 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     return FeaturizedDataset(
         images=read("images"),
         features_raw=read("features"),
-        labels=read("labels_onehot").argmax(axis=1),
+        labels=labels,
         provenance=list(manifest["provenance"]),
         scaler=scaler,
         splits=manifest["splits"],

@@ -220,11 +220,11 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, training=False, rng=None):
-        self._in_shape = x.shape
+        self._cache = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._in_shape)
+        return grad.reshape(self._saved())
 
 
 class Dense(Layer):
@@ -273,20 +273,19 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
         self.rate = rate
-        self._scale = None
 
     def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
-            self._scale = None
+            self._cache = 1.0 if training else None  # the scale of every survivor
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
-        self._scale = np.divide(keep, 1.0 - self.rate, dtype=x.dtype)
-        return x * self._scale
+        self._cache = np.divide(keep, 1.0 - self.rate, dtype=x.dtype)
+        return x * self._cache
 
     def backward(self, grad):
-        return grad if self._scale is None else grad * self._scale
+        return grad * self._saved()
 
 
 _LAYER_TYPES = {cls.kind: cls for cls in (Conv3x3, MaxPool2x2, Flatten, Dense, ReLU, Dropout)}
@@ -355,8 +354,8 @@ class Model:
     """Optional image and feature branches merged by concatenation into a head.
 
     The head ends at a linear layer, so ``forward_logits`` returns logits;
-    one ``_log_softmax`` turns them into the class probabilities of
-    ``forward`` and the training loss of ``softmax_crossentropy``.
+    ``softmax_crossentropy`` turns them into class probabilities and the
+    training loss with one ``_log_softmax``.
     A missing branch means the corresponding input is ignored entirely.
 
     The model owns its precision: ``params`` and ``grads`` hold every
@@ -413,9 +412,6 @@ class Model:
         self._merged = ran, np.cumsum([part.shape[1] for part in parts])[:-1]
         merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return self._run(self.head_layers, merged, training, rng)
-
-    def forward(self, images, features, training=False, rng=None):
-        return np.exp(_log_softmax(self.forward_logits(images, features, training=training, rng=rng)))
 
     def backward(self, dlogits):
         grad = dlogits
@@ -490,8 +486,8 @@ def load_model(in_dir) -> tuple[Model, dict]:
     float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
     file, on an unknown format, a missing top-level key, an unknown layer type, a layer spec
     with missing or unknown keys, a tensor table its layers do not imply, or a wrong length.
-    A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: ``forward``
-    applies softmax itself."""
+    A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: the head
+    ends at its logits."""
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
     manifest = json.loads(json_path.read_text())
@@ -530,19 +526,22 @@ def _rows(array, rows):
     return None if array is None else array[rows]
 
 
-def eval_logits(model: Model, images, features, n: int, chunk: int = 256):
-    """Yield ``(rows, logits)`` of eval-mode forwards over ``n`` rows, ``chunk`` rows at a time."""
+EVAL_CHUNK = 256  # rows per eval-mode forward
+
+
+def eval_logits(model: Model, images, features, n: int):
+    """Yield ``(rows, logits)`` of eval-mode forwards over ``n`` rows, ``EVAL_CHUNK`` rows at a time."""
     images, features = model.used_inputs(images, features)
-    for lo in range(0, n, chunk):
-        rows = slice(lo, min(lo + chunk, n))
+    for lo in range(0, n, EVAL_CHUNK):
+        rows = slice(lo, min(lo + EVAL_CHUNK, n))
         yield rows, model.forward_logits(_rows(images, rows), _rows(features, rows), training=False)
 
 
-def _batched_eval(model: Model, images, features, onehot, chunk: int = 256):
+def _batched_eval(model: Model, images, features, onehot):
     n = onehot.shape[0]
     total_loss = 0.0
     correct = 0
-    for rows, logits in eval_logits(model, images, features, n, chunk):
+    for rows, logits in eval_logits(model, images, features, n):
         loss, probs, _ = softmax_crossentropy(logits, onehot[rows])
         total_loss += loss * logits.shape[0]
         correct += int((probs.argmax(axis=1) == onehot[rows].argmax(axis=1)).sum())

@@ -1,10 +1,10 @@
 """Slicing recordings into fixed-length overlapping windows.
 
-Defaults follow the acquisition protocol of the bundled data: a window of
-3897 samples (2.5 shaft revolutions at 20 Hz, 31.175 kHz) advanced by 1559
-samples (one revolution). Both channels are sliced with identical start
-indices so the image and band-power features of one window always describe
-the same time interval.
+``SegmentationConfig`` holds the acquisition protocol of the bundled data:
+a window of 3897 samples (2.5 shaft revolutions at 20 Hz, 31.175 kHz)
+advanced by 1559 samples (one revolution). Both channels are sliced with
+identical start indices so the image and band-power features of one window
+always describe the same time interval.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from vibediag.signal_model import FaultLabel, Recording
-
-DEFAULT_WINDOW_LEN = 3897
-DEFAULT_HOP = 1559
 
 
 @dataclass
@@ -45,8 +42,8 @@ def window_count(n_samples: int, window_len: int, hop: int) -> int:
 
 def segment(
     recording: Recording,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    hop: int = DEFAULT_HOP,
+    window_len: int,
+    hop: int,
     linear_channel: int = 0,
 ) -> list[Window]:
     """Slice ``recording`` into windows ordered by start index.

@@ -84,10 +84,6 @@ class Recording:
     def dt(self) -> float:
         return 1.0 / self.sample_rate_hz
 
-    @property
-    def shaft_hz(self) -> float:
-        return self.rpm / 60.0
-
 
 @dataclass
 class SyntheticSpec:
@@ -112,10 +108,7 @@ class SyntheticSpec:
     resonance_decay_s: float = 0.004
 
     def __post_init__(self) -> None:
-        if isinstance(self.fault_rate_hz, (int, float)):
-            self.fault_rate_hz = (float(self.fault_rate_hz),)
-        else:
-            self.fault_rate_hz = tuple(float(r) for r in self.fault_rate_hz)
+        self.fault_rate_hz = tuple(float(r) for r in self.fault_rate_hz)
         self.resonance_hz = tuple(float(f) for f in self.resonance_hz)
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -155,24 +148,15 @@ _SHAFT_HARMONIC_AMPLITUDE = 0.25
 CLASS_SEPARATION_NOISE_SIGMA = 0.5
 
 
-def preset_spec(
-    label: FaultLabel,
-    duration_s: float = 2.0,
-    sample_rate_hz: float = 31175.0,
-    shaft_hz: float = 20.0,
-    noise_sigma: float = 0.1,
-    impulse_amplitude: float = 1.0,
-) -> SyntheticSpec:
-    """Default synthetic spec for one fault class."""
+def preset_spec(label: FaultLabel, **rig) -> SyntheticSpec:
+    """The synthetic spec of one fault class; ``rig`` keywords (duration_s,
+    sample_rate_hz, shaft_hz, noise_sigma, impulse_amplitude) override the
+    defaults of :class:`SyntheticSpec`."""
     return SyntheticSpec(
         label=label,
-        duration_s=duration_s,
-        shaft_hz=shaft_hz,
-        sample_rate_hz=sample_rate_hz,
         fault_rate_hz=PRESET_FAULT_RATES[label],
-        impulse_amplitude=impulse_amplitude,
         modulation_depth=0.8 if label is FaultLabel.INNER_RACE else 0.0,
-        noise_sigma=noise_sigma,
+        **rig,
     )
 
 
@@ -239,11 +223,11 @@ def synthesize_recording(spec: SyntheticSpec, seed: int, id: str | None = None) 
 
 
 def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix("").with_suffix(".meta.json") if csv_path.suffix else csv_path.with_suffix(".meta.json")
+    return csv_path.with_suffix("").with_suffix(".meta.json")
 
 
-def save_recording(recording: Recording, path: str | Path) -> None:
-    """Write ``<path>`` as CSV plus the ``<name>.meta.json`` sidecar.
+def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
+    """Write ``<path>`` as CSV plus the ``<name>.meta.json`` sidecar, and return both paths.
 
     Samples are written with full repr so a load round-trips bitwise.
     """
@@ -259,7 +243,9 @@ def save_recording(recording: Recording, path: str | Path) -> None:
         "label": recording.label.canonical_name,
         "id": recording.id,
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    sidecar = _sidecar_path(path)
+    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
+    return path, sidecar
 
 
 def _first_bad_row(path: Path, width: int) -> str:

@@ -69,7 +69,7 @@ def layer_gradient_cases(seed):
         (Conv3x3(2, 3, rng), rng.normal(size=(1, 5, 5, 2)), True),
         (Dense(7, 4, rng), rng.normal(size=(3, 7)), True),
         (MaxPool2x2(), sampled_away_from_zero(rng, (2, 4, 4, 3)), True),
-        (Flatten(), rng.normal(size=(2, 3, 3, 2)), False),
+        (Flatten(), rng.normal(size=(2, 3, 3, 2)), True),
         (ReLU(), sampled_away_from_zero(rng, (4, 6)), True),
         (Dropout(0.4), rng.normal(size=(3, 8)), True),
     ]
@@ -157,6 +157,13 @@ class ReferenceAdam:
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
             p -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
+
+
+def class_probabilities(model, images, features):
+    """Softmax of an eval-mode forward's logits, by the loss's own ``_log_softmax``."""
+    from vibediag.nn_engine import _log_softmax
+
+    return np.exp(_log_softmax(model.forward_logits(images, features)))
 
 
 def model_tensors(model):

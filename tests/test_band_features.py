@@ -14,6 +14,7 @@ from vibediag.band_features import (
     fit_scaler,
     magnitude_spectrum,
 )
+from vibediag.config import BandConfig
 
 
 def on_bin_tone(freq_bin, n=1024, amp=1.0):
@@ -91,9 +92,8 @@ def test_find_peaks_rejects_white_noise():
 
 def test_find_single_peak():
     spec = magnitude_spectrum(shock_signal(centers=(500.0,)), sample_rate_hz=8192.0)
-    peaks = find_torsional_peaks(spec, 100.0, 2000.0, n_peaks=1)
-    assert len(peaks) == 1
-    assert abs(peaks[0].center_hz - 500.0) <= spec.bin_width_hz
+    with pytest.raises(ValueError, match="insufficient peaks: found 1 of 2 above the prominence threshold"):
+        find_torsional_peaks(spec, 100.0, 2000.0)
 
 
 def test_find_peaks_invariant_to_uniform_scaling():
@@ -150,13 +150,15 @@ def test_extract_features_second_resonance_tone():
     fs = 8192.0
     t = np.arange(4096) / fs
     x = np.sin(2 * np.pi * 820.0 * t)
-    pair = extract_features(x, fs)
+    band = BandConfig()
+    pair = extract_features(x, fs, band.centers_hz, band.half_width_hz)
     assert pair.n2 > 100.0
     assert pair.n1 < 0.01 * pair.n2
 
 
 def test_extract_features_zero_window():
-    pair = extract_features(np.zeros(1024), 8192.0)
+    band = BandConfig()
+    pair = extract_features(np.zeros(1024), 8192.0, band.centers_hz, band.half_width_hz)
     assert pair.n1 == 0.0 and pair.n2 == 0.0
 
 
@@ -164,14 +166,15 @@ def test_extract_features_linearity():
     fs = 8192.0
     t = np.arange(4096) / fs
     x = np.sin(2 * np.pi * 820.0 * t)
-    a = extract_features(x, fs)
-    b = extract_features(2.0 * x, fs)
+    band = BandConfig()
+    a = extract_features(x, fs, band.centers_hz, band.half_width_hz)
+    b = extract_features(2.0 * x, fs, band.centers_hz, band.half_width_hz)
     assert abs(b.n2 - 2.0 * a.n2) <= 1e-9 * b.n2
 
 
 def test_extract_features_requires_two_centers():
     with pytest.raises(ValueError):
-        extract_features(np.zeros(64), 64.0, centers_hz=(10.0,))
+        extract_features(np.zeros(64), 64.0, centers_hz=(10.0,), half_width_hz=BandConfig().half_width_hz)
 
 
 def test_scaler_basics():

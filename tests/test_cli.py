@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -262,6 +263,20 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"paths": {"out_dir": "runs"}})
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"train": {"shuffle": True}})
+
+
+@pytest.mark.parametrize("section, name, value", [("train", "batch_size", 2.5), ("hht", "channels", "3"),
+                                                  ("segmentation", "hop", True)])
+def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value):
+    with pytest.raises(ValueError, match=rf"^config field {section}\.{name} must be int, got {re.escape(repr(value))}$"):
+        config_from_dict({section: {name: value}})
+
+
+def test_config_takes_an_int_for_a_float_and_none_where_the_default_is_none(desk_run):
+    config = config_from_dict({"train": {"learning_rate": 1}, "hht": {"freq_max_hz": None}})
+    assert (config.train.learning_rate, config.hht.freq_max_hz) == (1, None)
+    echo = load_dataset(desk_run / "dataset").config_echo
+    assert config_to_dict(config_from_dict(echo)) == echo
 
 
 def test_flags_override_the_config_fields_they_name_and_absent_flags_keep_them(desk_run, tmp_path):

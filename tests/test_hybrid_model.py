@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import model_tensors, reference_split_keys
+from helpers import class_probabilities, model_tensors, reference_split_keys
 from vibediag.band_features import FeaturePair
 from vibediag.cli import main
 from vibediag.hht import SpectrumImage
@@ -181,7 +181,7 @@ def test_mlp_validation_loss_goes_below_the_double_softmax_floor():
 def test_forward_emits_probability_rows():
     rng = np.random.default_rng(0)
     model = build_hybrid(channels=1, seed=0, dtype=np.float64)
-    probs = model.forward(rng.random((2, 32, 32, 1)), rng.random((2, 2)))
+    probs = class_probabilities(model, rng.random((2, 32, 32, 1)), rng.random((2, 2)))
     assert probs.shape == (2, 5)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -209,7 +209,7 @@ def test_argmax_invariant_under_positive_logit_rescaling():
     feats = rng.random((16, 2))
     logits = model.forward_logits(None, feats)
     assert np.array_equal(logits.argmax(axis=1), (3.7 * logits).argmax(axis=1))
-    probs = model.forward(None, feats)
+    probs = class_probabilities(model, None, feats)
     assert np.array_equal(logits.argmax(axis=1), probs.argmax(axis=1))
 
 
@@ -418,9 +418,14 @@ def _move_labels_past_the_end(offsets):
     offsets["labels_onehot"]["byte_offset"] += 8
 
 
+def _reshape_labels(offsets):
+    offsets["labels_onehot"]["shape"] = [15, 10]
+
+
 @pytest.mark.parametrize("corrupt, entry", [(_reshape_features, "features"), (_drop_labels, "labels_onehot"),
                                             (_drop_a_feature_offset, "features"),
-                                            (_move_labels_past_the_end, "labels_onehot")])
+                                            (_move_labels_past_the_end, "labels_onehot"),
+                                            (_reshape_labels, "labels_onehot")])
 def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_path, corrupt, entry):
     save_dataset(dataset_from_examples(make_examples()), tmp_path)
     manifest = json.loads((tmp_path / "dataset.json").read_text())
@@ -429,6 +434,35 @@ def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_pa
     with pytest.raises(ValueError, match=rf"dataset\.json: offsets entry '{entry}' ") as excinfo:
         load_dataset(tmp_path)
     assert len(str(excinfo.value).splitlines()) == 1
+
+
+def test_load_dataset_checks_the_offsets_against_the_length_of_provenance(tmp_path):
+    save_dataset(dataset_from_examples(make_examples()), tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    manifest["provenance"].pop()
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"dataset\.json: offsets entry 'images' .* the layout of 29 windows") as excinfo:
+        load_dataset(tmp_path)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
+def test_load_dataset_rejects_images_of_two_channels(tmp_path):
+    save_dataset(dataset_from_examples(make_examples(channels=2)), tmp_path)
+    with pytest.raises(ValueError, match=r"dataset\.json: offsets entry 'images' .*\[30, 32, 32, 2\]"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.5, 0.0, 0.0, 0.0], [0.0] * 5])
+def test_load_dataset_rejects_a_label_row_that_is_not_one_hot(tmp_path, row):
+    ds = dataset_from_examples(make_examples())
+    save_dataset(ds, tmp_path)
+    labels = json.loads((tmp_path / "dataset.json").read_text())["offsets"]["labels_onehot"]
+    with open(tmp_path / "dataset.bin", "r+b") as fh:
+        fh.seek(labels["byte_offset"] + 7 * 5 * 8)
+        fh.write(np.array(row, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=rf"dataset\.bin: labels_onehot row 7 \(window '{ds.provenance[7]}'\) "
+                                         rf"is {re.escape(str(row))}, not one 1\.0 and 4 0\.0$"):
+        load_dataset(tmp_path)
 
 
 def _drop_key(key):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     ReferenceAdam,
+    class_probabilities,
     fd_layer_gradients,
     layer_gradient_cases,
     max_relative_error,
@@ -219,6 +220,8 @@ def test_pool_before_relu_gives_the_bits_of_relu_before_pool(dtype, b, h4, w4, c
     lambda rng: (Dense(3, 2, rng), rng.normal(size=(2, 3))),
     lambda rng: (MaxPool2x2(), rng.normal(size=(1, 4, 4, 2))),
     lambda rng: (ReLU(), rng.normal(size=(2, 3))),
+    lambda rng: (Flatten(), rng.normal(size=(2, 2, 2, 3))),
+    lambda rng: (Dropout(0.5), rng.normal(size=(2, 3))),
 ])
 def test_backward_needs_a_training_forward(make):
     rng = np.random.default_rng(0)
@@ -227,7 +230,7 @@ def test_backward_needs_a_training_forward(make):
     name = type(layer).__name__
     with pytest.raises(RuntimeError, match=f"{name}.backward needs a training-mode forward"):
         layer.backward(np.ones_like(out))
-    layer.forward(x, training=True)
+    layer.forward(x, training=True, rng=rng)
     layer.forward(x)  # an eval forward drops what the training forward kept
     with pytest.raises(RuntimeError, match=name):
         layer.backward(np.ones_like(out))
@@ -475,7 +478,7 @@ def test_train_config_validation():
 def test_model_forward_returns_probability_rows():
     rng = np.random.default_rng(13)
     model = tiny_mlp()
-    probs = model.forward(None, rng.normal(size=(7, 2)))
+    probs = class_probabilities(model, None, rng.normal(size=(7, 2)))
     assert probs.shape == (7, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0

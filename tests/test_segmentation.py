@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vibediag.config import SegmentationConfig
 from vibediag.segmentation import segment, window_count
 from vibediag.signal_model import FaultLabel, Recording
 
@@ -37,7 +38,8 @@ def test_window_count_rejects_bad_args():
 
 def test_segment_two_windows_at_default_geometry():
     rec = make_recording(3897 + 1559)
-    wins = segment(rec)
+    seg = SegmentationConfig()
+    wins = segment(rec, seg.window_len, seg.hop)
     assert [w.start_index for w in wins] == [0, 1559]
     assert all(w.linear.size == 3897 for w in wins)
     np.testing.assert_array_equal(wins[1].linear, np.arange(1559, 1559 + 3897, dtype=float))
@@ -45,7 +47,8 @@ def test_segment_two_windows_at_default_geometry():
 
 def test_segment_one_second_at_paper_rate():
     rec = make_recording(31175)
-    wins = segment(rec)
+    seg = SegmentationConfig()
+    wins = segment(rec, seg.window_len, seg.hop)
     assert len(wins) == 18
     assert all(w.label is FaultLabel.BALL for w in wins)
     assert all(w.dt == rec.dt for w in wins)
