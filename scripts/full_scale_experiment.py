@@ -6,7 +6,8 @@ Expects a directory of recordings already adapted to the package format
 protocol: 3897/1559 windowing at 31.175 kHz, 240/820 Hz band features,
 0.15/0.15 ceil splits, Adam 1e-4 / batch 20 / 200 epochs / patience 50,
 then evaluates hybrid, CNN-only and MLP-only on the same featurized data,
-and reports how many principal components reach 0.99 cumulative variance.
+and runs the embed stage, whose manifest reports how many principal
+components reach 0.99 cumulative variance.
 
 This is a CPU-hours run; keep it off the default test path.
 
@@ -20,8 +21,6 @@ import time
 from pathlib import Path
 
 from desk_experiment import run
-from vibediag.embedding import components_for_target, pca_fit
-from vibediag.hybrid_model import load_dataset
 
 
 def main():
@@ -53,11 +52,12 @@ def main():
         run(["eval", "--checkpoint", ckpt, "--dataset", ds_dir, "--out", eval_dir])
         results[branch] = json.loads((eval_dir / "report.json").read_text())["accuracy"]
 
-    dataset = load_dataset(ds_dir)
-    flat = dataset.images.reshape(len(dataset), -1)
-    model = pca_fit(flat)
-    k99 = components_for_target(model, 0.99)
-    results["pca_components_for_0.99"] = int(k99)
+    # The embed stage fits PCA to every window's image and records the
+    # component count that reaches its default 0.99 target.
+    embed_dir = out / "embed"
+    run(["embed", "--dataset", ds_dir, "--out", embed_dir, "--seed", args.seed])
+    manifest = json.loads((embed_dir / "manifest.json").read_text())
+    results["pca_components_for_0.99"] = manifest["extra"]["components"]
 
     (out / "summary.json").write_text(json.dumps(results, indent=2) + "\n")
     print(f"done in {(time.perf_counter() - t0) / 3600:.2f} h: {results}")

@@ -245,23 +245,20 @@ def cmd_eval(args) -> int:
 def cmd_embed(args) -> int:
     config, seed = _configure(args)
     config.tsne.seed = seed
+    if not 0 < args.target <= 1:
+        raise ValueError(f"--target must be in (0, 1], got {args.target}")
     dataset = load_dataset(args.dataset)
     flat = dataset.images.reshape(len(dataset), -1)
     model = pca_fit(flat)
-
-    out = _prepare_out(args.out)
-    curve_lines = ["k,cumulative_ratio"] + [
-        f"{k + 1},{float(r)!r}" for k, r in enumerate(model.cumulative_ratio)
-    ]
-    (out / "variance_curve.csv").write_text("\n".join(curve_lines) + "\n")
-
-    target = args.target if args.target is not None else 0.99
-    if target >= model.cumulative_ratio[-1]:
-        target = int(model.cumulative_ratio.size)  # fall back to full rank
+    # A target the data cannot reach falls back to full rank.
+    target = args.target if args.target < model.cumulative_ratio[-1] else model.cumulative_ratio.size
     reduced = pca_reduce(model, flat, target)
 
     picked = subsample_indices(len(dataset), args.max_points, seed)
     embedding, kl = tsne(reduced[picked], config.tsne)
+    out = _prepare_out(args.out)
+    curve = ["k,cumulative_ratio"] + [f"{k + 1},{float(r)!r}" for k, r in enumerate(model.cumulative_ratio)]
+    (out / "variance_curve.csv").write_text("\n".join(curve) + "\n")
     rows = ["id,x,y,label"]
     for pos, idx in enumerate(picked):
         label = FaultLabel(int(dataset.labels[idx]))
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--srs", help="shock recording; overrides band centers")
     p.add_argument("--window-len", dest="segmentation.window_len", type=int)
     p.add_argument("--hop", dest="segmentation.hop", type=int)
-    p.add_argument("--channels", dest="hht.channels", type=int, choices=(1, 3))
+    p.add_argument("--channels", dest="hht.channels", type=int)
     p.add_argument("--freq-max-hz", dest="hht.freq_max_hz", type=float)
     p.set_defaults(func=cmd_featurize)
 
@@ -395,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target", type=float, help="variance fraction for PCA reduction")
+    p.add_argument("--target", type=float, default=0.99, help="variance fraction in (0, 1] for PCA reduction")
     p.add_argument("--max-points", dest="max_points", type=int, default=2000)
     p.add_argument("--perplexity", dest="tsne.perplexity", type=float)
     p.add_argument("--iterations", dest="tsne.iterations", type=int)

@@ -4,6 +4,9 @@ Defaults reproduce the reference acquisition and training protocol
 (31.175 kHz, 3897/1559 windowing, three modes, 240/820 Hz bands, Adam at
 1e-4 with batch 20, 200 epochs, patience 50, 0.15/0.15 ceil splits).
 Unknown keys are rejected so typos cannot silently fall back to defaults.
+Each field declares its bound once, as plain data in its metadata (``min``,
+``gt``, ``lt`` or ``in``), and ``config_from_dict`` checks every type and
+bound where a config enters; code that builds a section itself is trusted.
 The checked-in configs/defaults.json mirrors these values.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import types
 import typing
@@ -27,41 +31,41 @@ SEED_ENV_VAR = "VIBEDIAG_SEED"
 
 @dataclass
 class SegmentationConfig:
-    window_len: int = 3897
-    hop: int = 1559
-    linear_channel: int = 0
+    window_len: int = field(default=3897, metadata={"min": 1})
+    hop: int = field(default=1559, metadata={"min": 1})
+    linear_channel: int = field(default=0, metadata={"min": 0})
 
 
 @dataclass
 class HhtConfig:
-    freq_max_hz: float | None = None  # None means Nyquist
-    channels: int = 3
+    freq_max_hz: float | None = field(default=None, metadata={"gt": 0})  # None means Nyquist
+    channels: int = field(default=3, metadata={"in": (1, 3)})
     log_compress: bool = True
 
 
 @dataclass
 class BandConfig:
-    centers_hz: tuple[float, float] = (240.0, 820.0)
-    half_width_hz: float = 40.0
+    centers_hz: tuple[float, float] = field(default=(240.0, 820.0), metadata={"gt": 0})
+    half_width_hz: float = field(default=40.0, metadata={"gt": 0})
     squared: bool = False
-    taper: str = "rect"
-    search_lo_hz: float = 100.0
-    search_hi_hz: float = 2000.0
+    taper: str = field(default="rect", metadata={"in": ("rect", "hann")})
+    search_lo_hz: float = field(default=100.0, metadata={"min": 0})
+    search_hi_hz: float = field(default=2000.0, metadata={"gt": 0})
 
 
 @dataclass
 class SimulateConfig:
-    duration_s: float = 2.0
-    sample_rate_hz: float = 31175.0
-    shaft_hz: float = 20.0
-    noise_sigma: float = 0.1
-    impulse_amplitude: float = 1.0
-    recordings_per_class: int = 1
+    duration_s: float = field(default=2.0, metadata={"gt": 0})
+    sample_rate_hz: float = field(default=31175.0, metadata={"gt": 0})
+    shaft_hz: float = field(default=20.0, metadata={"gt": 0})
+    noise_sigma: float = field(default=0.1, metadata={"min": 0})
+    impulse_amplitude: float = field(default=1.0, metadata={"min": 0})
+    recordings_per_class: int = field(default=1, metadata={"min": 1})
 
 
 @dataclass
 class RunConfig:
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={"min": 0})
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     emd: EmdConfig = field(default_factory=EmdConfig)
     hht: HhtConfig = field(default_factory=HhtConfig)
@@ -72,56 +76,66 @@ class RunConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
 
 
-_SECTION_TYPES = {
-    "segmentation": SegmentationConfig,
-    "emd": EmdConfig,
-    "hht": HhtConfig,
-    "band": BandConfig,
-    "train": TrainConfig,
-    "split": SplitSpec,
-    "tsne": TsneConfig,
-    "simulate": SimulateConfig,
+# The bounds a field may declare in its metadata, each with the words of its message.
+_BOUNDS = {
+    "min": (">=", operator.ge),
+    "gt": (">", operator.gt),
+    "lt": ("<", operator.lt),
+    "in": ("one of", lambda value, allowed: value in allowed),
 }
 
 
-def _check_type(field_name: str, declared: str, hint, value) -> None:
-    """Reject ``value`` unless it has the field's declared type: an int may stand for a
-    float, a bool is not an int, and a ``float | None`` field also takes None."""
-    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (typing.get_origin(hint) or hint,)
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` has the declared type: an int may stand for a float, a bool is not
+    an int, ``float | None`` also takes None, and ``tuple[float, float]`` takes a list or
+    tuple of exactly two floats."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
+                and all(map(_has_type, value, kinds)))
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     if float in kinds:
         kinds += (int,)
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise ValueError(f"config field {field_name} must be {declared}, got {value!r}")
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
-def _build_section(cls, payload: dict, section: str):
+def _check_field(name: str, f: dataclasses.Field, hint, value) -> None:
+    """Reject ``value`` unless it has the field's declared type and lies within the bound in
+    its metadata. A tuple's bound holds for each element; None passes any bound."""
+    if not _has_type(value, hint):
+        raise ValueError(f"config field {name} must be {f.type}, got {value!r}")
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    bound = [(_BOUNDS[key], limit) for key, limit in f.metadata.items()]
+    if not all(v is None or holds(v, limit) for (_, holds), limit in bound for v in items):
+        must = " and ".join(f"{words} {limit!r}" for (words, _), limit in bound)
+        each = " each" if items is value else ""
+        raise ValueError(f"config field {name} must be {must}{each}, got {value!r}")
+
+
+def _build_section(cls, payload: dict, prefix: str = ""):
+    """``cls`` built from ``payload`` with every field checked; a field whose type is a
+    dataclass is a section, built from its own object."""
     hints = typing.get_type_hints(cls)
     unknown = set(payload) - hints.keys()
     if unknown:
-        raise ValueError(f"unknown key(s) in config section {section!r}: {sorted(unknown)}")
-    kwargs = dict(payload)
+        raise ValueError(f"unknown config key(s): {sorted(prefix + key for key in unknown)}")
+    kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name in kwargs:
-            if isinstance(kwargs[f.name], list):
-                kwargs[f.name] = tuple(kwargs[f.name])
-            _check_type(f"{section}.{f.name}", f.type, hints[f.name], kwargs[f.name])
+        if f.name not in payload:
+            continue
+        name, value = prefix + f.name, payload[f.name]
+        if dataclasses.is_dataclass(hints[f.name]):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {name!r} must be an object")
+            kwargs[f.name] = _build_section(hints[f.name], value, name + ".")
+        else:
+            _check_field(name, f, hints[f.name], value)
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    known = {"seed", *_SECTION_TYPES}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"unknown top-level config key(s): {sorted(unknown)}")
-    kwargs = {}
-    if "seed" in payload:
-        kwargs["seed"] = payload["seed"]
-    for section, cls in _SECTION_TYPES.items():
-        if section in payload:
-            if not isinstance(payload[section], dict):
-                raise ValueError(f"config section {section!r} must be an object")
-            kwargs[section] = _build_section(cls, payload[section], section)
-    return RunConfig(**kwargs)
+    return _build_section(RunConfig, payload)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

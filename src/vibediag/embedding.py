@@ -14,7 +14,7 @@ per-iteration history. Practical cap: a few thousand points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,26 +29,15 @@ class PcaModel:
 
 @dataclass
 class TsneConfig:
-    perplexity: float = 30.0
-    iterations: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("perplexity", "iterations", "learning_rate", "early_exaggeration"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tsne {name} must be positive, got {getattr(self, name)}")
-        for name in ("exaggeration_iters", "momentum_switch_iter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"tsne {name} must be >= 0, got {getattr(self, name)}")
-        for name in ("momentum_start", "momentum_final"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"tsne {name} must lie in [0, 1), got {getattr(self, name)}")
+    perplexity: float = field(default=30.0, metadata={"gt": 0})
+    iterations: int = field(default=1000, metadata={"gt": 0})
+    learning_rate: float = field(default=200.0, metadata={"gt": 0})
+    early_exaggeration: float = field(default=12.0, metadata={"gt": 0})
+    exaggeration_iters: int = field(default=250, metadata={"min": 0})
+    momentum_start: float = field(default=0.5, metadata={"min": 0, "lt": 1})
+    momentum_final: float = field(default=0.8, metadata={"min": 0, "lt": 1})
+    momentum_switch_iter: int = field(default=250, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
 
 def pca_fit(data: np.ndarray) -> PcaModel:

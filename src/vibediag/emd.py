@@ -37,17 +37,9 @@ ALPHA = 0.05
 
 @dataclass
 class EmdConfig:
-    max_imfs: int = 3
-    max_sift_iterations: int = 100
-    boundary_pad_extrema: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_imfs < 1:
-            raise ValueError("max_imfs must be >= 1")
-        if self.max_sift_iterations < 1:
-            raise ValueError("max_sift_iterations must be >= 1")
-        if self.boundary_pad_extrema < 0:
-            raise ValueError("boundary_pad_extrema must be >= 0")
+    max_imfs: int = field(default=3, metadata={"min": 1})
+    max_sift_iterations: int = field(default=100, metadata={"min": 1})
+    boundary_pad_extrema: int = field(default=2, metadata={"min": 0})
 
 
 @dataclass

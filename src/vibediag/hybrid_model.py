@@ -53,14 +53,10 @@ class Example:
 
 @dataclass
 class SplitSpec:
-    test_fraction: float = 0.15
-    val_fraction: float = 0.15  # of the remainder after the test cut
-    seed: int = 0
+    test_fraction: float = field(default=0.15, metadata={"gt": 0, "lt": 1})
+    val_fraction: float = field(default=0.15, metadata={"gt": 0, "lt": 1})  # of what the test cut leaves
+    seed: int = field(default=0, metadata={"min": 0})
     stratified: bool = False
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.test_fraction < 1.0 and 0.0 < self.val_fraction < 1.0):
-            raise ValueError("split fractions must lie in (0, 1)")
 
 
 def _cut(count: int, fraction: float) -> int:
@@ -368,8 +364,18 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
     The binary layout is :func:`dataset_layout`, the table the manifest
     records. Each array goes straight from memory to the file, with no
-    bytes copy.
+    bytes copy. Arrays that the layout of 1 or 3 channels does not fit, or
+    labels that are not class indices, raise before any file is opened.
     """
+    n = len(dataset.provenance)  # the window count load_dataset reads the layout for
+    tables = [dataset_layout(n, channels)[0] for channels in (1, 3)]
+    for name, array in (("images", dataset.images), ("features", dataset.features_raw)):
+        fits = sorted({tuple(table[name]["shape"]) for table in tables})
+        if array.shape not in fits:
+            raise ValueError(f"save_dataset: {name} of shape {array.shape} is not {' or '.join(map(str, fits))}")
+    if dataset.labels.shape != (n,) or not np.isin(dataset.labels, range(N_CLASSES)).all():
+        raise ValueError(f"save_dataset: labels of shape {dataset.labels.shape} are not {n} class indices "
+                         f"in 0..{N_CLASSES - 1}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset_json(dataset, out_dir)

@@ -27,22 +27,20 @@ from scipy.linalg.blas import get_blas_funcs
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 20
-    max_epochs: int = 200
-    patience: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    seed: int = 0
+    learning_rate: float = field(default=1e-4, metadata={"gt": 0})
+    batch_size: int = field(default=20, metadata={"gt": 0})
+    max_epochs: int = field(default=200, metadata={"gt": 0})
+    patience: int = field(default=50, metadata={"gt": 0})
+    beta1: float = field(default=0.9, metadata={"gt": 0, "lt": 1})
+    beta2: float = field(default=0.999, metadata={"gt": 0, "lt": 1})
+    epsilon: float = field(default=1e-7, metadata={"gt": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
-        if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
-            raise ValueError("learning_rate, batch_size, max_epochs and patience must be positive")
+        """The one rule across two fields; each field's own bound is in its metadata."""
         if self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1 and self.epsilon > 0):
-            raise ValueError("invalid Adam constants")
+            raise ValueError(f"config field train.patience must be <= train.max_epochs ({self.max_epochs}), "
+                             f"got {self.patience}")
 
 
 @dataclass

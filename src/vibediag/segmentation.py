@@ -53,7 +53,7 @@ def segment(
     a window are dropped. A recording shorter than one window yields an
     empty list.
     """
-    if linear_channel >= recording.linear.shape[0]:
+    if not 0 <= linear_channel < recording.linear.shape[0]:
         raise ValueError(
             f"linear_channel {linear_channel} out of range for {recording.linear.shape[0]} channel(s)"
         )

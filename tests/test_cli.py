@@ -221,6 +221,15 @@ def test_embed_outputs(desk_run, tmp_path):
     assert manifest["extra"]["kl_final"] <= manifest["extra"]["kl_after_exaggeration"] + 1e-12
 
 
+@pytest.mark.parametrize("flags", [["--max-points", "1"], ["--target", "0"], ["--target", "5"]])
+def test_failed_embed_leaves_no_out_directory(desk_run, tmp_path, capsys, flags):
+    out = tmp_path / "embed"
+    assert run(["embed", "--dataset", desk_run / "dataset", "--out", out,
+                "--perplexity", "8", "--iterations", "60", "--max-points", "60", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_import_adapter(tmp_path):
     src = tmp_path / "raw.csv"
     rows = ["lin,ang"] + [f"{0.1 * i},{0.2 * i}" for i in range(64)]
@@ -272,6 +281,32 @@ def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value
         config_from_dict({section: {name: value}})
 
 
+# Values that once loaded and then failed late, or never failed. A value that a flag can set
+# is given as that flag too: (stage, the flag and its value).
+@pytest.mark.parametrize("payload, name, flag", [
+    ({"hht": {"channels": 2}}, "hht.channels", ("featurize", "--channels", "2")),
+    ({"band": {"centers_hz": ["a", "b"]}}, "band.centers_hz", None),
+    ({"band": {"centers_hz": [240.0]}}, "band.centers_hz", None),
+    ({"band": {"taper": "hamming"}}, "band.taper", None),
+    ({"segmentation": {"hop": 0}}, "segmentation.hop", ("featurize", "--hop", "0")),
+    ({"simulate": {"duration_s": -1.0}}, "simulate.duration_s", ("simulate", "--duration-s", "-1.0")),
+    ({"band": {"half_width_hz": -5.0}}, "band.half_width_hz", None),
+    ({"seed": 2.5}, "seed", None),
+    ({"segmentation": {"linear_channel": -1}}, "segmentation.linear_channel", None),
+])
+def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, capsys, payload, name, flag):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_dict(payload)
+    line = str(excinfo.value)
+    assert re.fullmatch(rf"config field {re.escape(name)} must [^\n]*, got [^\n]*", line), line
+    if flag:
+        stage, *value = flag
+        inputs = ["--recordings", tmp_path / "recordings"] if stage == "featurize" else []
+        assert run([stage, *inputs, "--out", tmp_path / "out", *value]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_config_takes_an_int_for_a_float_and_none_where_the_default_is_none(desk_run):
     config = config_from_dict({"train": {"learning_rate": 1}, "hht": {"freq_max_hz": None}})
     assert (config.train.learning_rate, config.hht.freq_max_hz) == (1, None)
@@ -291,7 +326,7 @@ def test_flags_override_the_config_fields_they_name_and_absent_flags_keep_them(d
 
 def test_train_rejects_batch_size_zero_with_the_config_message(desk_run, tmp_path, capsys):
     assert run(["train", "--dataset", desk_run / "dataset", "--out", tmp_path / "ckpt", "--batch-size", "0"]) == 1
-    assert capsys.readouterr().err == "error: learning_rate, batch_size, max_epochs and patience must be positive\n"
+    assert capsys.readouterr().err == "error: config field train.batch_size must be > 0, got 0\n"
 
 
 def test_flags_are_validated_as_the_same_values_in_a_config_file(desk_run, tmp_path, capsys):
@@ -301,7 +336,7 @@ def test_flags_are_validated_as_the_same_values_in_a_config_file(desk_run, tmp_p
     assert run([*train, "--config", config]) == 1
     from_file = capsys.readouterr().err
     assert run([*train, "--max-epochs", "2", "--patience", "5"]) == 1
-    assert capsys.readouterr().err == from_file == "error: patience must not exceed max_epochs\n"
+    assert capsys.readouterr().err == from_file == "error: config field train.patience must be <= train.max_epochs (2), got 5\n"
     assert not (tmp_path / "ckpt").exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,7 +191,7 @@ def test_tsne_bitwise_equal_to_per_iteration_reference(case):
     ("momentum_final", 1.5),
 ])
 def test_tsne_config_rejects_each_bad_field_in_one_line(field, value):
-    with pytest.raises(ValueError, match=f"^tsne {field} must [^\n]*$"):
+    with pytest.raises(ValueError, match=f"^config field tsne\\.{field} must [^\n]*, got {re.escape(repr(value))}$"):
         config_from_dict({"tsne": {field: value}})
 
 

@@ -360,7 +360,7 @@ def test_sift_rejects_bad_input():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EmdConfig(max_imfs=0)
+        config_from_dict({"emd": {"max_imfs": 0}})
 
 
 def test_config_rejects_removed_sd_threshold():

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import class_probabilities, model_tensors, reference_split_keys
 from vibediag.band_features import FeaturePair
 from vibediag.cli import main
+from vibediag.config import config_from_dict
 from vibediag.hht import SpectrumImage
 from vibediag.hybrid_model import (
     BRANCH_BUILDERS,
@@ -27,6 +29,7 @@ from vibediag.hybrid_model import (
     predict_classes,
     render_report,
     save_dataset,
+    save_dataset_json,
     shape_trace,
     split_indices,
 )
@@ -269,7 +272,7 @@ def test_split_validation():
     with pytest.raises(ValueError):
         split_indices(2, SplitSpec())
     with pytest.raises(ValueError):
-        SplitSpec(test_fraction=1.5)
+        config_from_dict({"split": {"test_fraction": 1.5}})
 
 
 def test_metrics_reported_accuracy_arithmetic():
@@ -447,9 +450,27 @@ def test_load_dataset_checks_the_offsets_against_the_length_of_provenance(tmp_pa
 
 
 def test_load_dataset_rejects_images_of_two_channels(tmp_path):
-    save_dataset(dataset_from_examples(make_examples(channels=2)), tmp_path)
+    # save_dataset refuses these images; the manifest writer alone still lays out two channels.
+    save_dataset_json(dataset_from_examples(make_examples(channels=2)), tmp_path)
     with pytest.raises(ValueError, match=r"dataset\.json: offsets entry 'images' .*\[30, 32, 32, 2\]"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda ds: dataset_from_examples(make_examples(channels=2)),
+     r"images of shape \(30, 32, 32, 2\) is not \(30, 32, 32, 1\) or \(30, 32, 32, 3\)"),
+    (lambda ds: replace(ds, features_raw=ds.features_raw[:, :1]), r"features of shape \(30, 1\) is not \(30, 2\)"),
+    (lambda ds: replace(ds, labels=np.where(ds.labels == 4, -1, ds.labels)),
+     r"labels of shape \(30,\) are not 30 class indices in 0\.\.4"),
+    (lambda ds: replace(ds, labels=ds.labels + 1), r"labels of shape \(30,\) are not 30 class indices in 0\.\.4"),
+    (lambda ds: replace(ds, provenance=ds.provenance[:-1]),
+     r"images of shape \(30, 32, 32, 1\) is not \(29, 32, 32, 1\)"),
+], ids=["two-channels", "one-feature", "negative-label", "label-past-the-classes", "short-provenance"])
+def test_save_dataset_checks_its_arrays_before_it_writes(tmp_path, corrupt, message):
+    ds = corrupt(dataset_from_examples(make_examples()))
+    with pytest.raises(ValueError, match=rf"^save_dataset: {message}"):
+        save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds" / "dataset.json").exists() and not (tmp_path / "ds" / "dataset.bin").exists()
 
 
 @pytest.mark.parametrize("row", [[0.5, 0.5, 0.0, 0.0, 0.0], [0.0] * 5])

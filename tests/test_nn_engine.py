@@ -17,6 +17,7 @@ from helpers import (
     reference_maxpool2x2,
     reference_model_bin,
 )
+from vibediag.config import config_from_dict
 from vibediag.hybrid_model import build_hybrid, predict_classes
 from vibediag.nn_engine import (
     Adam,
@@ -470,7 +471,7 @@ def test_train_aborts_on_divergence():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(patience=0)
+        config_from_dict({"train": {"patience": 0}})
     with pytest.raises(ValueError):
         TrainConfig(patience=300, max_epochs=200)
 
