@@ -102,8 +102,12 @@ def find_torsional_peaks(
     frequency. Raises ValueError when fewer than two prominent maxima exist.
     """
     freqs = spectrum.freqs_hz
-    if search_lo_hz < 0 or search_hi_hz > freqs[-1] or search_lo_hz >= search_hi_hz:
-        raise ValueError("search band must lie within the spectrum range")
+    if search_lo_hz >= search_hi_hz:
+        raise ValueError(f"search band [{search_lo_hz}, {search_hi_hz}] Hz is out of order: "
+                         f"its low edge must be below its high edge")
+    if search_lo_hz < 0 or search_hi_hz > freqs[-1]:
+        raise ValueError(f"search band [{search_lo_hz}, {search_hi_hz}] Hz must lie within the "
+                         f"spectrum's range [0, {freqs[-1]}] Hz")
     smoothed = np.convolve(spectrum.magnitudes, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same")
     band = (freqs >= search_lo_hz) & (freqs <= search_hi_hz)
     band_idx = np.flatnonzero(band)

@@ -110,7 +110,7 @@ def _torsional_peaks(recording_path, band):
 def cmd_simulate(args) -> int:
     config, seed = _configure(args)
     sim = config.simulate
-    out = _prepare_out(args.out)
+    out = Path(args.out)
     artifacts = []
     for label in FaultLabel:
         for rep in range(sim.recordings_per_class):
@@ -125,6 +125,7 @@ def cmd_simulate(args) -> int:
             rec_seed = seed * 1000 + int(label) * 10 + rep
             rec_id = f"{label.canonical_name.lower()}-r{rep}"
             rec = synthesize_recording(spec, rec_seed, id=rec_id)
+            _prepare_out(out)  # after a recording is synthesized, so a failed one leaves no --out
             artifacts.extend(save_recording(rec, out / f"{rec_id}.csv"))
     write_manifest(out, "simulate", seed, config, artifacts)
     print(f"simulate: wrote {len(artifacts) // 2} recordings to {out}")

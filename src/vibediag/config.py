@@ -12,6 +12,7 @@ The checked-in configs/defaults.json mirrors these values.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import operator
@@ -51,6 +52,12 @@ class BandConfig:
     taper: str = field(default="rect", metadata={"in": ("rect", "hann")})
     search_lo_hz: float = field(default=100.0, metadata={"min": 0})
     search_hi_hz: float = field(default=2000.0, metadata={"gt": 0})
+
+    def __post_init__(self) -> None:
+        """The one rule across two fields; each field's own bound is in its metadata."""
+        if self.search_lo_hz >= self.search_hi_hz:
+            raise ValueError(f"config field band.search_lo_hz must be < band.search_hi_hz "
+                             f"({self.search_hi_hz}), got {self.search_lo_hz}")
 
 
 @dataclass
@@ -100,16 +107,18 @@ def _has_type(value, hint) -> bool:
 
 
 def _check_field(name: str, f: dataclasses.Field, hint, value) -> None:
-    """Reject ``value`` unless it has the field's declared type and lies within the bound in
-    its metadata. A tuple's bound holds for each element; None passes any bound."""
+    """Reject ``value``, naming it ``name``, unless it has the type ``hint`` and lies within
+    the bound in the metadata of field ``f``. A tuple's bound holds for each element; None
+    passes any bound."""
     if not _has_type(value, hint):
-        raise ValueError(f"config field {name} must be {f.type}, got {value!r}")
+        kind = hint.__name__ if isinstance(hint, type) else hint
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     items = value if isinstance(value, (list, tuple)) else (value,)
     bound = [(_BOUNDS[key], limit) for key, limit in f.metadata.items()]
     if not all(v is None or holds(v, limit) for (_, holds), limit in bound for v in items):
         must = " and ".join(f"{words} {limit!r}" for (words, _), limit in bound)
         each = " each" if items is value else ""
-        raise ValueError(f"config field {name} must be {must}{each}, got {value!r}")
+        raise ValueError(f"{name} must be {must}{each}, got {value!r}")
 
 
 def _build_section(cls, payload: dict, prefix: str = ""):
@@ -129,7 +138,7 @@ def _build_section(cls, payload: dict, prefix: str = ""):
                 raise ValueError(f"config section {name!r} must be an object")
             kwargs[f.name] = _build_section(hints[f.name], value, name + ".")
         else:
-            _check_field(name, f, hints[f.name], value)
+            _check_field(f"config field {name}", f, hints[f.name], value)
             kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -149,12 +158,19 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def resolve_seed(flag_seed: int | None, config: RunConfig) -> int:
-    """Precedence: explicit flag, then config file, then the environment, then 0."""
-    if flag_seed is not None:
-        return flag_seed
-    if config.seed is not None:
-        return config.seed
+    """Precedence: explicit flag, then config file, then the environment, then 0. The flag
+    and the variable are checked against the type and bound of the config's ``seed``."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    if flag_seed is not None:
+        name, value = "--seed", flag_seed
+    elif config.seed is not None:
+        return config.seed
+    elif env is not None:
+        name, value = f"${SEED_ENV_VAR}", env
+        with contextlib.suppress(ValueError):
+            value = int(env)
+    else:
+        return 0
+    seed_field = next(f for f in dataclasses.fields(RunConfig) if f.name == "seed")
+    _check_field(name, seed_field, int, value)
+    return value

@@ -101,27 +101,50 @@ class Layer:
         return [getattr(self, "d_" + name) for name in self.param_names]
 
 
-def _row_windows(xp: np.ndarray, di: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the ``(b*h*w, 3*c)`` windows of kernel row ``di`` in the
-    padded NHWC input ``xp``, columns ordered (kernel column, channel) like
-    ``kernels[di].reshape(3*c, -1)``."""
-    b, h, w, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
-    rows = sliding_window_view(xp[:, di : di + h], 3, axis=2)  # (b, h, w, c, 3)
-    np.copyto(out.reshape(b, h, w, 3, c), rows.swapaxes(3, 4))
-    return out
+def _column_windows(x: np.ndarray, dtype, rows: int) -> np.ndarray:
+    """A ``(rows, 3*c)`` array whose first ``b*(h+2)*w`` rows are the column
+    windows of the zero-padded NHWC input ``x``: image ``i``'s padded row
+    ``r``, from column ``j`` on, in row ``(i*(h+2) + r)*w + j``, its three
+    pixels ordered (kernel column, channel) like ``kernels[di].reshape(3*c,
+    -1)``. The other rows are zero."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2, w + 2, c), dtype)
+    xp[:, 1:-1, 1:-1] = x
+    size = b * (h + 2) * w
+    tall = np.empty((rows, 3 * c), dtype)
+    tall[size:] = 0.0
+    # Window j of a padded row is its 3*c contiguous values from column j.
+    np.copyto(tall[:size].reshape(b, h + 2, w, 3 * c),
+              sliding_window_view(xp.reshape(b, h + 2, -1), 3 * c, axis=2)[:, :, ::c])
+    return tall
+
+
+# A BLAS gemm computes the rows of its output (columns, in its column-major
+# view) in blocks counted from its first row, and the rows of a last partial
+# block by other kernels, whose sums can round differently: OpenBLAS's Haswell
+# sgemm and dgemm use blocks of 4. Conv3x3 gives every output row the bits of
+# one gemm over all b*h*w rows, on any kernel whose block size divides 16: it
+# computes whole blocks of 16 together and the last partial block on its own.
+_ROW_BLOCK = 16
 
 
 class Conv3x3(Layer):
     """3x3 stride-1 cross-correlation with one pixel of zero padding (same size).
 
-    Forward and the kernel gradient take one GEMM per kernel row, on a
-    ``(b*h*w, 3*cin)`` window matrix of the padded input; the full
-    ``9*cin`` im2col matrix is never formed. A training forward keeps all
-    three for the backward, ``9*b*h*w*cin`` values (2.2 MB for the hybrid's
-    conv1 at batch 20); an eval forward refills one. The input gradient adds
-    one product per kernel tap into the padded gradient: at batch 20 that
-    measured faster than a per-row GEMM followed by col2im adds, and than
-    correlating the output gradient with the flipped kernels.
+    The forward makes one copy of the padded input, the ``(b, h+2, w, 3*cin)``
+    column-window array of ``_column_windows``. Read as one tall image of
+    ``b*(h+2)`` rows, the window matrix of kernel row ``di`` is the row slice
+    of that array that starts ``di*w`` rows down, so the forward is three
+    GEMMs on contiguous slices, with no further copy; the full ``9*cin``
+    im2col matrix is never formed. Each image's last two tall rows straddle
+    the next image; they are computed and dropped, and the output is a view
+    that skips them. A training forward keeps the array, ``3*b*(h+2)*w*cin``
+    values (783 KB for the hybrid's conv1 at batch 20, at float32); an eval
+    forward drops it. The kernel gradient takes one GEMM per kernel row on a
+    block copy of that row's ``(b*h*w, 3*cin)`` windows. The input gradient
+    adds one product per kernel tap into the padded gradient: at batch 20
+    that measured faster than a per-row GEMM followed by col2im adds, and
+    than correlating the output gradient with the flipped kernels.
     """
 
     kind = "conv3x3"
@@ -140,32 +163,43 @@ class Conv3x3(Layer):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ValueError(f"expected (b,h,w,{self.in_channels}) input, got {x.shape}")
         b, h, w, c = x.shape
-        dtype = self.kernels.dtype
-        xp = np.pad(x.astype(dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
-        rows = (b * h * w, 3 * c)
-        windows = [np.empty(rows, dtype) for _ in range(3)] if training else [np.empty(rows, dtype)] * 3
-        out = np.empty((b * h * w, self.out_channels), dtype)
-        out[...] = self.bias
-        # out += windows @ kernels[di], accumulated in place by BLAS gemm
-        # (beta=1) on the column-major transposes of the row-major arrays.
+        size = b * (h + 2) * w  # rows of the tall image
+        span = -(-(size - 2 * w) // _ROW_BLOCK) * _ROW_BLOCK  # through its last output row, in whole blocks
+        tall = _column_windows(x, self.kernels.dtype, span + 2 * w)
+        out = np.empty((span + 2 * w, self.out_channels), tall.dtype)
+        self._gemm_rows(out[:span], lambda di: tall[di * w : di * w + span])
+        # The output rows after the last whole block of the b*h*w, at their tall rows.
+        last = np.arange(b * h * w - b * h * w % _ROW_BLOCK, b * h * w)
+        if last.size:
+            last += 2 * w * (last // (h * w))
+            out[last] = self._gemm_rows(np.empty((last.size, self.out_channels), tall.dtype),
+                                        lambda di: tall[last + di * w])
+        self._cache = tall[:size].reshape(b, h + 2, w, 3 * c) if training else None
+        return out[:size].reshape(b, h + 2, w, self.out_channels)[:, :h]
+
+    def _gemm_rows(self, out, windows):
+        """``out`` set to the bias plus ``windows(di) @ kernels[di]`` over the kernel rows,
+        accumulated in place by BLAS gemm (beta=1) on the column-major transposes of the
+        row-major arrays."""
         gemm = get_blas_funcs("gemm", (out,))
+        out[...] = self.bias
         for di in range(3):
-            gemm(1.0, self.kernels[di].reshape(3 * c, -1).T, _row_windows(xp, di, windows[di]).T,
+            gemm(1.0, self.kernels[di].reshape(-1, self.out_channels).T, windows(di).T,
                  beta=1.0, c=out.T, overwrite_c=True)
-        self._cache = windows if training else None
-        return out.reshape(b, h, w, self.out_channels)
+        return out
 
     def backward(self, grad):
-        windows = self._saved()
+        cols = self._saved()
         b, h, w, _ = grad.shape
+        c = self.in_channels
         gm = grad.reshape(-1, self.out_channels)
         gm.sum(axis=0, out=self.d_bias)
-        d_rows = self.d_kernels.reshape(3, 3 * self.in_channels, -1)
+        d_rows = self.d_kernels.reshape(3, 3 * c, -1)
         for di in range(3):
-            np.matmul(windows[di].T, gm, out=d_rows[di])
+            np.matmul(cols[:, di : di + h].reshape(-1, 3 * c).T, gm, out=d_rows[di])
         if not self.input_grad:
             return None
-        dxp = np.zeros((b, h + 2, w + 2, self.in_channels), self.kernels.dtype)
+        dxp = np.zeros((b, h + 2, w + 2, c), self.kernels.dtype)
         for di in range(3):
             for dj in range(3):
                 dxp[:, di : di + h, dj : dj + w, :] += (gm @ self.kernels[di, dj].T).reshape(b, h, w, -1)
@@ -184,11 +218,13 @@ class MaxPool2x2(Layer):
     """2x2 max pooling; the gradient flows to the first maximal element of a block.
 
     The four corners of every block are strided views of one reshape, so
-    the forward does not copy the input. ``np.maximum`` returns its second
-    operand on ties, so ordering the operands keeps the earlier corner's
-    value, sign of zero included. A training forward keeps the flat input
-    index of each block's winner, one ``intp`` per output (655 KB for the
-    hybrid's pool1 at batch 20), and ``backward`` scatters to them.
+    the forward does not copy the input, which may itself be a strided view.
+    ``np.maximum`` returns its second operand on ties, so ordering the
+    operands keeps the earlier corner's value, sign of zero included. A
+    training forward finds each block's winning corner from three
+    comparisons with bool operations, and keeps the flat input index of each
+    winner, one ``intp`` per output (655 KB for the hybrid's pool1 at batch
+    20); ``backward`` scatters to them.
     """
 
     kind = "maxpool2x2"
@@ -203,7 +239,11 @@ class MaxPool2x2(Layer):
         self._cache = None
         if training:
             # A later corner wins only when strictly greater: the first maximum.
-            corner = np.where(bottom > top, (q11 > q10) + np.uint8(2), q01 > q00)
+            # Bit 0 of the winning corner is the right column and bit 1 the
+            # bottom row; bool operations pick the right bit of the winning row.
+            low, right_top = bottom > top, q01 > q00
+            right = right_top ^ (low & ((q11 > q10) ^ right_top))
+            corner = right.view(np.uint8) + (low.view(np.uint8) << 1)
             self._cache = np.take((0, c, w * c, w * c + c), corner) + _block_origins(x.shape), x.shape
         return np.maximum(bottom, top)
 

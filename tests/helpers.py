@@ -97,13 +97,42 @@ def reference_conv3x3(x, kernels, bias, grad):
     return out.reshape(b, h, w, cout), d_kernels, gm.sum(axis=0), dxp[:, 1 : 1 + h, 1 : 1 + w, :]
 
 
+def row_windows(xp, di, out):
+    """Fill ``out`` with the ``(b*h*w, 3*c)`` windows of kernel row ``di`` in the
+    padded NHWC input ``xp``, columns ordered (kernel column, channel) like
+    ``kernels[di].reshape(3*c, -1)``."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    b, h, w, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
+    rows = sliding_window_view(xp[:, di : di + h], 3, axis=2)  # (b, h, w, c, 3)
+    np.copyto(out.reshape(b, h, w, 3, c), rows.swapaxes(3, 4))
+    return out
+
+
+def row_windows_conv3x3_forward(conv, x):
+    """``Conv3x3.forward`` as it was before the column-window array: one BLAS
+    GEMM per kernel row, accumulated into the ``(b*h*w, cout)`` output, each on
+    a ``(b*h*w, 3*c)`` window matrix copied from the padded input."""
+    from scipy.linalg.blas import get_blas_funcs
+
+    b, h, w, c = x.shape
+    dtype = conv.kernels.dtype
+    xp = np.pad(x.astype(dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = np.empty((b * h * w, 3 * c), dtype)
+    out = np.empty((b * h * w, conv.out_channels), dtype)
+    out[...] = conv.bias
+    gemm = get_blas_funcs("gemm", (out,))
+    for di in range(3):
+        gemm(1.0, conv.kernels[di].reshape(3 * c, -1).T, row_windows(xp, di, windows).T,
+             beta=1.0, c=out.T, overwrite_c=True)
+    return out.reshape(b, h, w, conv.out_channels)
+
+
 def rebuilt_windows_conv3x3_backward(conv, x, grad):
     """``Conv3x3.backward`` as it was when the forward kept only the padded
     input: the three row-window matrices are rebuilt from it. Returns
     (d_kernels, d_bias, input gradient) for the input ``x`` and the output
     gradient ``grad``."""
-    from vibediag.nn_engine import _row_windows
-
     xp = np.pad(x.astype(conv.kernels.dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
     b, h, w, _ = grad.shape
     gm = grad.reshape(-1, conv.out_channels)
@@ -112,7 +141,7 @@ def rebuilt_windows_conv3x3_backward(conv, x, grad):
     windows = np.empty((gm.shape[0], 3 * conv.in_channels), xp.dtype)
     d_rows = d_kernels.reshape(3, 3 * conv.in_channels, -1)
     for di in range(3):
-        np.matmul(_row_windows(xp, di, windows).T, gm, out=d_rows[di])
+        np.matmul(row_windows(xp, di, windows).T, gm, out=d_rows[di])
     dxp = np.zeros_like(xp)
     for di in range(3):
         for dj in range(3):
@@ -135,6 +164,19 @@ def reference_maxpool2x2(x, grad):
     np.put_along_axis(scatter, argmax, grad[..., None], axis=-1)
     dx = scatter.reshape(b, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c)
     return out, dx
+
+
+def where_maxpool2x2_winners(x):
+    """The flat index, into ``x``, of each 2x2 block's first maximum, by the
+    ``np.where`` over the corner comparisons that ``MaxPool2x2`` used before
+    its bool-operation winners."""
+    b, h, w, c = x.shape
+    q = x.reshape(b, h // 2, 2, w // 2, 2, c)
+    q00, q01, q10, q11 = q[:, :, 0, :, 0], q[:, :, 0, :, 1], q[:, :, 1, :, 0], q[:, :, 1, :, 1]
+    top, bottom = np.maximum(q01, q00), np.maximum(q11, q10)
+    corner = np.where(bottom > top, (q11 > q10) + np.uint8(2), q01 > q00)
+    origins = np.arange(x.size).reshape(x.shape)[:, ::2, ::2]
+    return np.take((0, c, w * c, w * c + c), corner) + origins
 
 
 class ReferenceAdam:

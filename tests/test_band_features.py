@@ -106,8 +106,10 @@ def test_find_peaks_invariant_to_uniform_scaling():
 
 def test_find_peaks_band_validation():
     spec = magnitude_spectrum(np.ones(64), sample_rate_hz=64.0)
-    with pytest.raises(ValueError, match="band"):
+    with pytest.raises(ValueError, match=r"\[10.0, 500.0\] Hz must lie within the spectrum's range \[0, 32.0\]"):
         find_torsional_peaks(spec, 10.0, 500.0)
+    with pytest.raises(ValueError, match=r"band \[20.0, 10.0\] Hz is out of order"):
+        find_torsional_peaks(spec, 20.0, 10.0)
 
 
 def test_band_power_single_bin():

@@ -351,6 +351,28 @@ def test_seed_resolution_order(monkeypatch):
     assert resolve_seed(99, cfg) == 99
 
 
+@pytest.mark.parametrize("seed_flag, env, line", [
+    (["--seed", "-1"], None, "--seed must be >= 0, got -1"),
+    ([], "abc", "$VIBEDIAG_SEED must be int, got 'abc'"),
+    ([], "-2", "$VIBEDIAG_SEED must be >= 0, got -2"),
+])
+def test_a_bad_seed_is_named_in_one_line_and_leaves_no_out_directory(tmp_path, monkeypatch, capsys,
+                                                                      seed_flag, env, line):
+    monkeypatch.delenv("VIBEDIAG_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("VIBEDIAG_SEED", env)
+    assert run(["simulate", "--out", tmp_path / "out", *seed_flag, *DESK_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_srs_rejects_a_search_band_out_of_order_at_load(desk_run, capsys):
+    rec = next((desk_run / "recordings").glob("*.csv"))
+    assert run(["srs", "--recording", rec, "--lo", "3000", "--hi", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field band.search_lo_hz must be < band.search_hi_hz (100.0), got 3000.0\n")
+
+
 def test_env_seed_feeds_commands(tmp_path, monkeypatch):
     monkeypatch.setenv("VIBEDIAG_SEED", "3")
     a = tmp_path / "a"
