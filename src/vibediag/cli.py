@@ -1,9 +1,13 @@
 """Command-line front end for the diagnosis pipeline.
 
-Stages write only into their --out directory and leave a manifest.json
-recording the command, package version, resolved seed, the full config
-echo and sha256 checksums of every artifact, so any run can be reproduced
-from its manifest alone.
+``main`` runs every command the same way: it resolves the config and the
+seed, runs the command, writes the manifest.json the command asks for and
+prints the command's message. A manifest records the command, package
+version, resolved seed, the full config echo and sha256 checksums of every
+artifact, so any run can be reproduced from its manifest alone. Most
+stages write only into their --out directory and leave the manifest there.
+``split`` rewrites dataset.json and the manifest in --dataset; ``srs``
+writes its JSON to --out, if given, and no manifest.
 """
 
 from __future__ import annotations
@@ -79,15 +83,34 @@ def write_manifest(out_dir: Path, command: str, seed: int, config: RunConfig,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+class Done:
+    """What a command did: the message ``main`` prints and, unless ``out`` is None, the
+    ``artifacts``, ``extra`` and read ``dataset`` of the manifest ``main`` writes there."""
+
+    def __init__(self, message: str, out: Path | None = None, artifacts=(), extra=None,
+                 dataset: FeaturizedDataset | None = None):
+        self.message, self.out, self.artifacts = message, out, artifacts
+        self.extra, self.dataset = extra, dataset
+
+
 def _prepare_out(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+# Flags that are not config fields, by dest, with their least values; t-SNE needs two points.
+_FLAG_MINIMUMS = {"jobs": 1, "max_points": 2}
+
+
 def _configure(args) -> tuple[RunConfig, int]:
     """The run config with every given ``section.field`` flag laid over the config file, each
-    section validated once over both, and the resolved seed."""
+    section validated once over both, and the resolved seed. The flags that are not config
+    fields are checked first, before any file is read."""
+    for dest, least in _FLAG_MINIMUMS.items():
+        value = getattr(args, dest, least)
+        if value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
     payload = config_to_dict(load_config(args.config))
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -107,8 +130,7 @@ def _torsional_peaks(recording_path, band):
 # Commands
 
 
-def cmd_simulate(args) -> int:
-    config, seed = _configure(args)
+def cmd_simulate(args, config: RunConfig, seed: int) -> Done:
     sim = config.simulate
     out = Path(args.out)
     artifacts = []
@@ -127,13 +149,10 @@ def cmd_simulate(args) -> int:
             rec = synthesize_recording(spec, rec_seed, id=rec_id)
             _prepare_out(out)  # after a recording is synthesized, so a failed one leaves no --out
             artifacts.extend(save_recording(rec, out / f"{rec_id}.csv"))
-    write_manifest(out, "simulate", seed, config, artifacts)
-    print(f"simulate: wrote {len(artifacts) // 2} recordings to {out}")
-    return 0
+    return Done(f"simulate: wrote {len(artifacts) // 2} recordings to {out}", out, artifacts)
 
 
-def cmd_srs(args) -> int:
-    config, _ = _configure(args)
+def cmd_srs(args, config: RunConfig, seed: int) -> Done:
     peaks = _torsional_peaks(args.recording, config.band)
     payload = {
         "peaks_hz": [p.center_hz for p in peaks],
@@ -142,12 +161,10 @@ def cmd_srs(args) -> int:
     if args.out:
         _prepare_out(Path(args.out).parent)
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload))
-    return 0
+    return Done(json.dumps(payload))
 
 
-def cmd_featurize(args) -> int:
-    config, seed = _configure(args)
+def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
     if args.srs:
         config.band.centers_hz = tuple(p.center_hz for p in _torsional_peaks(args.srs, config.band))
     # The windows are views into the recordings; both go once featurize returns,
@@ -159,14 +176,11 @@ def cmd_featurize(args) -> int:
     del examples
     out = _prepare_out(args.out)
     save_dataset(dataset, out)
-    write_manifest(out, "featurize", seed, config,
-                   [out / "dataset.json", out / "dataset.bin"], extra=counters)
-    print(f"featurize: {len(dataset)} windows -> {out}")
-    return 0
+    return Done(f"featurize: {len(dataset)} windows -> {out}", out,
+                [out / "dataset.json", out / "dataset.bin"], extra=counters)
 
 
-def cmd_split(args) -> int:
-    config, seed = _configure(args)
+def cmd_split(args, config: RunConfig, seed: int) -> Done:
     spec = config.split
     spec.seed = seed
     dataset_dir = Path(args.dataset)
@@ -177,15 +191,11 @@ def cmd_split(args) -> int:
     # Keep the featurize counters that the manifest being replaced recorded.
     previous = dataset_dir / "manifest.json"
     extra = json.loads(previous.read_text()).get("extra", {}) if previous.is_file() else {}
-    write_manifest(dataset_dir, "split", seed, config,
-                   [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
-                   extra={**extra, **counts}, dataset=dataset)
-    print(f"split: {counts}")
-    return 0
+    return Done(f"split: {counts}", dataset_dir, [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
+                extra={**extra, **counts}, dataset=dataset)
 
 
-def cmd_train(args) -> int:
-    config, seed = _configure(args)
+def cmd_train(args, config: RunConfig, seed: int) -> Done:
     tcfg = config.train
     tcfg.seed = seed
     dataset = load_dataset(args.dataset)
@@ -202,19 +212,16 @@ def cmd_train(args) -> int:
     config_echo = {"branch": args.branch, "dataset_sha256": _sha256(Path(args.dataset) / "dataset.bin")}
     save_model(model, out, seed=seed, config={**config_echo, **config_to_dict(config)["train"]})
     history.to_csv(out / "history.csv")
-    write_manifest(out, "train", seed, config,
-                   [out / "model.json", out / "model.bin", out / "history.csv"],
-                   extra={"branch": args.branch, "epochs_run": len(history),
-                          "best_epoch": history.best_epoch,
-                          "best_val_loss": min(history.val_loss)},
-                   dataset=dataset)
-    print(f"train[{args.branch}]: {len(history)} epochs, best epoch {history.best_epoch}, "
-          f"val acc {history.val_accuracy[history.best_epoch - 1]:.4f}")
-    return 0
+    return Done(f"train[{args.branch}]: {len(history)} epochs, best epoch {history.best_epoch}, "
+                f"val acc {history.val_accuracy[history.best_epoch - 1]:.4f}",
+                out, [out / "model.json", out / "model.bin", out / "history.csv"],
+                extra={"branch": args.branch, "epochs_run": len(history),
+                       "best_epoch": history.best_epoch,
+                       "best_val_loss": min(history.val_loss)},
+                dataset=dataset)
 
 
-def cmd_eval(args) -> int:
-    config, seed = _configure(args)
+def cmd_eval(args, config: RunConfig, seed: int) -> Done:
     checkpoint = Path(args.checkpoint)
     model, model_manifest = load_model(checkpoint)
     trained = model_manifest.get("config") or {}
@@ -233,18 +240,14 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     confusion_to_csv(metrics.confusion, out / "confusion.csv")
-    write_manifest(out, "eval", seed, config,
-                   [out / "report.json", out / "confusion.csv"],
-                   extra={"split": args.split, "branch": branch, "accuracy": metrics.accuracy,
-                          "checkpoint": {name: _sha256(checkpoint / name)
-                                         for name in ("model.json", "model.bin")}},
-                   dataset=dataset)
-    print(render_report(metrics))
-    return 0
+    return Done(render_report(metrics), out, [out / "report.json", out / "confusion.csv"],
+                extra={"split": args.split, "branch": branch, "accuracy": metrics.accuracy,
+                       "checkpoint": {name: _sha256(checkpoint / name)
+                                      for name in ("model.json", "model.bin")}},
+                dataset=dataset)
 
 
-def cmd_embed(args) -> int:
-    config, seed = _configure(args)
+def cmd_embed(args, config: RunConfig, seed: int) -> Done:
     config.tsne.seed = seed
     if not 0 < args.target <= 1:
         raise ValueError(f"--target must be in (0, 1], got {args.target}")
@@ -266,19 +269,16 @@ def cmd_embed(args) -> int:
         rows.append(f"{dataset.provenance[idx]},{float(embedding[pos, 0])!r},"
                     f"{float(embedding[pos, 1])!r},{label.canonical_name}")
     (out / "embedding.csv").write_text("\n".join(rows) + "\n")
-    write_manifest(out, "embed", seed, config,
-                   [out / "variance_curve.csv", out / "embedding.csv"],
-                   extra={"points": int(picked.size),
-                          "components": int(reduced.shape[1]),
-                          "kl_after_exaggeration": float(kl[0]),
-                          "kl_final": float(kl[1])},
-                   dataset=dataset)
-    print(f"embed: {picked.size} points, {reduced.shape[1]} components -> {out}")
-    return 0
+    return Done(f"embed: {picked.size} points, {reduced.shape[1]} components -> {out}",
+                out, [out / "variance_curve.csv", out / "embedding.csv"],
+                extra={"points": int(picked.size),
+                       "components": int(reduced.shape[1]),
+                       "kl_after_exaggeration": float(kl[0]),
+                       "kl_final": float(kl[1])},
+                dataset=dataset)
 
 
-def cmd_export_images(args) -> int:
-    config, seed = _configure(args)
+def cmd_export_images(args, config: RunConfig, seed: int) -> Done:
     dataset = load_dataset(args.dataset)
     out = _prepare_out(args.out)
     suffix = ".ppm" if dataset.images.shape[3] == 3 else ".pgm"
@@ -287,23 +287,26 @@ def cmd_export_images(args) -> int:
         path = out / (key.replace(":", "_") + suffix)
         write_image(pixels, path)
         artifacts.append(path)
-    write_manifest(out, "export-images", seed, config, artifacts, dataset=dataset)
-    print(f"export-images: {len(artifacts)} files -> {out}")
-    return 0
+    return Done(f"export-images: {len(artifacts)} files -> {out}", out, artifacts, dataset=dataset)
 
 
-def cmd_import(args) -> int:
+def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list[int]:
+    """The zero-based indices, at most ``most`` of them, of the columns of ``src`` that the
+    comma-separated ``text`` lists."""
+    cols = text.split(",")
+    if len(cols) > most or not all(c.strip().isdecimal() and int(c) < n_columns for c in cols):
+        raise ValueError(f"{flag} must list at most {most} of the {n_columns} columns of {src}, "
+                         f"numbered from 0, got {text!r}")
+    return [int(c) for c in cols]
+
+
+def cmd_import(args, config: RunConfig, seed: int) -> Done:
     """Adapt an externally downloaded raw CSV into the recording format."""
-    config, seed = _configure(args)
     src = Path(args.src)
-    raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0)
-    if raw.ndim == 1:
-        raw = raw[:, None]
-    linear_cols = [int(c) for c in args.linear_cols.split(",")]
-    if len(linear_cols) not in (1, 2):
-        raise ValueError("--linear-cols takes one or two comma-separated column indices")
-    linear = raw[:, linear_cols].T
-    angular = raw[:, int(args.angular_col)]
+    raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0, ndmin=2)
+    linear = raw[:, _columns("--linear-cols", args.linear_cols, src, raw.shape[1], most=2)].T
+    (angular_col,) = _columns("--angular-col", args.angular_col, src, raw.shape[1], most=1)
+    angular = raw[:, angular_col]
     rec = Recording(
         sample_rate_hz=args.sample_rate_hz,
         rpm=args.rpm,
@@ -314,27 +317,22 @@ def cmd_import(args) -> int:
     )
     out = _prepare_out(args.out)
     path, sidecar = save_recording(rec, out / f"{rec.id}.csv")
-    write_manifest(out, "import", seed, config, [path, sidecar])
-    print(f"import: {src} -> {path} ({rec.n_samples} samples)")
-    return 0
+    return Done(f"import: {src} -> {path} ({rec.n_samples} samples)", out, [path, sidecar])
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run configuration; flags override it")
-    p.add_argument("--seed", type=int, help="seed (falls back to config, then $VIBEDIAG_SEED)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vibediag",
                                      description="Bearing fault diagnosis pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    common.add_argument("--config", help="JSON run configuration; flags override it")
+    common.add_argument("--seed", type=int, help="seed (falls back to config, then $VIBEDIAG_SEED)")
 
-    p = sub.add_parser("simulate", help="synthesize one recording set per fault class")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[common], help="synthesize one recording set per fault class")
     p.add_argument("--out", required=True)
     p.add_argument("--duration-s", dest="simulate.duration_s", type=float)
     p.add_argument("--noise-sigma", dest="simulate.noise_sigma", type=float)
@@ -342,16 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recordings-per-class", dest="simulate.recordings_per_class", type=int)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("srs", help="locate torsional resonance peaks in a shock recording")
-    _add_common(p)
+    p = sub.add_parser("srs", parents=[common], help="locate torsional resonance peaks in a shock recording")
     p.add_argument("--recording", required=True)
     p.add_argument("--lo", dest="band.search_lo_hz", type=float)
     p.add_argument("--hi", dest="band.search_hi_hz", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_srs)
 
-    p = sub.add_parser("featurize", help="windows -> spectrum images + band features")
-    _add_common(p)
+    p = sub.add_parser("featurize", parents=[common], help="windows -> spectrum images + band features")
     p.add_argument("--recordings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -362,16 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq-max-hz", dest="hht.freq_max_hz", type=float)
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("split", help="attach train/val/test membership and the feature scaler")
-    _add_common(p)
+    p = sub.add_parser("split", parents=[common], help="attach train/val/test membership and the feature scaler")
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-fraction", dest="split.test_fraction", type=float)
     p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
     p.add_argument("--stratified", dest="split.stratified", action="store_true", default=None)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a model branch on a featurized dataset")
-    _add_common(p)
+    p = sub.add_parser("train", parents=[common], help="train a model branch on a featurized dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--branch", choices=("hybrid", "cnn", "mlp"), default="hybrid")
@@ -381,16 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", dest="train.patience", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("embed", help="PCA variance curve + t-SNE map of the images")
-    _add_common(p)
+    p = sub.add_parser("embed", parents=[common], help="PCA variance curve + t-SNE map of the images")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--target", type=float, default=0.99, help="variance fraction in (0, 1] for PCA reduction")
@@ -399,14 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", dest="tsne.iterations", type=int)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("export-images", help="write one PPM/PGM per window")
-    _add_common(p)
+    p = sub.add_parser("export-images", parents=[common], help="write one PPM/PGM per window")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_images)
 
-    p = sub.add_parser("import", help="adapt an external raw CSV into the recording format")
-    _add_common(p)
+    p = sub.add_parser("import", parents=[common], help="adapt an external raw CSV into the recording format")
     p.add_argument("--src", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sample-rate-hz", dest="sample_rate_hz", type=float, required=True)
@@ -423,10 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config, seed = _configure(args)
+        done = args.func(args, config, seed)
+        if done.out is not None:
+            write_manifest(done.out, args.command, seed, config, done.artifacts, done.extra, done.dataset)
+        print(done.message)
+        return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

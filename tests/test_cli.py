@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,8 @@ import pytest
 
 from vibediag.cli import main
 from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
-from vibediag.hybrid_model import load_dataset
+from vibediag.hybrid_model import evaluate_arrays, load_dataset, render_report
+from vibediag.nn_engine import load_model
 from vibediag.segmentation import window_count
 
 
@@ -17,36 +20,72 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def run_recorded(stages, where, argv):
+    """``run``, keeping in ``stages``, under the command's name, ``where`` (the directory of
+    the manifest it writes) and what it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = run(argv)
+    stages[argv[0]] = (where, printed.getvalue())
+    return code
+
+
 DESK_FLAGS = ["--sample-rate-hz", "8192", "--duration-s", "0.8", "--noise-sigma", "0.2"]
 FEAT_FLAGS = ["--window-len", "1024", "--hop", "512", "--channels", "1", "--freq-max-hz", "4096"]
 
 
 @pytest.fixture(scope="module")
-def desk_run(tmp_path_factory):
+def stages():
+    """Each manifest-writing command that the fixtures below run, by name: the directory of
+    its manifest and what it printed."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def desk_run(stages, tmp_path_factory):
     """A tiny end-to-end pipeline shared by the CLI tests."""
     root = tmp_path_factory.mktemp("deskcli")
     rec_dir = root / "recordings"
     ds_dir = root / "dataset"
-    assert run(["simulate", "--out", rec_dir, "--seed", "7", *DESK_FLAGS]) == 0
+    assert run_recorded(stages, rec_dir, ["simulate", "--out", rec_dir, "--seed", "7", *DESK_FLAGS]) == 0
     assert run(["featurize", "--recordings", rec_dir, "--out", ds_dir, "--seed", "7", *FEAT_FLAGS]) == 0
     assert run(["split", "--dataset", ds_dir, "--seed", "7"]) == 0
     return root
 
 
 @pytest.fixture(scope="module")
-def hop410_run(desk_run, tmp_path_factory):
-    """The desk geometry, 1024/410: featurize, split, a one-epoch hybrid train, eval."""
+def hop410_run(desk_run, stages, tmp_path_factory):
+    """The desk geometry, 1024/410: featurize, split, a one-epoch hybrid train, eval. The
+    split runs on a copy of the featurized directory, which keeps the featurize manifest."""
     root = tmp_path_factory.mktemp("hop410")
+    featurized, dataset, ckpt, evaluated = (root / name for name in ("featurized", "dataset", "ckpt", "eval"))
     flags = list(FEAT_FLAGS)
     flags[flags.index("--hop") + 1] = "410"
-    assert run(["featurize", "--recordings", desk_run / "recordings", "--out", root / "dataset",
-                "--seed", "7", *flags]) == 0
-    assert run(["split", "--dataset", root / "dataset", "--seed", "7"]) == 0
-    assert run(["train", "--dataset", root / "dataset", "--out", root / "ckpt", "--branch", "hybrid",
-                "--seed", "7", "--max-epochs", "1", "--patience", "1"]) == 0
-    assert run(["eval", "--checkpoint", root / "ckpt", "--dataset", root / "dataset",
-                "--out", root / "eval"]) == 0
+    assert run_recorded(stages, featurized, ["featurize", "--recordings", desk_run / "recordings",
+                                             "--out", featurized, "--seed", "7", *flags]) == 0
+    shutil.copytree(featurized, dataset)
+    assert run_recorded(stages, dataset, ["split", "--dataset", dataset, "--seed", "7"]) == 0
+    assert run_recorded(stages, ckpt, ["train", "--dataset", dataset, "--out", ckpt, "--branch", "hybrid",
+                                       "--seed", "7", "--max-epochs", "1", "--patience", "1"]) == 0
+    assert run_recorded(stages, evaluated, ["eval", "--checkpoint", ckpt, "--dataset", dataset,
+                                            "--out", evaluated]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def every_stage(desk_run, hop410_run, stages, tmp_path_factory):
+    """``stages`` with all eight manifest-writing commands: the two fixtures above run five,
+    and this runs embed and export-images on the desk dataset and imports a two-column CSV."""
+    root = tmp_path_factory.mktemp("more")
+    embedded, images, imported, src = (root / name for name in ("embed", "images", "imported", "raw.csv"))
+    assert run_recorded(stages, embedded, ["embed", "--dataset", desk_run / "dataset", "--out", embedded, "--seed", "0",
+                                           "--perplexity", "8", "--iterations", "60", "--max-points", "60"]) == 0
+    assert run_recorded(stages, images, ["export-images", "--dataset", desk_run / "dataset", "--out", images]) == 0
+    src.write_text("\n".join(["lin,ang"] + [f"{0.1 * i},{0.2 * i}" for i in range(64)]) + "\n")
+    assert run_recorded(stages, imported, ["import", "--src", src, "--out", imported, "--sample-rate-hz", "1000",
+                                           "--rpm", "600", "--label", "OuterRace", "--linear-cols", "0",
+                                           "--angular-col", "1", "--has-header"]) == 0
+    return stages
 
 
 def test_simulate_is_reproducible(tmp_path):
@@ -79,9 +118,8 @@ def test_featurize_counts_match_window_arithmetic(desk_run):
     assert ds.splits is not None and ds.scaler is not None
 
 
-def test_export_images_one_file_per_window(desk_run, tmp_path):
-    out = tmp_path / "images"
-    assert run(["export-images", "--dataset", desk_run / "dataset", "--out", out]) == 0
+def test_export_images_one_file_per_window(desk_run, every_stage):
+    out, _ = every_stage["export-images"]
     ds = load_dataset(desk_run / "dataset")
     files = sorted(out.glob("*.pgm"))
     assert len(files) == len(ds)
@@ -89,11 +127,13 @@ def test_export_images_one_file_per_window(desk_run, tmp_path):
     assert len(manifest["artifacts"]) == len(ds)
 
 
-def test_srs_json_schema(desk_run, tmp_path):
+def test_srs_json_schema(desk_run, tmp_path, capsys):
     rec = desk_run / "recordings" / "combined-r0.csv"
-    out = tmp_path / "srs.json"
+    out = tmp_path / "srs" / "srs.json"
     assert run(["srs", "--recording", rec, "--lo", "100", "--hi", "2000", "--out", out]) == 0
     payload = json.loads(out.read_text())
+    assert capsys.readouterr().out == json.dumps(payload) + "\n"
+    assert list(out.parent.iterdir()) == [out]  # and no manifest.json
     assert set(payload) == {"peaks_hz", "prominence"}
     assert len(payload["peaks_hz"]) == 2
     assert abs(payload["peaks_hz"][0] - 240.0) < 10.0
@@ -203,12 +243,8 @@ def test_split_leaves_dataset_bin_untouched(desk_run, tmp_path):
     assert load_dataset(copy).splits != load_dataset(desk_run / "dataset").splits
 
 
-def test_embed_outputs(desk_run, tmp_path):
-    out = tmp_path / "embed"
-    assert run([
-        "embed", "--dataset", desk_run / "dataset", "--out", out,
-        "--seed", "0", "--perplexity", "8", "--iterations", "60", "--max-points", "60",
-    ]) == 0
+def test_embed_outputs(desk_run, every_stage):
+    out, _ = every_stage["embed"]
     ds = load_dataset(desk_run / "dataset")
     lines = (out / "embedding.csv").read_text().strip().splitlines()
     assert lines[0] == "id,x,y,label"
@@ -230,21 +266,45 @@ def test_failed_embed_leaves_no_out_directory(desk_run, tmp_path, capsys, flags)
     assert not out.exists()
 
 
-def test_import_adapter(tmp_path):
-    src = tmp_path / "raw.csv"
-    rows = ["lin,ang"] + [f"{0.1 * i},{0.2 * i}" for i in range(64)]
-    src.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "imported"
-    assert run([
-        "import", "--src", src, "--out", out, "--sample-rate-hz", "1000", "--rpm", "600",
-        "--label", "OuterRace", "--linear-cols", "0", "--angular-col", "1", "--has-header",
-    ]) == 0
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_featurize_rejects_fewer_than_one_job_before_reading_a_file(tmp_path, capsys, value):
+    assert run(["featurize", "--recordings", tmp_path / "missing", "--out", tmp_path / "ds", "--jobs", value]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {value}\n"
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_embed_rejects_fewer_than_two_points_before_reading_a_file(tmp_path, capsys, value):
+    assert run(["embed", "--dataset", tmp_path / "missing", "--out", tmp_path / "embed", "--max-points", value]) == 1
+    assert capsys.readouterr().err == f"error: --max-points must be >= 2, got {value}\n"
+    assert not (tmp_path / "embed").exists()
+
+
+def test_import_adapter(every_stage):
     from vibediag.signal_model import load_recording
 
+    out, _ = every_stage["import"]
     rec = load_recording(out / "raw.csv")
     assert rec.n_samples == 64
     assert rec.label.canonical_name == "OuterRace"
     assert rec.rpm == 600
+    np.testing.assert_array_equal(rec.angular, 0.2 * np.arange(64))
+
+
+@pytest.mark.parametrize("flag, value, most", [
+    ("--angular-col", "-1", 1), ("--angular-col", "9", 1), ("--angular-col", "0,1", 1),
+    ("--linear-cols", "0,x", 2), ("--linear-cols", "3", 2), ("--linear-cols", "0,1,2", 2),
+])
+def test_import_names_a_column_the_csv_lacks_in_one_line_and_leaves_no_out_directory(tmp_path, capsys,
+                                                                                     flag, value, most):
+    src = tmp_path / "raw.csv"
+    src.write_text("1,2,3\n4,5,6\n")
+    out = tmp_path / "imported"
+    assert run(["import", "--src", src, "--out", out, "--sample-rate-hz", "1000", "--rpm", "600",
+                "--label", "Ball", flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} must list at most {most} of the 3 columns of {src}, numbered from 0, got {value!r}\n")
+    assert not out.exists()
 
 
 def test_bad_flags_exit_code_two():
@@ -412,3 +472,41 @@ def test_eval_manifest_names_the_checkpoint_it_evaluated(hop410_run, tmp_path):
     assert first["extra"]["checkpoint"]["model.bin"] == hashlib.sha256(
         (hop410_run / "ckpt" / "model.bin").read_bytes()).hexdigest()
     assert first["extra"]["checkpoint"]["model.bin"] != second["extra"]["checkpoint"]["model.bin"]
+
+
+def train_message(where, manifest):
+    extra = manifest["extra"]
+    history = (where / "history.csv").read_text().splitlines()
+    val_acc = float(history[extra["best_epoch"]].split(",")[-1])
+    return (f"train[{extra['branch']}]: {extra['epochs_run']} epochs, best epoch {extra['best_epoch']}, "
+            f"val acc {val_acc:.4f}")
+
+
+def eval_message(where, manifest):
+    model, _ = load_model(where.parent / "ckpt")
+    images, feats, labels, _ = load_dataset(where.parent / "dataset").arrays_for(manifest["extra"]["split"])
+    return render_report(evaluate_arrays(model, images, feats, labels))
+
+
+# The one message each command prints, rebuilt from the manifest it wrote into ``where``.
+MESSAGES = {
+    "simulate": lambda where, m: f"simulate: wrote {len(m['artifacts']) // 2} recordings to {where}",
+    "featurize": lambda where, m: f"featurize: {m['extra']['examples']} windows -> {where}",
+    "split": lambda where, m: f"split: { {name: m['extra'][name] for name in ('train', 'val', 'test')} }",
+    "train": train_message,
+    "eval": eval_message,
+    "embed": lambda where, m: f"embed: {m['extra']['points']} points, {m['extra']['components']} components -> {where}",
+    "export-images": lambda where, m: f"export-images: {len(m['artifacts'])} files -> {where}",
+    "import": lambda where, m: f"import: {where.parent / 'raw.csv'} -> {where / 'raw.csv'} (64 samples)",
+}
+
+
+@pytest.mark.parametrize("command", MESSAGES)
+def test_main_writes_the_manifest_of_each_command_and_prints_its_one_message(every_stage, command):
+    where, printed = every_stage[command]
+    manifest = json.loads((where / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["artifacts"]
+    for name, digest in manifest["artifacts"].items():
+        assert hashlib.sha256((where / name).read_bytes()).hexdigest() == digest, name
+    assert printed == MESSAGES[command](where, manifest) + "\n"
