@@ -64,12 +64,8 @@ class MinMaxScaler:
             raise ValueError("scaler maximum must be >= minimum")
 
 
-def magnitude_spectrum(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    taper: str = "rect",
-) -> Spectrum:
-    """One-sided |FFT| of ``samples``.
+def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: float) -> Spectrum:
+    """One-sided |FFT| of ``samples``, untapered.
 
     The input is zero padded to the next power of two, keeping a radix-2
     transform (the 3897-sample default window becomes 4096 points, bin
@@ -80,10 +76,6 @@ def magnitude_spectrum(
         raise ValueError("need at least 2 samples")
     if not np.isfinite(x).all():
         raise ValueError("samples contain non-finite values")
-    if taper == "hann":
-        x = x * np.hanning(x.size)
-    elif taper != "rect":
-        raise ValueError(f"unknown taper {taper!r}")
     n_fft = 1 << (x.size - 1).bit_length()  # the next power of two
     mags = np.abs(np.fft.rfft(x, n=n_fft))
     return Spectrum(magnitudes=mags, sample_rate_hz=float(sample_rate_hz), n_fft=n_fft)
@@ -133,24 +125,15 @@ def find_torsional_peaks(
     ]
 
 
-def band_power(
-    spectrum: Spectrum,
-    center_hz: float,
-    half_width_hz: float,
-    squared: bool = False,
-) -> float:
-    """Sum of magnitude components with |bin frequency - center| <= half width.
-
-    ``squared`` switches to summing squared magnitudes.
-    """
+def band_power(spectrum: Spectrum, center_hz: float, half_width_hz: float) -> float:
+    """Sum of magnitude components with |bin frequency - center| <= half width."""
     freqs = spectrum.freqs_hz
     mask = np.abs(freqs - center_hz) <= half_width_hz
     if not mask.any():
         raise ValueError(
             f"band {center_hz}±{half_width_hz} Hz does not intersect the spectrum bins"
         )
-    mags = spectrum.magnitudes[mask]
-    return float(np.sum(mags**2) if squared else np.sum(mags))
+    return float(np.sum(spectrum.magnitudes[mask]))
 
 
 def extract_features(
@@ -158,16 +141,14 @@ def extract_features(
     sample_rate_hz: float,
     centers_hz: Sequence[float],
     half_width_hz: float,
-    squared: bool = False,
-    taper: str = "rect",
 ) -> FeaturePair:
     """Band power of an angular-acceleration window at the two resonance centers."""
     if len(centers_hz) != 2:
         raise ValueError("exactly two peak centers are required")
-    spectrum = magnitude_spectrum(angular, sample_rate_hz, taper=taper)
+    spectrum = magnitude_spectrum(angular, sample_rate_hz)
     return FeaturePair(
-        n1=band_power(spectrum, centers_hz[0], half_width_hz, squared=squared),
-        n2=band_power(spectrum, centers_hz[1], half_width_hz, squared=squared),
+        n1=band_power(spectrum, centers_hz[0], half_width_hz),
+        n2=band_power(spectrum, centers_hz[1], half_width_hz),
     )
 
 

@@ -27,6 +27,7 @@ from vibediag.embedding import pca_fit, pca_reduce, subsample_indices, tsne
 from vibediag.hht import write_image
 from vibediag.hybrid_model import (
     BRANCH_BUILDERS,
+    SPLIT_NAMES,
     FeaturizedDataset,
     assign_splits,
     classification_report,
@@ -122,7 +123,7 @@ def _configure(args) -> tuple[RunConfig, int]:
 
 def _torsional_peaks(recording_path, band):
     rec = load_recording(recording_path)
-    spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz, taper=band.taper)
+    spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz)
     return find_torsional_peaks(spectrum, band.search_lo_hz, band.search_hi_hz)
 
 
@@ -181,11 +182,9 @@ def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
 
 
 def cmd_split(args, config: RunConfig, seed: int) -> Done:
-    spec = config.split
-    spec.seed = seed
     dataset_dir = Path(args.dataset)
     dataset = load_dataset(dataset_dir)
-    assign_splits(dataset, spec)
+    assign_splits(dataset, config.split, seed)
     save_dataset_json(dataset, dataset_dir)
     counts = {name: len(keys) for name, keys in dataset.splits.items()}
     # Keep the featurize counters that the manifest being replaced recorded.
@@ -248,7 +247,6 @@ def cmd_eval(args, config: RunConfig, seed: int) -> Done:
 
 
 def cmd_embed(args, config: RunConfig, seed: int) -> Done:
-    config.tsne.seed = seed
     if not 0 < args.target <= 1:
         raise ValueError(f"--target must be in (0, 1], got {args.target}")
     dataset = load_dataset(args.dataset)
@@ -259,7 +257,7 @@ def cmd_embed(args, config: RunConfig, seed: int) -> Done:
     reduced = pca_reduce(model, flat, target)
 
     picked = subsample_indices(len(dataset), args.max_points, seed)
-    embedding, kl = tsne(reduced[picked], config.tsne)
+    embedding, kl = tsne(reduced[picked], config.tsne, seed)
     out = _prepare_out(args.out)
     curve = ["k,cumulative_ratio"] + [f"{k + 1},{float(r)!r}" for k, r in enumerate(model.cumulative_ratio)]
     (out / "variance_curve.csv").write_text("\n".join(curve) + "\n")
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("embed", parents=[common], help="PCA variance curve + t-SNE map of the images")

@@ -4,6 +4,9 @@ Defaults reproduce the reference acquisition and training protocol
 (31.175 kHz, 3897/1559 windowing, three modes, 240/820 Hz bands, Adam at
 1e-4 with batch 20, 200 epochs, patience 50, 0.15/0.15 ceil splits).
 Unknown keys are rejected so typos cannot silently fall back to defaults.
+Only values a run may set are fields: the protocol's constants (mirrored
+envelope extrema, log compression, Adam's betas and epsilon, the t-SNE
+optimiser) live in their modules, and split and embed draw from the run seed.
 Each field declares its bound once, as plain data in its metadata (``min``,
 ``gt``, ``lt`` or ``in``), and ``config_from_dict`` checks every type and
 bound where a config enters; code that builds a section itself is trusted.
@@ -41,15 +44,12 @@ class SegmentationConfig:
 class HhtConfig:
     freq_max_hz: float | None = field(default=None, metadata={"gt": 0})  # None means Nyquist
     channels: int = field(default=3, metadata={"in": (1, 3)})
-    log_compress: bool = True
 
 
 @dataclass
 class BandConfig:
     centers_hz: tuple[float, float] = field(default=(240.0, 820.0), metadata={"gt": 0})
     half_width_hz: float = field(default=40.0, metadata={"gt": 0})
-    squared: bool = False
-    taper: str = field(default="rect", metadata={"in": ("rect", "hann")})
     search_lo_hz: float = field(default=100.0, metadata={"min": 0})
     search_hi_hz: float = field(default=2000.0, metadata={"gt": 0})
 

@@ -27,17 +27,21 @@ class PcaModel:
     mean: np.ndarray
 
 
+# The optimiser of van der Maaten & Hinton 2008 ("Visualizing Data using
+# t-SNE"): step size, early exaggeration of P and its length, and momentum
+# before and after its switch iteration.
+LEARNING_RATE = 200.0
+EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 250
+MOMENTUM_START = 0.5
+MOMENTUM_FINAL = 0.8
+MOMENTUM_SWITCH_ITER = 250
+
+
 @dataclass
 class TsneConfig:
     perplexity: float = field(default=30.0, metadata={"gt": 0})
     iterations: int = field(default=1000, metadata={"gt": 0})
-    learning_rate: float = field(default=200.0, metadata={"gt": 0})
-    early_exaggeration: float = field(default=12.0, metadata={"gt": 0})
-    exaggeration_iters: int = field(default=250, metadata={"min": 0})
-    momentum_start: float = field(default=0.5, metadata={"min": 0, "lt": 1})
-    momentum_final: float = field(default=0.8, metadata={"min": 0, "lt": 1})
-    momentum_switch_iter: int = field(default=250, metadata={"min": 0})
-    seed: int = field(default=0, metadata={"min": 0})
 
 
 def pca_fit(data: np.ndarray) -> PcaModel:
@@ -150,11 +154,12 @@ def _conditional_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarr
     return p
 
 
-def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact t-SNE to two dimensions.
+def tsne(data: np.ndarray, config: TsneConfig | None = None,
+         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Exact t-SNE to two dimensions from a start drawn by ``seed``.
 
     Returns (embedding (n, 2), kl (2,)): the KL divergence against the
-    un-exaggerated affinities at iteration ``min(exaggeration_iters,
+    un-exaggerated affinities at iteration ``min(EXAGGERATION_ITERS,
     iterations - 1)`` and at the last iteration, each taken before that
     iteration's update. No other iteration computes it. The embedding is
     re-centered every iteration and the affinity floor keeps duplicated
@@ -174,14 +179,14 @@ def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray
     p = (cond + cond.T) / (2.0 * n)
     p = np.maximum(p, 1e-12)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
-    kl_at = np.array([min(config.exaggeration_iters, config.iterations - 1), config.iterations - 1])
+    kl_at = np.array([min(EXAGGERATION_ITERS, config.iterations - 1), config.iterations - 1])
     kl = np.zeros(2)
     off_diag = ~np.eye(n, dtype=bool)
     p_off = p[off_diag]
-    p_exaggerated = p * config.early_exaggeration
+    p_exaggerated = p * EARLY_EXAGGERATION
     # One set of n x n workspaces, written in the order of the textbook
     # expressions, so every element rounds as it would in fresh arrays.
     num, q, w = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
@@ -206,7 +211,7 @@ def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray
 
         # w = (p_eff - q) * num; the gradient is 4 (diag(rowsum w) - w) @ y.
         # 0.0 - w keeps the +0.0 that np.negative would turn into -0.0.
-        np.subtract(p_exaggerated if it < config.exaggeration_iters else p, q, out=w)
+        np.subtract(p_exaggerated if it < EXAGGERATION_ITERS else p, q, out=w)
         w *= num
         row_sums = w.sum(axis=1)
         w_ii = w_diag.copy()
@@ -214,8 +219,8 @@ def tsne(data: np.ndarray, config: TsneConfig | None = None) -> tuple[np.ndarray
         np.subtract(row_sums, w_ii, out=w_diag)
         grad = 4.0 * (w @ y)
 
-        momentum = config.momentum_start if it < config.momentum_switch_iter else config.momentum_final
-        velocity = momentum * velocity - config.learning_rate * grad
+        momentum = MOMENTUM_START if it < MOMENTUM_SWITCH_ITER else MOMENTUM_FINAL
+        velocity = momentum * velocity - LEARNING_RATE * grad
         y = y + velocity
         y = y - y.mean(axis=0)
         if not np.isfinite(y).all():

@@ -6,8 +6,8 @@ Goncalves 2003 ("On empirical mode decomposition and its algorithms") with
 the envelope amplitude a = |upper - lower| / 2: sifting stops once
 |m| > THETA1 a holds on at most ALPHA n samples and |m| > THETA2 a holds on
 none, or after ``max_sift_iterations`` passes. Envelope end swings are
-suppressed by mirroring the first and last few extrema about the series ends
-before splining. Extraction stops once the residual is monotone or has fewer
+suppressed by mirroring the first and last ``BOUNDARY_PAD_EXTREMA`` extrema
+about the series ends before splining. Extraction stops once the residual is monotone or has fewer
 than three interior extrema.
 
 Each pass builds both envelopes in one :func:`spline_envelope` call: the two
@@ -33,13 +33,14 @@ from scipy.linalg.lapack import dgtsv
 THETA1 = 0.05
 THETA2 = 0.5
 ALPHA = 0.05
+# Extrema mirrored about each end of the series, per envelope.
+BOUNDARY_PAD_EXTREMA = 2
 
 
 @dataclass
 class EmdConfig:
     max_imfs: int = field(default=3, metadata={"min": 1})
     max_sift_iterations: int = field(default=100, metadata={"min": 1})
-    boundary_pad_extrema: int = field(default=2, metadata={"min": 0})
 
 
 @dataclass
@@ -102,33 +103,26 @@ def zero_crossings(series: np.ndarray) -> int:
 def spline_knots(
     extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     n: int,
-    pad: int = 2,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Both mirror-extended knot sets used by :func:`spline_envelope`, in one array.
 
     ``extrema`` is :func:`find_extrema`'s ((max_idx, max_val), (min_idx,
     min_val)). Returns (xs, ys, a): knots [:a] are the maxima's and knots
-    [a:] the minima's. On each side the first and last ``min(pad, len(idx))``
-    extrema are mirrored about sample 0 and sample n-1; with ``pad > 0``
-    each side's knots are sorted by position and, where two coincide, the
-    first in (left mirror, extrema, right mirror) order is kept.
+    [a:] the minima's. On each side the first and last
+    ``min(BOUNDARY_PAD_EXTREMA, len(idx))`` extrema are mirrored about sample
+    0 and sample n-1; each side's knots are sorted by position and, where two
+    coincide, the first in (left mirror, extrema, right mirror) order is kept.
     """
     xs, ys, sizes = [], [], []
     for idx, val in extrema:
         x = np.asarray(idx).astype(np.float64)
         y = np.asarray(val, dtype=np.float64)
-        p = max(min(pad, x.size), 0)
-        if p:
-            xs += (-x[p - 1::-1], x, 2.0 * (n - 1) - x[:-p - 1:-1])
-            ys += (y[p - 1::-1], y, y[:-p - 1:-1])
-        else:
-            xs.append(x)
-            ys.append(y)
+        p = min(BOUNDARY_PAD_EXTREMA, x.size)  # with no extrema, every slice is empty
+        xs += (-x[p - 1::-1], x, 2.0 * (n - 1) - x[:-p - 1:-1])
+        ys += (y[p - 1::-1], y, y[:-p - 1:-1])
         sizes.append(x.size + 2 * p)
     a, m = sizes[0], sum(sizes)
     xs, ys = np.concatenate(xs), np.concatenate(ys)
-    if pad <= 0:
-        return xs, ys, a
     # The step from the last maximum knot to the first minimum knot is no
     # gap; slicing leaves it out when either side is empty.
     gaps = xs[1:] - xs[:-1]
@@ -155,41 +149,37 @@ def _sample_grid(n: int) -> np.ndarray:
 def spline_envelope(
     extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     n: int,
-    pad: int = 2,
-    grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Upper and lower natural cubic splines through the mirror-extended extrema.
 
     ``extrema`` is :func:`find_extrema`'s ((max_idx, max_val), (min_idx,
-    min_val)); row 0 of the (2, len(grid)) result splines the maxima, row 1
-    the minima. Sampled on the integer grid 0..n-1 unless an explicit
-    ``grid`` of (possibly fractional) positions is given; points beyond the
-    end knots extrapolate the end pieces. Each row is bitwise equal to
-    ``scipy.interpolate.CubicSpline(xs, ys, bc_type="natural")(grid)``
-    (scipy 1.17) on its own knots: each row's tridiagonal system is solved by
-    the same LAPACK routine, and the pieces are built and evaluated in
-    scipy's operation order. Raises ValueError("monotone component") when
-    either knot set does not define an envelope (a non-finite value, fewer
-    than two knots, knots not strictly increasing, or a singular or
-    non-finite solve), the signal for the sift loop to terminate; non-finite
-    values are rejected before any arithmetic, so no floating-point warning
-    precedes the error.
+    min_val)); row 0 of the (2, n) result splines the maxima, row 1 the
+    minima, each sampled on the integer grid 0..n-1. Points beyond the end
+    knots extrapolate the end pieces. Each row is bitwise equal to
+    ``scipy.interpolate.CubicSpline(xs, ys, bc_type="natural")(np.arange(n))``
+    (scipy 1.17) on its own :func:`spline_knots`: each row's tridiagonal
+    system is solved by the same LAPACK routine, and the pieces are built and
+    evaluated in scipy's operation order. Raises ValueError("monotone
+    component") when either knot set does not define an envelope (a
+    non-finite value, fewer than two knots, or a singular or non-finite
+    solve), the signal for the sift loop to terminate; non-finite values are
+    rejected before any arithmetic, so no floating-point warning precedes the
+    error.
     """
     for _, val in extrema:
         if np.count_nonzero(np.isfinite(val)) != len(val):  # half the cost of .all() per call
             raise ValueError("monotone component")
     # Block 0 holds the maxima's knots 0..a-1, block 1 the minima's knots
-    # a..m-1. Piece a-1 joins the blocks; it gets a unit width and no grid
-    # points, and no system row reads it.
-    xs, ys, a = spline_knots(extrema, n, pad)
+    # a..m-1; spline_knots makes each block strictly increasing. Piece a-1
+    # joins the blocks; it gets a unit width and no grid points, and no
+    # system row reads it.
+    xs, ys, a = spline_knots(extrema, n)
     m = xs.size
     if a < 2 or m - a < 2:
         raise ValueError("monotone component")
     blocks = ((0, a - 1), (a, m - 1))  # first and last knot of each block
     dx = xs[1:] - xs[:-1]
     dx[a - 1] = 1.0
-    if not (dx > 0).all():
-        raise ValueError("monotone component")
 
     # Knot slopes s from CubicSpline's tridiagonal system, row i:
     # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = b[i],
@@ -233,32 +223,21 @@ def spline_envelope(
     const = 0.0 + ys[:-1]
 
     # Piece k covers xs[k] <= g < xs[k+1]; each block's end pieces
-    # extrapolate. The grid is walked once per block, and each piece's
-    # knot and coefficients are spread over the grid points it covers.
-    pieces = (xs[:-1], const, lin, quad, cubic)
-    if grid is None:
-        # Grid point g lies right of the knots with ceil(xs) <= g, so each
-        # piece spans a run of points given by differences of ceil(xs).
-        first = np.ceil(xs)
-        np.maximum(first, 0, out=first)  # np.clip costs twice as much per call
-        np.minimum(first, n, out=first)
-        first = first.astype(np.intp)
-        counts = first[1:] - first[:-1]
-        counts[a - 1] = 0
-        for lo, hi in blocks:
-            counts[lo] += first[lo]
-            counts[hi - 1] += n - first[hi]
-        x0, c3, c2, c1, c0 = (np.repeat(c, counts) for c in pieces)
-        grid = _sample_grid(n)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
-        k = np.concatenate([
-            lo + np.clip(np.searchsorted(xs[lo:hi + 1], grid, side="right") - 1, 0, hi - lo - 1)
-            for lo, hi in blocks])
-        x0, c3, c2, c1, c0 = (c[k] for c in pieces)
-        grid = np.concatenate((grid, grid))
+    # extrapolate. Grid point g lies right of the knots with ceil(xs) <= g,
+    # so each piece spans a run of points given by differences of ceil(xs),
+    # and each piece's knot and coefficients are spread over that run.
+    first = np.ceil(xs)
+    np.maximum(first, 0, out=first)  # np.clip costs twice as much per call
+    np.minimum(first, n, out=first)
+    first = first.astype(np.intp)
+    counts = first[1:] - first[:-1]
+    counts[a - 1] = 0
+    for lo, hi in blocks:
+        counts[lo] += first[lo]
+        counts[hi - 1] += n - first[hi]
+    x0, c3, c2, c1, c0 = (np.repeat(c, counts) for c in (xs[:-1], const, lin, quad, cubic))
     # PPoly's term order: ((c3 + c2 z) + c1 z^2) + c0 (z^2 z).
-    z = grid - x0
+    z = _sample_grid(n) - x0
     z2 = z * z
     out = c3 + c2 * z
     out += c1 * z2
@@ -281,7 +260,6 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
         raise ValueError("series contains non-finite values")
 
     n = x.size
-    pad = config.boundary_pad_extrema
     residual = x.copy()
     imfs: list[np.ndarray] = []
     iterations: list[int] = []
@@ -298,7 +276,7 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
             if max_idx.size < 2 or min_idx.size < 2:
                 break
             try:
-                upper, lower = spline_envelope(extrema, n, pad)
+                upper, lower = spline_envelope(extrema, n)
             except ValueError:
                 break
             mean_env = 0.5 * (upper + lower)

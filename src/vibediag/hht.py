@@ -5,7 +5,7 @@ spectrum method: zero the negative-frequency coefficients, double the
 positive ones, keep DC and (for even lengths) the Nyquist bin. The Hilbert
 spectrum of a window accumulates each mode's instantaneous amplitude along
 its instantaneous-frequency trajectory into a 32x32 time-frequency grid,
-optionally log-compressed and always normalized per image to [0, 1].
+log-compressed by log(1 + v) and normalized per image to [0, 1].
 """
 
 from __future__ import annotations
@@ -131,14 +131,13 @@ def render_spectrum_image(
     dt: float,
     freq_max_hz: float | None = None,
     channels: int = 3,
-    log_compress: bool = True,
 ) -> SpectrumImage:
     """Rasterize the Hilbert spectrum of the first three modes.
 
     For each mode, the instantaneous amplitude is accumulated into the cell
     addressed by (frequency bin, time bin); frequencies outside
-    [0, freq_max_hz] are dropped. The grid is then optionally mapped through
-    log(1 + v) and divided by its maximum. An all-zero grid yields an
+    [0, freq_max_hz] are dropped. The grid is then mapped through log(1 + v)
+    and divided by its maximum. An all-zero grid yields an
     all-zero image for any channel count.
     """
     if channels not in (1, 3):
@@ -165,8 +164,7 @@ def render_spectrum_image(
     grid = np.bincount(cells, weights=z.amplitude[keep],
                        minlength=IMAGE_SIZE * IMAGE_SIZE).reshape(IMAGE_SIZE, IMAGE_SIZE)
 
-    if log_compress:
-        grid = np.log1p(grid)
+    grid = np.log1p(grid)
     peak = grid.max()
     if peak > 0:
         grid /= peak

@@ -51,11 +51,13 @@ class Example:
     sift_iterations: tuple[int, ...] = ()  # sifting passes per IMF of the image
 
 
+SPLIT_NAMES = ("train", "val", "test")
+
+
 @dataclass
 class SplitSpec:
     test_fraction: float = field(default=0.15, metadata={"gt": 0, "lt": 1})
     val_fraction: float = field(default=0.15, metadata={"gt": 0, "lt": 1})  # of what the test cut leaves
-    seed: int = field(default=0, metadata={"min": 0})
     stratified: bool = False
 
 
@@ -63,9 +65,9 @@ def _cut(count: int, fraction: float) -> int:
     return int(np.ceil(fraction * count))
 
 
-def split_indices(n: int, spec: SplitSpec,
+def split_indices(n: int, spec: SplitSpec, seed: int,
                   labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded shuffle, then ceil-sized test and validation cuts.
+    """Shuffle seeded by ``seed``, then ceil-sized test and validation cuts.
 
     With ``spec.stratified`` the shuffle and both cuts run within each class
     of ``labels``; otherwise all ``n`` items form one class.
@@ -77,7 +79,7 @@ def split_indices(n: int, spec: SplitSpec,
     elif labels is None:
         raise ValueError("a stratified split needs labels")
     labels = np.asarray(labels)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     parts = []
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
@@ -386,9 +388,11 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
 def load_dataset(in_dir) -> FeaturizedDataset:
     """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
-    unknown format, a missing top-level key, ``offsets`` or ``total_bytes`` that differ from the
-    :func:`dataset_layout` of ``len(provenance)`` windows, a wrong length, a label row that is
-    not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
+    unknown format, a missing top-level key, a ``scaler`` whose ``min`` or ``max`` does not hold
+    2 values, ``splits`` that is not null or keyed by exactly ``SPLIT_NAMES``, ``offsets`` or
+    ``total_bytes`` that differ from the :func:`dataset_layout` of ``len(provenance)`` windows,
+    a wrong length, a label row that is not one-hot, or a split that names a window twice or
+    one ``provenance`` lacks."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
     manifest = json.loads(json_path.read_text())
@@ -397,8 +401,19 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     for key in ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed"):
         if key not in manifest:
             raise ValueError(f"{json_path}: no top-level key {key!r}")
+    scaler, splits = manifest["scaler"], manifest["splits"]
+    if scaler is not None:
+        for key in ("min", "max"):
+            values = scaler.get(key) if isinstance(scaler, dict) else None
+            if not (isinstance(values, list) and len(values) == 2):
+                raise ValueError(f"{json_path}: scaler {key!r} must hold 2 values, one per feature, "
+                                 f"got {values!r}")
+    if splits is not None and not (isinstance(splits, dict) and splits.keys() == set(SPLIT_NAMES)):
+        got = sorted(splits) if isinstance(splits, dict) else splits
+        raise ValueError(f"{json_path}: splits must be null or have exactly the keys {list(SPLIT_NAMES)}, "
+                         f"got {got!r}")
     split_of = dict.fromkeys(manifest["provenance"])  # window key -> the split that names it
-    for split_name, keys in (manifest["splits"] or {}).items():
+    for split_name, keys in (splits or {}).items():
         for key in keys:
             if key not in split_of or split_of[key] is not None:
                 where = "not in provenance" if key not in split_of else f"in split {split_of[key]!r} too"
@@ -431,26 +446,24 @@ def load_dataset(in_dir) -> FeaturizedDataset:
         raise ValueError(f"{bin_path}: labels_onehot row {row} (window {manifest['provenance'][row]!r}) "
                          f"is {onehot[row].tolist()}, not one 1.0 and {N_CLASSES - 1} 0.0")
 
-    scaler = None
-    if manifest["scaler"] is not None:
-        scaler = MinMaxScaler(minimum=np.array(manifest["scaler"]["min"]),
-                              maximum=np.array(manifest["scaler"]["max"]))
+    if scaler is not None:
+        scaler = MinMaxScaler(minimum=np.array(scaler["min"]), maximum=np.array(scaler["max"]))
     return FeaturizedDataset(
         images=read("images"),
         features_raw=read("features"),
         labels=labels,
         provenance=list(manifest["provenance"]),
         scaler=scaler,
-        splits=manifest["splits"],
+        splits=splits,
         config_echo=manifest["config_echo"],
         seed=manifest["seed"],
     )
 
 
-def assign_splits(dataset: FeaturizedDataset, spec: SplitSpec) -> FeaturizedDataset:
-    """Attach split membership and a train-split-only feature scaler."""
-    train, val, test = split_indices(len(dataset), spec, dataset.labels)
+def assign_splits(dataset: FeaturizedDataset, spec: SplitSpec, seed: int) -> FeaturizedDataset:
+    """Attach split membership, shuffled by ``seed``, and a train-split-only feature scaler."""
+    train, val, test = split_indices(len(dataset), spec, seed, dataset.labels)
     dataset.splits = {name: [dataset.provenance[i] for i in idx]
-                      for name, idx in (("train", train), ("val", val), ("test", test))}
+                      for name, idx in zip(SPLIT_NAMES, (train, val, test))}
     dataset.scaler = fit_scaler(dataset.features_raw[train])
     return dataset

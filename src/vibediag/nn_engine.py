@@ -31,9 +31,6 @@ class TrainConfig:
     batch_size: int = field(default=20, metadata={"gt": 0})
     max_epochs: int = field(default=200, metadata={"gt": 0})
     patience: int = field(default=50, metadata={"gt": 0})
-    beta1: float = field(default=0.9, metadata={"gt": 0, "lt": 1})
-    beta2: float = field(default=0.999, metadata={"gt": 0, "lt": 1})
-    epsilon: float = field(default=1e-7, metadata={"gt": 0})
     seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
@@ -356,7 +353,8 @@ def softmax_crossentropy(logits: np.ndarray, onehot: np.ndarray):
 
 
 def adam_step(param, grad, m, v, t, *, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-7):
-    """One Adam update, pure-functional: returns (param', m', v')."""
+    """One Adam update, pure-functional: returns (param', m', v'). Training runs at the
+    keyword defaults of ``beta1``, ``beta2`` and ``epsilon``."""
     if t < 1:
         raise ValueError("t must be >= 1")
     m = beta1 * m + (1.0 - beta1) * grad
@@ -376,12 +374,9 @@ class Adam:
         self.v = np.zeros_like(params)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        cfg = self.config
         self.t += 1
-        params[...], self.m, self.v = adam_step(
-            params, grads, self.m, self.v, self.t, learning_rate=cfg.learning_rate,
-            beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
-        )
+        params[...], self.m, self.v = adam_step(params, grads, self.m, self.v, self.t,
+                                                learning_rate=self.config.learning_rate)
 
 
 # The layer groups of model.json, in ``Model`` argument order.
@@ -522,8 +517,9 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 def load_model(in_dir) -> tuple[Model, dict]:
     """A model from ``model.json`` and ``model.bin``: float32 when every stored value is a
     float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
-    file, on an unknown format, a missing top-level key, an unknown layer type, a layer spec
-    with missing or unknown keys, a tensor table its layers do not imply, or a wrong length.
+    file, on an unknown format, a missing top-level key, ``layers`` whose keys are not the
+    three layer groups, an unknown layer type, a layer spec with missing or unknown keys, a
+    tensor table its layers do not imply, or a wrong length.
     A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: the head
     ends at its logits."""
     in_dir = Path(in_dir)
@@ -535,6 +531,9 @@ def load_model(in_dir) -> tuple[Model, dict]:
         if key not in manifest:
             raise ValueError(f"{json_path}: no top-level key {key!r}")
     layers = manifest["layers"]
+    if not (isinstance(layers, dict) and layers.keys() == set(_GROUP_KEYS)):
+        got = sorted(layers) if isinstance(layers, dict) else layers
+        raise ValueError(f"{json_path}: layers must have exactly the keys {list(_GROUP_KEYS)}, got {got!r}")
     if layers["head"] and layers["head"][-1] == {"type": "softmax"}:
         layers = {**layers, "head": layers["head"][:-1]}
     kinds = {spec.get("type") for group in layers.values() if group for spec in group}

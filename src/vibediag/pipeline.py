@@ -19,9 +19,9 @@ def _featurize_window(task: tuple[Window, RunConfig]) -> Example:
     window, config = task
     modes = sift(window.linear, config.emd)
     hht, band = config.hht, config.band
-    image = render_spectrum_image(modes, window.dt, hht.freq_max_hz, hht.channels, hht.log_compress)
+    image = render_spectrum_image(modes, window.dt, hht.freq_max_hz, hht.channels)
     pair = extract_features(window.angular, 1.0 / window.dt, centers_hz=tuple(band.centers_hz),
-                            half_width_hz=band.half_width_hz, squared=band.squared, taper=band.taper)
+                            half_width_hz=band.half_width_hz)
     return Example(key=window.key, image=image, features=pair, label=window.label,
                    sift_iterations=tuple(modes.iterations))
 

@@ -180,7 +180,8 @@ def where_maxpool2x2_winners(x):
 
 
 class ReferenceAdam:
-    """Adam as one in-place update per tensor of a parameter list."""
+    """Adam as one in-place update per tensor of a parameter list, at the betas and epsilon
+    of ``adam_step``'s keyword defaults."""
 
     def __init__(self, params, config):
         self.config = config
@@ -189,16 +190,18 @@ class ReferenceAdam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params, grads):
-        cfg = self.config
+        from vibediag.nn_engine import adam_step
+
+        beta1, beta2, epsilon = (adam_step.__kwdefaults__[k] for k in ("beta1", "beta2", "epsilon"))
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
+        b1t = 1.0 - beta1**self.t
+        b2t = 1.0 - beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= self.config.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + epsilon)
 
 
 def class_probabilities(model, images, features):
@@ -245,7 +248,7 @@ def reference_find_extrema(series):
     return (max_idx, x[max_idx]), (min_idx, x[min_idx])
 
 
-def reference_render_pixels(imfs, dt, freq_max_hz, channels=3, log_compress=True):
+def reference_render_pixels(imfs, dt, freq_max_hz, channels=3):
     """The Hilbert raster by a sequential ``np.add.at`` scatter, with the
     frequency taken from a second unwrap of the analytic phase."""
     from vibediag.hht import IMAGE_SIZE, analytic_signal, apply_colormap, instantaneous_frequency
@@ -260,8 +263,7 @@ def reference_render_pixels(imfs, dt, freq_max_hz, channels=3, log_compress=True
         keep = freq <= freq_max_hz
         fbin = np.minimum((freq[keep] / df).astype(int), IMAGE_SIZE - 1)
         np.add.at(grid, (fbin, time_bins[keep]), z.amplitude[keep])
-    if log_compress:
-        grid = np.log1p(grid)
+    grid = np.log1p(grid)
     peak = grid.max()
     if peak <= 0:
         return np.zeros((IMAGE_SIZE, IMAGE_SIZE, channels))
@@ -319,9 +321,9 @@ def reference_apply_scaler(minimum, maximum, values):
     return out
 
 
-def reference_split_keys(keys, labels, spec):
+def reference_split_keys(keys, labels, spec, seed):
     """Split membership as ``{"train", "val", "test"} -> keys``, by a plain
-    seeded shuffle with ceil-sized cuts, or the same rule within each label
+    shuffle seeded by ``seed`` with ceil-sized cuts, or the same rule within each label
     with ``spec.stratified``; items are picked through a ``(key, label)`` shim."""
 
     class _Item:
@@ -334,7 +336,7 @@ def reference_split_keys(keys, labels, spec):
     items = [_Item(k, int(l)) for k, l in zip(keys, labels)]
     n = len(items)
     cut = lambda count, fraction: int(np.ceil(fraction * count))
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if not spec.stratified:
         order = rng.permutation(n)
         n_test = cut(n, spec.test_fraction)
@@ -387,10 +389,13 @@ def reference_conditional_affinities(sq_dists, perplexity, n_steps=50, tol=1e-5)
     return p
 
 
-def reference_tsne(data, config):
+def reference_tsne(data, config, seed):
     """``embedding.tsne`` as it was before it reused its n x n workspaces:
     fresh temporaries every iteration, ``np.diag`` in the gradient, and the
-    KL divergence of every iteration, returned as the whole history."""
+    KL divergence of every iteration, returned as the whole history. The
+    optimiser constants are the module's."""
+    from vibediag import embedding as e
+
     x = np.asarray(data, dtype=np.float64)
     n = x.shape[0]
     sq = np.sum(x * x, axis=1)
@@ -399,7 +404,7 @@ def reference_tsne(data, config):
     p = (cond + cond.T) / (2.0 * n)
     p = np.maximum(p, 1e-12)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_history = np.zeros(config.iterations)
@@ -410,11 +415,11 @@ def reference_tsne(data, config):
         np.fill_diagonal(num, 0.0)
         q = np.maximum(num / num.sum(), 1e-12)
         kl_history[it] = float(np.sum(p[off_diag] * np.log(p[off_diag] / q[off_diag])))
-        p_eff = p * config.early_exaggeration if it < config.exaggeration_iters else p
+        p_eff = p * e.EARLY_EXAGGERATION if it < e.EXAGGERATION_ITERS else p
         w = (p_eff - q) * num
         grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
-        momentum = config.momentum_start if it < config.momentum_switch_iter else config.momentum_final
-        velocity = momentum * velocity - config.learning_rate * grad
+        momentum = e.MOMENTUM_START if it < e.MOMENTUM_SWITCH_ITER else e.MOMENTUM_FINAL
+        velocity = momentum * velocity - e.LEARNING_RATE * grad
         y = y + velocity
         y = y - y.mean(axis=0)
     return y, kl_history

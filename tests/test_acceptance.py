@@ -70,7 +70,7 @@ def test_criterion_1_metric_arithmetic():
 
 
 def test_criterion_2_split_reproduction():
-    train_idx, val_idx, test_idx = split_indices(27900, SplitSpec(seed=0))
+    train_idx, val_idx, test_idx = split_indices(27900, SplitSpec(), seed=0)
     sizes = (train_idx.size, val_idx.size, test_idx.size)
     report(2, "split reproduction", sizes == (20157, 3558, 4185), f"sizes={sizes}")
 
@@ -254,7 +254,7 @@ def _constructed_complementarity_data(n_per_class=140, seed=0):
 def test_criterion_7_complementarity():
     t0 = time.perf_counter()
     images, feats, labels = _constructed_complementarity_data()
-    tr, va, te = split_indices(len(labels), SplitSpec(test_fraction=0.3, val_fraction=0.15, seed=1))
+    tr, va, te = split_indices(len(labels), SplitSpec(test_fraction=0.3, val_fraction=0.15), seed=1)
     onehot = np.eye(N_CLASSES)[labels]
     config = TrainConfig(learning_rate=1e-3, batch_size=20, max_epochs=30, patience=30, seed=0)
 
@@ -303,8 +303,8 @@ def test_criterion_8_embedding_properties():
     b[:, 0] += 10.0
     data = np.vstack([a, b])
     labels = np.array([0] * half + [1] * half)
-    config = TsneConfig(iterations=500, seed=0)
-    embedding, kl = tsne(data, config)
+    config = TsneConfig(iterations=500)
+    embedding, kl = tsne(data, config, seed=0)
     d = np.sum((embedding[:, None, :] - embedding[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d, np.inf)
     purity = float(np.mean(labels[d.argmin(axis=1)] == labels))

@@ -347,7 +347,7 @@ def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value
     ({"hht": {"channels": 2}}, "hht.channels", ("featurize", "--channels", "2")),
     ({"band": {"centers_hz": ["a", "b"]}}, "band.centers_hz", None),
     ({"band": {"centers_hz": [240.0]}}, "band.centers_hz", None),
-    ({"band": {"taper": "hamming"}}, "band.taper", None),
+    ({"hht": {"channels": 0}}, "hht.channels", None),
     ({"segmentation": {"hop": 0}}, "segmentation.hop", ("featurize", "--hop", "0")),
     ({"simulate": {"duration_s": -1.0}}, "simulate.duration_s", ("simulate", "--duration-s", "-1.0")),
     ({"band": {"half_width_hz": -5.0}}, "band.half_width_hz", None),
@@ -365,6 +365,56 @@ def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, 
         assert run([stage, *inputs, "--out", tmp_path / "out", *value]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
+
+
+# Settings that are fixed by the protocol, or drawn from the run seed, at their last values.
+REMOVED_KEYS = {
+    "emd": {"boundary_pad_extrema": 2},
+    "hht": {"log_compress": True},
+    "band": {"squared": False, "taper": "rect"},
+    "train": {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-7},
+    "split": {"seed": 0},
+    "tsne": {"learning_rate": 200.0, "early_exaggeration": 12.0, "exaggeration_iters": 250,
+             "momentum_start": 0.5, "momentum_final": 0.8, "momentum_switch_iter": 250, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("section, name", [(section, name) for section, names in REMOVED_KEYS.items()
+                                           for name in names])
+def test_a_config_file_setting_a_removed_key_is_rejected_at_load_naming_it(tmp_path, capsys, section, name):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({section: {name: REMOVED_KEYS[section][name]}}))
+    assert run(["simulate", "--config", config, "--out", tmp_path / "out", *DESK_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key(s): ['{section}.{name}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_train_stage_reproduces_from_its_manifest(hop410_run, tmp_path):
+    # The manifest's config echo, seed and branch are all a rerun needs.
+    ckpt = hop410_run / "ckpt"
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(manifest["config"]))
+    assert run(["train", "--dataset", hop410_run / "dataset", "--out", tmp_path / "ckpt", "--config", config,
+                "--seed", manifest["seed"], "--branch", manifest["extra"]["branch"]]) == 0
+    for name in ("model.json", "model.bin", "history.csv"):
+        assert (tmp_path / "ckpt" / name).read_bytes() == (ckpt / name).read_bytes(), name
+
+
+def test_featurize_srs_writes_the_srs_peaks_as_the_band_centers(desk_run, tmp_path):
+    shock = desk_run / "recordings" / "ball-r0.csv"
+    assert run(["srs", "--recording", shock, "--out", tmp_path / "srs.json"]) == 0
+    peaks = json.loads((tmp_path / "srs.json").read_text())["peaks_hz"]
+    # Centers the peaks must replace, and one cheap IMF: the features do not depend on EMD.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"band": {"centers_hz": [300.0, 900.0]},
+                                  "emd": {"max_imfs": 1, "max_sift_iterations": 2}}))
+    assert run(["featurize", "--recordings", desk_run / "recordings", "--out", tmp_path / "ds", "--srs", shock,
+                "--config", config, *FEAT_FLAGS]) == 0
+    assert len(peaks) == 2 and peaks != [300.0, 900.0]
+    assert load_dataset(tmp_path / "ds").config_echo["band"]["centers_hz"] == peaks
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["config"]["band"]["centers_hz"] == peaks
 
 
 def test_config_takes_an_int_for_a_float_and_none_where_the_default_is_none(desk_run):

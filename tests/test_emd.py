@@ -9,6 +9,7 @@ from helpers import desk_window, reference_find_extrema
 from vibediag import emd, signal_model
 from vibediag.config import config_from_dict
 from vibediag.emd import (
+    BOUNDARY_PAD_EXTREMA,
     EmdConfig,
     find_extrema,
     sift,
@@ -82,32 +83,6 @@ def test_spline_interpolates_knots_exactly():
     np.testing.assert_allclose(lower[idx[1:]], -val[1:], atol=1e-9)
 
 
-def test_spline_second_derivative_continuous_at_knots():
-    # Finite-difference oracle: the central second difference of a cubic is
-    # exact, and the second derivative is linear within each piece, so two
-    # in-piece estimates extrapolate exactly to the knot from either side.
-    rng = np.random.default_rng(5)
-    idx = np.array([0, 6, 13, 21, 30, 39])
-    val = rng.normal(size=6)
-    n = 40
-    h = 0.05
-
-    # The spline under test is the second row, past the block junction.
-    extrema = ((idx[::2], -val[::2]), (idx, val))
-
-    def second_derivative(x0):
-        pts = np.array([x0 - h, x0, x0 + h])
-        _, e = spline_envelope(extrema, n, grid=pts)
-        return (e[0] - 2 * e[1] + e[2]) / h**2
-
-    xs, _, a = spline_knots(extrema, n, pad=2)
-    interior = xs[a + 1:-1]
-    for xk in interior:
-        left = 2 * second_derivative(xk - 0.2) - second_derivative(xk - 0.4)
-        right = 2 * second_derivative(xk + 0.2) - second_derivative(xk + 0.4)
-        assert abs(left - right) < 1e-9 * max(1.0, abs(left), abs(right))
-
-
 def test_spline_fewer_than_two_knots_signals_monotone():
     empty = (np.array([], dtype=int), np.array([]))
     good = (np.array([2, 5, 7]), np.array([1.0, -1.0, 0.5]))
@@ -140,22 +115,16 @@ def draw_extrema(draw, n, size, seam, values=FLOATS):
 
 
 @st.composite
-def knot_pairs(draw, size=st.integers(1, 60), pad=st.integers(0, 3), seam=False, other_size=None,
-               values=FLOATS):
-    """Maxima and minima on one series length with one pad, as sift passes
-    them to spline_envelope; ``other_size`` sizes one side, drawn at random."""
+def knot_pairs(draw, size=st.integers(1, 60), seam=False, values=FLOATS):
+    """Maxima and minima on one series length, as sift passes them to
+    spline_envelope."""
     n = draw(st.integers(4, 400))
-    other = size if other_size is None else other_size
-    pair = [draw_extrema(draw, n, size, seam, values), draw_extrema(draw, n, other, seam, values)]
-    if draw(st.booleans()):
-        pair.reverse()
-    return tuple(pair), n, draw(pad)
+    return tuple(draw_extrema(draw, n, size, seam, values) for _ in range(2)), n
 
 
-def scipy_envelope(extrema, n, pad=2, grid=None):
-    xs, ys, a = spline_knots(extrema, n, pad)
-    grid = np.arange(n) if grid is None else grid
-    return np.stack([CubicSpline(xs[side], ys[side], bc_type="natural")(grid)
+def scipy_envelope(extrema, n):
+    xs, ys, a = spline_knots(extrema, n)
+    return np.stack([CubicSpline(xs[side], ys[side], bc_type="natural")(np.arange(n))
                      for side in (slice(None, a), slice(a, None))])
 
 
@@ -163,24 +132,19 @@ def scipy_envelope(extrema, n, pad=2, grid=None):
 @given(
     st.one_of(
         knot_pairs(),
-        knot_pairs(size=st.just(3), pad=st.just(0)),
-        knot_pairs(pad=st.integers(1, 3), seam=True),
-        # No mirrored knots: the grid usually extends past both end knots.
-        knot_pairs(size=st.integers(3, 60), pad=st.just(0)),
-        # One side of two knots: CubicSpline's straight line.
-        knot_pairs(size=st.integers(3, 60), pad=st.just(0), other_size=st.just(2)),
+        knot_pairs(seam=True),
+        # A lone extremum at an end mirrors onto itself: two knots, and
+        # CubicSpline's straight line.
+        knot_pairs(size=st.integers(1, 3), seam=True),
         knot_pairs(size=st.integers(2, 8), values=SIGNED_ZEROS),
     ),
-    st.none() | st.lists(st.floats(-10.0, 410.0), min_size=1, max_size=50).map(sorted),
 )
-def test_spline_envelope_matches_cubic_spline_bitwise(knots, grid):
+def test_spline_envelope_matches_cubic_spline_bitwise(knots):
     # Each row must equal its own CubicSpline, whatever the other row holds.
-    extrema, n, pad = knots
-    xs, _, a = spline_knots(extrema, n, pad)
+    extrema, n = knots
+    xs, _, a = spline_knots(extrema, n)
     assume(a >= 2 and xs.size - a >= 2)
-    grid = None if grid is None else np.array(grid)
-    expected = scipy_envelope(extrema, n, pad, grid=grid)
-    assert bitwise_equal(spline_envelope(extrema, n, pad, grid=grid), expected)
+    assert bitwise_equal(spline_envelope(extrema, n), scipy_envelope(extrema, n))
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -189,13 +153,14 @@ def test_spline_envelope_sums_from_zero_at_a_signed_zero_knot(side):
     # coefficients are negative, so every term of the sum is -0.0 there.
     # Only scipy's sum starting from 0.0 makes the value +0.0.
     idx, val = np.array([2, 9, 11, 12]), np.array([3.0, -0.0, -2.0, -4.0])
-    assert (CubicSpline(idx.astype(np.float64), val, bc_type="natural").c[:3, 1] < 0).all()
     other = (np.array([0, 5, 13]), np.array([-5.0, -6.0, -5.0]))
+    xs, ys, a = spline_knots(((idx, val), other), 14)
+    knot = np.flatnonzero(xs[:a] == 9.0)[0]
+    assert (CubicSpline(xs[:a], ys[:a], bc_type="natural").c[:3, knot] < 0).all()
     extrema = ((idx, val), other) if side == 0 else (other, (idx, val))
-    grid = np.array([9.0])
-    out = spline_envelope(extrema, 14, pad=0, grid=grid)
-    assert bitwise_equal(out, scipy_envelope(extrema, 14, pad=0, grid=grid))
-    assert not np.signbit(out[side, 0])
+    out = spline_envelope(extrema, 14)
+    assert bitwise_equal(out, scipy_envelope(extrema, 14))
+    assert not np.signbit(out[side, 9])
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,17 +170,17 @@ def test_spline_knots_match_sorted_deduplicated_mirror(knots, rnd):
     # Reference, one side at a time: concatenate the mirrors, stable-sort by
     # position and keep the first of coinciding knots. Unsorted extrema take
     # the same path.
-    extrema, n, pad = knots
+    extrema, n = knots
     sides = []
     for idx, val in extrema:
         if rnd.random() < 0.3:
             perm = np.array(rnd.sample(range(idx.size), idx.size), dtype=int)
             idx, val = idx[perm], val[perm]
         sides.append((idx, val))
-    xs, ys, a = spline_knots(sides, n, pad)
+    xs, ys, a = spline_knots(sides, n)
     expected = []
     for idx, val in sides:
-        p = min(pad, idx.size)
+        p = min(BOUNDARY_PAD_EXTREMA, idx.size)
         x = idx.astype(np.float64)
         if p:
             x = np.concatenate([(-x[:p])[::-1], x, (2.0 * (n - 1) - x[-p:])[::-1]])
@@ -231,29 +196,22 @@ def test_spline_knots_match_sorted_deduplicated_mirror(knots, rnd):
     assert bitwise_equal(xs, x) and bitwise_equal(ys, val)
 
 
-@pytest.mark.parametrize(
-    "idx, val",
-    [
-        ([3, 3, 5], [1.0, 2.0, 0.5]),  # repeated knot: zero-width piece
-        ([5, 3, 7], [1.0, 2.0, 0.5]),  # descending knots
-        ([2, 4, 6, 8], [1.0, np.inf, 0.5, 1.0]),  # non-finite value: singular solve
-    ],
-)
-def test_spline_degenerate_knots_signal_monotone(idx, val):
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spline_non_finite_knot_value_signals_monotone(bad):
     # CubicSpline rejects the same knot sets, so the sift loop stops where
     # it stopped when it splined with scipy.
     # A floating-point warning before the error would escape the sift loop
     # under -W error, so warnings fail the test.
-    idx, val = np.array(idx), np.array(val)
+    idx, val = np.array([2, 4, 6, 8]), np.array([1.0, bad, 0.5, 1.0])
     good = (np.array([1, 4, 8]), np.array([0.5, -1.0, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            xs, ys, a = spline_knots(((idx, val), good), 10, pad=0)
+            xs, ys, a = spline_knots(((idx, val), good), 10)
             CubicSpline(xs[:a], ys[:a], bc_type="natural")
         for extrema in (((idx, val), good), (good, (idx, val))):
             with pytest.raises(ValueError, match="monotone component"):
-                spline_envelope(extrema, 10, pad=0)
+                spline_envelope(extrema, 10)
 
 
 @pytest.mark.parametrize("label", list(signal_model.FaultLabel))

@@ -217,25 +217,25 @@ def test_argmax_invariant_under_positive_logit_rescaling():
 
 
 def test_split_reproduces_partition_arithmetic():
-    train, val, test = split_indices(27900, SplitSpec(seed=0))
+    train, val, test = split_indices(27900, SplitSpec(), seed=0)
     assert (train.size, val.size, test.size) == (20157, 3558, 4185)
 
 
 def test_split_small_case_ceil_arithmetic():
-    train, val, test = split_indices(20, SplitSpec(seed=1))
+    train, val, test = split_indices(20, SplitSpec(), seed=1)
     assert (len(test), len(val), len(train)) == (3, 3, 14)
 
 
 def test_split_disjoint_exhaustive_deterministic():
     items = list(range(101))
-    split = lambda spec: [idx.tolist() for idx in split_indices(len(items), spec)]
-    a = split(SplitSpec(seed=9))
-    b = split(SplitSpec(seed=9))
+    split = lambda seed: [idx.tolist() for idx in split_indices(len(items), SplitSpec(), seed)]
+    a = split(9)
+    b = split(9)
     for sa, sb in zip(a, b):
         assert sa == sb
     merged = sorted(a[0] + a[1] + a[2])
     assert merged == items
-    c = split(SplitSpec(seed=10))
+    c = split(10)
     assert c[2] != a[2]
 
 
@@ -247,7 +247,7 @@ def test_split_stratified_option():
     items = [Item(FaultLabel(i % 5)) for i in range(100)]
     labels = [int(i.label) for i in items]
     train, val, test = ([items[i] for i in idx]
-                        for idx in split_indices(len(items), SplitSpec(seed=0, stratified=True), labels))
+                        for idx in split_indices(len(items), SplitSpec(stratified=True), 0, labels))
     for subset, expected in ((test, 3), (val, 3), (train, 14)):
         counts = np.bincount([int(i.label) for i in subset], minlength=5)
         assert np.all(counts == expected)
@@ -257,20 +257,20 @@ def test_split_stratified_option():
 @given(st.lists(st.integers(0, 4), min_size=3, max_size=80), st.integers(0, 2**32 - 1),
        st.booleans())
 def test_assign_splits_membership_equals_reference(labels, seed, stratified):
-    spec = SplitSpec(seed=seed, stratified=stratified)
+    spec = SplitSpec(stratified=stratified)
     ds = dataset_from_examples(make_examples(len(labels)))
     ds.labels = np.array(labels)
-    expected = reference_split_keys(ds.provenance, ds.labels, spec)
+    expected = reference_split_keys(ds.provenance, ds.labels, spec, seed)
     if len(expected["train"]) < 2 or not (expected["val"] and expected["test"]):
         with pytest.raises(ValueError):
-            assign_splits(ds, spec)
+            assign_splits(ds, spec, seed)
     else:
-        assert assign_splits(ds, spec).splits == expected
+        assert assign_splits(ds, spec, seed).splits == expected
 
 
 def test_split_validation():
     with pytest.raises(ValueError):
-        split_indices(2, SplitSpec())
+        split_indices(2, SplitSpec(), seed=0)
     with pytest.raises(ValueError):
         config_from_dict({"split": {"test_fraction": 1.5}})
 
@@ -374,7 +374,7 @@ def test_evaluate_on_examples_matches_arrays():
 
 def test_dataset_roundtrip(tmp_path):
     ds = dataset_from_examples(make_examples(), config_echo={"note": 1}, seed=5)
-    assign_splits(ds, SplitSpec(seed=2))
+    assign_splits(ds, SplitSpec(), 2)
     save_dataset(ds, tmp_path)
     back = load_dataset(tmp_path)
     np.testing.assert_array_equal(back.images, ds.images)
@@ -504,15 +504,39 @@ def _name_a_window_provenance_lacks(manifest):
     return "split 'test' names window 'nosuch:0', not in provenance"
 
 
+def _scaler_entry(key, values):
+    def corrupt(manifest):
+        if values is None:
+            del manifest["scaler"][key]
+        else:
+            manifest["scaler"][key] = values
+        return f"scaler '{key}' must hold 2 values, one per feature, got {values!r}"
+    return corrupt
+
+
+def _splits_keys(edit, got):
+    def corrupt(manifest):
+        edit(manifest["splits"])
+        return f"splits must be null or have exactly the keys ['train', 'val', 'test'], got {got!r}"
+    return corrupt
+
+
 _TOP_LEVEL_KEYS = ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed")
+_BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler_entry("min", [0, 0, 0]),
+                "no-max": _scaler_entry("max", None)}
+_BAD_SPLITS = {"no-val": _splits_keys(lambda splits: splits.pop("val"), ["test", "train"]),
+               "extra-split": _splits_keys(lambda splits: splits.update(holdout=[]),
+                                           ["holdout", "test", "train", "val"])}
 
 
 @pytest.mark.parametrize("corrupt", [*map(_drop_key, _TOP_LEVEL_KEYS), _name_a_train_window_in_val,
-                                     _name_a_window_provenance_lacks],
-                         ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window"])
+                                     _name_a_window_provenance_lacks, *_BAD_SCALERS.values(),
+                                     *_BAD_SPLITS.values()],
+                         ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window",
+                              *_BAD_SCALERS, *_BAD_SPLITS])
 def test_load_dataset_names_dataset_json_and_the_key_it_rejects(tmp_path, corrupt):
     ds = dataset_from_examples(make_examples())
-    save_dataset(assign_splits(ds, SplitSpec(seed=2)), tmp_path)
+    save_dataset(assign_splits(ds, SplitSpec(), 2), tmp_path)
     manifest = json.loads((tmp_path / "dataset.json").read_text())
     message = corrupt(manifest)
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
@@ -563,14 +587,14 @@ def test_load_dataset_holds_each_array_once(tmp_path):
 
 def test_scaler_is_fit_on_training_split_only(tmp_path):
     ds = dataset_from_examples(make_examples(60))
-    assign_splits(ds, SplitSpec(seed=4))
+    assign_splits(ds, SplitSpec(), 4)
     reference = ds.scaler.minimum.copy(), ds.scaler.maximum.copy()
 
     # Perturbing features outside the training split must not move the scaler.
     tampered = dataset_from_examples(make_examples(60))
     test_idx = ds.indices_for("test")
     tampered.features_raw[test_idx] += 100.0
-    assign_splits(tampered, SplitSpec(seed=4))
+    assign_splits(tampered, SplitSpec(), 4)
     np.testing.assert_array_equal(tampered.scaler.minimum, reference[0])
     np.testing.assert_array_equal(tampered.scaler.maximum, reference[1])
 
@@ -581,7 +605,7 @@ def test_scaler_is_fit_on_training_split_only(tmp_path):
 
 def test_arrays_for_split_are_consistent():
     ds = dataset_from_examples(make_examples(40))
-    assign_splits(ds, SplitSpec(seed=0))
+    assign_splits(ds, SplitSpec(), 0)
     images, feats, labels, onehot = ds.arrays_for("val")
     assert images.shape[0] == feats.shape[0] == labels.shape[0] == onehot.shape[0]
     np.testing.assert_array_equal(onehot.argmax(axis=1), labels)

@@ -396,8 +396,7 @@ def test_adam_class_matches_functional_step():
     v = np.zeros((3, 2))
     for t in range(1, 4):
         opt.step(p_obj, g)
-        p_fn, m, v = adam_step(p_fn, g, m, v, t=t, learning_rate=0.01,
-                               beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
+        p_fn, m, v = adam_step(p_fn, g, m, v, t=t, learning_rate=0.01)
     np.testing.assert_array_equal(_bits(p_obj), _bits(p_fn))
 
 
@@ -609,6 +608,20 @@ def test_load_model_names_model_json_and_a_missing_top_level_key(tmp_path, key):
     del manifest[key]
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=rf"model\.json: no top-level key '{key}'$"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("edit, got", [
+    (lambda layers: layers.pop("head"), "['feature_branch', 'image_branch']"),
+    (lambda layers: layers.update(extra=None), "['extra', 'feature_branch', 'head', 'image_branch']"),
+], ids=["missing", "unknown"])
+def test_load_model_names_model_json_and_layers_without_the_three_groups(tmp_path, edit, got):
+    save_model(tiny_mlp(), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    edit(manifest["layers"])
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"model\.json: layers must have exactly the keys "
+                                         rf"\['image_branch', 'feature_branch', 'head'\], got {re.escape(got)}$"):
         load_model(tmp_path)
 
 
