@@ -252,9 +252,7 @@ def cmd_embed(args, config: RunConfig, seed: int) -> Done:
     dataset = load_dataset(args.dataset)
     flat = dataset.images.reshape(len(dataset), -1)
     model = pca_fit(flat)
-    # A target the data cannot reach falls back to full rank.
-    target = args.target if args.target < model.cumulative_ratio[-1] else model.cumulative_ratio.size
-    reduced = pca_reduce(model, flat, target)
+    reduced = pca_reduce(model, flat, args.target)
 
     picked = subsample_indices(len(dataset), args.max_points, seed)
     embedding, kl = tsne(reduced[picked], config.tsne, seed)

@@ -93,28 +93,19 @@ def pca_fit(data: np.ndarray) -> PcaModel:
                     cumulative_ratio=np.cumsum(ratios), mean=mean)
 
 
-def components_for_target(model: PcaModel, target) -> int:
-    """Resolve a component count: an int is taken as-is, a float in (0, 1]
-    picks the smallest k whose cumulative explained variance reaches it."""
-    if isinstance(target, (int, np.integer)):
-        k = int(target)
-        if not 1 <= k <= model.components.shape[0]:
-            raise ValueError(f"k must lie in 1..{model.components.shape[0]}")
-        return k
-    fraction = float(target)
+def components_for_target(model: PcaModel, fraction: float) -> int:
+    """The smallest k whose cumulative explained variance reaches ``fraction``
+    in (0, 1]; a fraction the data cannot reach keeps every component."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("variance fraction must lie in (0, 1]")
-    reached = np.flatnonzero(model.cumulative_ratio >= fraction - 1e-12)
-    if reached.size == 0:
-        raise ValueError(
-            f"variance target {fraction} unreachable; maximum is {model.cumulative_ratio[-1]:.6f}"
-        )
-    return int(reached[0]) + 1
+    if fraction >= model.cumulative_ratio[-1]:
+        return model.components.shape[0]
+    return int(np.flatnonzero(model.cumulative_ratio >= fraction - 1e-12)[0]) + 1
 
 
-def pca_reduce(model: PcaModel, data: np.ndarray, target) -> np.ndarray:
+def pca_reduce(model: PcaModel, data: np.ndarray, fraction: float) -> np.ndarray:
     """Project onto the first k components (k per :func:`components_for_target`)."""
-    k = components_for_target(model, target)
+    k = components_for_target(model, fraction)
     return (np.asarray(data, dtype=np.float64) - model.mean) @ model.components[:k].T
 
 

@@ -110,32 +110,19 @@ def spline_knots(
     min_val)). Returns (xs, ys, a): knots [:a] are the maxima's and knots
     [a:] the minima's. On each side the first and last
     ``min(BOUNDARY_PAD_EXTREMA, len(idx))`` extrema are mirrored about sample
-    0 and sample n-1; each side's knots are sorted by position and, where two
-    coincide, the first in (left mirror, extrema, right mirror) order is kept.
+    0 and sample n-1, in (left mirror, extrema, right mirror) order. Since
+    find_extrema's indices rise strictly within 1..n-2, each side's knots
+    rise strictly.
     """
-    xs, ys, sizes = [], [], []
+    xs, ys = [], []
     for idx, val in extrema:
         x = np.asarray(idx).astype(np.float64)
         y = np.asarray(val, dtype=np.float64)
         p = min(BOUNDARY_PAD_EXTREMA, x.size)  # with no extrema, every slice is empty
         xs += (-x[p - 1::-1], x, 2.0 * (n - 1) - x[:-p - 1:-1])
         ys += (y[p - 1::-1], y, y[:-p - 1:-1])
-        sizes.append(x.size + 2 * p)
-    a, m = sizes[0], sum(sizes)
-    xs, ys = np.concatenate(xs), np.concatenate(ys)
-    # The step from the last maximum knot to the first minimum knot is no
-    # gap; slicing leaves it out when either side is empty.
-    gaps = xs[1:] - xs[:-1]
-    gaps[a - 1:a] = 1.0
-    if (gaps < 0).any():
-        order = np.lexsort((xs, np.arange(m) >= a))  # stable: by side, then position
-        xs, ys = xs[order], ys[order]
-        gaps = xs[1:] - xs[:-1]
-        gaps[a - 1:a] = 1.0
-    if gaps.all():
-        return xs, ys, a
-    keep = np.concatenate(([True], gaps > 0))
-    return xs[keep], ys[keep], int(np.count_nonzero(keep[:a]))
+    a = sum(x.size for x in xs[:3])  # the maxima's knots
+    return np.concatenate(xs), np.concatenate(ys), a
 
 
 @lru_cache(maxsize=8)
@@ -170,7 +157,7 @@ def spline_envelope(
         if np.count_nonzero(np.isfinite(val)) != len(val):  # half the cost of .all() per call
             raise ValueError("monotone component")
     # Block 0 holds the maxima's knots 0..a-1, block 1 the minima's knots
-    # a..m-1; spline_knots makes each block strictly increasing. Piece a-1
+    # a..m-1; each block rises strictly, as find_extrema's indices do. Piece a-1
     # joins the blocks; it gets a unit width and no grid points, and no
     # system row reads it.
     xs, ys, a = spline_knots(extrema, n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -389,10 +390,10 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 def load_dataset(in_dir) -> FeaturizedDataset:
     """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
     unknown format, a missing top-level key, a ``scaler`` whose ``min`` or ``max`` does not hold
-    2 values, ``splits`` that is not null or keyed by exactly ``SPLIT_NAMES``, ``offsets`` or
-    ``total_bytes`` that differ from the :func:`dataset_layout` of ``len(provenance)`` windows,
-    a wrong length, a label row that is not one-hot, or a split that names a window twice or
-    one ``provenance`` lacks."""
+    2 finite numbers or whose ``min`` exceeds its ``max`` for a feature, ``splits`` that is not
+    null or keyed by exactly ``SPLIT_NAMES``, ``offsets`` or ``total_bytes`` that differ from the
+    :func:`dataset_layout` of ``len(provenance)`` windows, a wrong length, a label row that is
+    not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
     manifest = json.loads(json_path.read_text())
@@ -405,9 +406,14 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     if scaler is not None:
         for key in ("min", "max"):
             values = scaler.get(key) if isinstance(scaler, dict) else None
-            if not (isinstance(values, list) and len(values) == 2):
-                raise ValueError(f"{json_path}: scaler {key!r} must hold 2 values, one per feature, "
+            # JSON gives int or float; NaN, the infinities, bools and ints past the floats fail.
+            if not (isinstance(values, list) and len(values) == 2
+                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)):
+                raise ValueError(f"{json_path}: scaler {key!r} must hold 2 finite numbers, one per feature, "
                                  f"got {values!r}")
+        for feature, (low, high) in enumerate(zip(scaler["min"], scaler["max"])):
+            if low > high:
+                raise ValueError(f"{json_path}: scaler 'min' {low!r} exceeds 'max' {high!r} for feature {feature}")
     if splits is not None and not (isinstance(splits, dict) and splits.keys() == set(SPLIT_NAMES)):
         got = sorted(splits) if isinstance(splits, dict) else splits
         raise ValueError(f"{json_path}: splits must be null or have exactly the keys {list(SPLIT_NAMES)}, "

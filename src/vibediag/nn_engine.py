@@ -119,9 +119,9 @@ def _column_windows(x: np.ndarray, dtype, rows: int) -> np.ndarray:
 # A BLAS gemm computes the rows of its output (columns, in its column-major
 # view) in blocks counted from its first row, and the rows of a last partial
 # block by other kernels, whose sums can round differently: OpenBLAS's Haswell
-# sgemm and dgemm use blocks of 4. Conv3x3 gives every output row the bits of
-# one gemm over all b*h*w rows, on any kernel whose block size divides 16: it
-# computes whole blocks of 16 together and the last partial block on its own.
+# sgemm and dgemm use blocks of 4. Conv3x3 runs its gemms over whole blocks of
+# 16 rows, so on any kernel whose block size divides 16 every output row has
+# the bits of a row inside a whole block, whatever its batch.
 _ROW_BLOCK = 16
 
 
@@ -164,26 +164,15 @@ class Conv3x3(Layer):
         span = -(-(size - 2 * w) // _ROW_BLOCK) * _ROW_BLOCK  # through its last output row, in whole blocks
         tall = _column_windows(x, self.kernels.dtype, span + 2 * w)
         out = np.empty((span + 2 * w, self.out_channels), tall.dtype)
-        self._gemm_rows(out[:span], lambda di: tall[di * w : di * w + span])
-        # The output rows after the last whole block of the b*h*w, at their tall rows.
-        last = np.arange(b * h * w - b * h * w % _ROW_BLOCK, b * h * w)
-        if last.size:
-            last += 2 * w * (last // (h * w))
-            out[last] = self._gemm_rows(np.empty((last.size, self.out_channels), tall.dtype),
-                                        lambda di: tall[last + di * w])
+        out[:span] = self.bias
+        # Each kernel row adds its windows @ kernels[di] in place: BLAS gemm
+        # (beta=1) on the column-major transposes of the row-major arrays.
+        gemm = get_blas_funcs("gemm", (out,))
+        for di in range(3):
+            gemm(1.0, self.kernels[di].reshape(-1, self.out_channels).T, tall[di * w : di * w + span].T,
+                 beta=1.0, c=out[:span].T, overwrite_c=True)
         self._cache = tall[:size].reshape(b, h + 2, w, 3 * c) if training else None
         return out[:size].reshape(b, h + 2, w, self.out_channels)[:, :h]
-
-    def _gemm_rows(self, out, windows):
-        """``out`` set to the bias plus ``windows(di) @ kernels[di]`` over the kernel rows,
-        accumulated in place by BLAS gemm (beta=1) on the column-major transposes of the
-        row-major arrays."""
-        gemm = get_blas_funcs("gemm", (out,))
-        out[...] = self.bias
-        for di in range(3):
-            gemm(1.0, self.kernels[di].reshape(-1, self.out_channels).T, windows(di).T,
-                 beta=1.0, c=out.T, overwrite_c=True)
-        return out
 
     def backward(self, grad):
         cols = self._saved()

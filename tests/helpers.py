@@ -111,21 +111,24 @@ def row_windows(xp, di, out):
 
 def row_windows_conv3x3_forward(conv, x):
     """``Conv3x3.forward`` as it was before the column-window array: one BLAS
-    GEMM per kernel row, accumulated into the ``(b*h*w, cout)`` output, each on
-    a ``(b*h*w, 3*c)`` window matrix copied from the padded input."""
+    GEMM per kernel row, accumulated into the output, each on a window matrix
+    copied from the padded input. The window matrix has ``b*h*w`` rows padded
+    with zero rows to whole blocks of 16, so every output row comes from a
+    whole block; the first ``b*h*w`` rows are returned."""
     from scipy.linalg.blas import get_blas_funcs
 
     b, h, w, c = x.shape
     dtype = conv.kernels.dtype
     xp = np.pad(x.astype(dtype, copy=False), ((0, 0), (1, 1), (1, 1), (0, 0)))
-    windows = np.empty((b * h * w, 3 * c), dtype)
-    out = np.empty((b * h * w, conv.out_channels), dtype)
+    rows = -(-b * h * w // 16) * 16
+    windows = np.zeros((rows, 3 * c), dtype)
+    out = np.empty((rows, conv.out_channels), dtype)
     out[...] = conv.bias
     gemm = get_blas_funcs("gemm", (out,))
     for di in range(3):
-        gemm(1.0, conv.kernels[di].reshape(3 * c, -1).T, row_windows(xp, di, windows).T,
-             beta=1.0, c=out.T, overwrite_c=True)
-    return out.reshape(b, h, w, conv.out_channels)
+        row_windows(xp, di, windows[: b * h * w])
+        gemm(1.0, conv.kernels[di].reshape(3 * c, -1).T, windows.T, beta=1.0, c=out.T, overwrite_c=True)
+    return out[: b * h * w].reshape(b, h, w, conv.out_channels)
 
 
 def rebuilt_windows_conv3x3_backward(conv, x, grad):

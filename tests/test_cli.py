@@ -257,6 +257,14 @@ def test_embed_outputs(desk_run, every_stage):
     assert manifest["extra"]["kl_final"] <= manifest["extra"]["kl_after_exaggeration"] + 1e-12
 
 
+def test_embed_at_target_one_keeps_every_component(desk_run, tmp_path):
+    out = tmp_path / "embed"
+    assert run(["embed", "--dataset", desk_run / "dataset", "--out", out, "--target", "1.0",
+                "--perplexity", "8", "--iterations", "60", "--max-points", "60"]) == 0
+    curve = (out / "variance_curve.csv").read_text().strip().splitlines()[1:]
+    assert json.loads((out / "manifest.json").read_text())["extra"]["components"] == len(curve)
+
+
 @pytest.mark.parametrize("flags", [["--max-points", "1"], ["--target", "0"], ["--target", "5"]])
 def test_failed_embed_leaves_no_out_directory(desk_run, tmp_path, capsys, flags):
     out = tmp_path / "embed"

@@ -61,7 +61,8 @@ def test_full_rank_projection_reconstructs_input():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(100, 6))
     model = pca_fit(data)
-    reduced = pca_reduce(model, data, 6)
+    reduced = pca_reduce(model, data, 1.0)
+    assert reduced.shape[1] == 6
     np.testing.assert_allclose(reduced @ model.components[:6] + model.mean, data, atol=1e-8)
 
 
@@ -75,17 +76,17 @@ def test_variance_target_selects_rank():
     assert pca_reduce(model, data, 0.9).shape[1] <= 3
 
 
-def test_unreachable_variance_target():
+def test_a_fraction_at_or_above_the_total_keeps_every_component():
     model = PcaModel(
         components=np.eye(2),
         explained_variance_ratio=np.array([0.6, 0.2]),
         cumulative_ratio=np.array([0.6, 0.8]),
         mean=np.zeros(2),
     )
-    with pytest.raises(ValueError, match="unreachable"):
-        components_for_target(model, 0.99)
-    with pytest.raises(ValueError):
-        components_for_target(model, 5)
+    assert components_for_target(model, 0.6) == 1
+    assert components_for_target(model, 0.7) == 2
+    for fraction in (0.8, 0.99, 1.0):
+        assert components_for_target(model, fraction) == 2
 
 
 def test_zero_variance_data():

@@ -510,8 +510,13 @@ def _scaler_entry(key, values):
             del manifest["scaler"][key]
         else:
             manifest["scaler"][key] = values
-        return f"scaler '{key}' must hold 2 values, one per feature, got {values!r}"
+        return f"scaler '{key}' must hold 2 finite numbers, one per feature, got {values!r}"
     return corrupt
+
+
+def _min_above_max(manifest):
+    low = manifest["scaler"]["min"][1] = manifest["scaler"]["max"][1] + 1.0
+    return f"scaler 'min' {low!r} exceeds 'max' {manifest['scaler']['max'][1]!r} for feature 1"
 
 
 def _splits_keys(edit, got):
@@ -523,7 +528,10 @@ def _splits_keys(edit, got):
 
 _TOP_LEVEL_KEYS = ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed")
 _BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler_entry("min", [0, 0, 0]),
-                "no-max": _scaler_entry("max", None)}
+                "no-max": _scaler_entry("max", None), "min-nan": _scaler_entry("min", [float("nan"), 0.0]),
+                "max-inf": _scaler_entry("max", [1.0, float("inf")]), "min-text": _scaler_entry("min", ["a", 0.0]),
+                "max-bool": _scaler_entry("max", [True, 1.0]), "min-past-float": _scaler_entry("min", [0, 10**400]),
+                "min-above-max": _min_above_max}
 _BAD_SPLITS = {"no-val": _splits_keys(lambda splits: splits.pop("val"), ["test", "train"]),
                "extra-split": _splits_keys(lambda splits: splits.update(holdout=[]),
                                            ["holdout", "test", "train", "val"])}

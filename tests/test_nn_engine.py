@@ -138,10 +138,10 @@ _TIE_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
 )
 # With 3*cin = 36 and cout < 4, OpenBLAS's Haswell sgemm and dgemm round the
 # rows of a GEMM's last partial block of 4 differently from rows in whole
-# blocks, so a wrong block split in the layer shows in the bits. The first two
-# put output rows in the last partial block of the reference's GEMMs, the
-# second across all three images; in the third the reference has none, but
-# the tall image's 54 rows end in a partial block.
+# blocks, so an output row that the layer computes outside a whole block shows
+# in the bits. In the first two b*h*w is not a whole number of blocks, the
+# second's rows spread over all three images; in the third it is, but the tall
+# image's 54 rows end in a partial block.
 @example(b=2, h=3, w=5, cin=12, cout=3, ties=False, seed=1)
 @example(b=3, h=1, w=1, cin=12, cout=2, ties=False, seed=2)
 @example(b=2, h=8, w=3, cin=12, cout=3, ties=False, seed=1)
