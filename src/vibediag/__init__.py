@@ -7,4 +7,4 @@ plus PCA/t-SNE data exploration and a synthetic rig for dataset-free runs.
 
 __version__ = "0.1.0"
 
-from vibediag.signal_model import FaultLabel, Recording, SyntheticSpec  # noqa: F401
+from vibediag.signal_model import FaultLabel, Recording  # noqa: F401

@@ -22,7 +22,7 @@ import numpy as np
 
 import vibediag
 from vibediag.band_features import find_torsional_peaks, magnitude_spectrum
-from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
+from vibediag.config import RunConfig, config_from_dict, config_to_dict, resolve_seed
 from vibediag.embedding import pca_fit, pca_reduce, subsample_indices, tsne
 from vibediag.hht import write_image
 from vibediag.hybrid_model import (
@@ -41,14 +41,7 @@ from vibediag.hybrid_model import (
 )
 from vibediag.nn_engine import load_model, save_model, train
 from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
-from vibediag.signal_model import (
-    FaultLabel,
-    Recording,
-    load_recording,
-    preset_spec,
-    save_recording,
-    synthesize_recording,
-)
+from vibediag.signal_model import FaultLabel, Recording, load_recording, save_recording, synthesize_recording
 
 
 def _sha256(path: Path) -> str:
@@ -112,11 +105,13 @@ def _configure(args) -> tuple[RunConfig, int]:
         value = getattr(args, dest, least)
         if value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
-    payload = config_to_dict(load_config(args.config))
+    payload = json.loads(Path(args.config).read_text()) if args.config else {}
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
             section, name = dest.split(".")
-            payload[section][name] = value
+            # A file that is not an object of objects is left for config_from_dict to reject.
+            if isinstance(payload, dict) and isinstance(payload.setdefault(section, {}), dict):
+                payload[section][name] = value
     config = config_from_dict(payload)
     return config, resolve_seed(args.seed, config)
 
@@ -137,17 +132,9 @@ def cmd_simulate(args, config: RunConfig, seed: int) -> Done:
     artifacts = []
     for label in FaultLabel:
         for rep in range(sim.recordings_per_class):
-            spec = preset_spec(
-                label,
-                duration_s=sim.duration_s,
-                sample_rate_hz=sim.sample_rate_hz,
-                shaft_hz=sim.shaft_hz,
-                noise_sigma=sim.noise_sigma,
-                impulse_amplitude=sim.impulse_amplitude,
-            )
             rec_seed = seed * 1000 + int(label) * 10 + rep
             rec_id = f"{label.canonical_name.lower()}-r{rep}"
-            rec = synthesize_recording(spec, rec_seed, id=rec_id)
+            rec = synthesize_recording((label, sim), rec_seed, id=rec_id)
             _prepare_out(out)  # after a recording is synthesized, so a failed one leaves no --out
             artifacts.extend(save_recording(rec, out / f"{rec_id}.csv"))
     return Done(f"simulate: wrote {len(artifacts) // 2} recordings to {out}", out, artifacts)

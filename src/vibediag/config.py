@@ -10,6 +10,10 @@ optimiser) live in their modules, and split and embed draw from the run seed.
 Each field declares its bound once, as plain data in its metadata (``min``,
 ``gt``, ``lt`` or ``in``), and ``config_from_dict`` checks every type and
 bound where a config enters; code that builds a section itself is trusted.
+The emd, train, split, tsne and simulate sections are defined in the modules
+that use them. ``band``, ``train`` and ``simulate`` also check rules across
+their fields when built; the rig's ``simulate`` section (in ``signal_model``)
+keeps every rate it draws below Nyquist and each recording at two samples or more.
 The checked-in configs/defaults.json mirrors these values.
 """
 
@@ -29,6 +33,7 @@ from vibediag.emd import EmdConfig
 from vibediag.embedding import TsneConfig
 from vibediag.hybrid_model import SplitSpec
 from vibediag.nn_engine import TrainConfig
+from vibediag.signal_model import SimulateConfig
 
 SEED_ENV_VAR = "VIBEDIAG_SEED"
 
@@ -58,16 +63,6 @@ class BandConfig:
         if self.search_lo_hz >= self.search_hi_hz:
             raise ValueError(f"config field band.search_lo_hz must be < band.search_hi_hz "
                              f"({self.search_hi_hz}), got {self.search_lo_hz}")
-
-
-@dataclass
-class SimulateConfig:
-    duration_s: float = field(default=2.0, metadata={"gt": 0})
-    sample_rate_hz: float = field(default=31175.0, metadata={"gt": 0})
-    shaft_hz: float = field(default=20.0, metadata={"gt": 0})
-    noise_sigma: float = field(default=0.1, metadata={"min": 0})
-    impulse_amplitude: float = field(default=1.0, metadata={"min": 0})
-    recordings_per_class: int = field(default=1, metadata={"min": 1})
 
 
 @dataclass

@@ -91,15 +91,6 @@ def find_extrema(series: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tup
     return (max_idx, x[max_idx]), (min_idx, x[min_idx])
 
 
-def zero_crossings(series: np.ndarray) -> int:
-    """Count sign changes, ignoring exact zeros."""
-    s = np.sign(series)
-    s = s[s != 0]
-    if s.size < 2:
-        return 0
-    return int(np.count_nonzero(s[:-1] != s[1:]))
-
-
 def spline_knots(
     extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     n: int,

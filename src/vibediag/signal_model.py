@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -85,41 +85,6 @@ class Recording:
         return 1.0 / self.sample_rate_hz
 
 
-@dataclass
-class SyntheticSpec:
-    """Knobs for the synthetic rig.
-
-    The defect model is an impulse train at one or more characteristic
-    rates, each impulse exciting decaying resonances on the linear channel,
-    while the angular channel carries resonance tones whose band power
-    depends on the fault class. Rates and frequencies are generator knobs,
-    not claims about any particular bearing geometry.
-    """
-
-    label: FaultLabel
-    duration_s: float = 2.0
-    shaft_hz: float = 20.0
-    sample_rate_hz: float = 31175.0
-    resonance_hz: tuple[float, ...] = (240.0, 820.0)
-    fault_rate_hz: tuple[float, ...] = ()
-    impulse_amplitude: float = 1.0
-    modulation_depth: float = 0.0
-    noise_sigma: float = 0.1
-    resonance_decay_s: float = 0.004
-
-    def __post_init__(self) -> None:
-        self.fault_rate_hz = tuple(float(r) for r in self.fault_rate_hz)
-        self.resonance_hz = tuple(float(f) for f in self.resonance_hz)
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        nyquist = self.sample_rate_hz / 2.0
-        for rate in (self.shaft_hz, *self.fault_rate_hz, *self.resonance_hz):
-            if rate >= nyquist:
-                raise ValueError(f"rate {rate} Hz is at or above the Nyquist frequency {nyquist} Hz")
-
-
 # Per-class (first, second) resonance tone weights for the angular channel.
 # Distinct signatures keep the five presets separable through the band-power
 # features alone; Normal carries no resonance tones at all.
@@ -140,6 +105,14 @@ PRESET_FAULT_RATES = {
     FaultLabel.COMBINED: (59.0, 87.0, 99.0),
 }
 
+# The inner race's impulses are amplitude modulated at the shaft rate by this depth;
+# every other class is unmodulated.
+INNER_RACE_MODULATION_DEPTH = 0.8
+
+# The two resonances every impulse excites, and their ring-down time constant.
+RESONANCE_HZ = (240.0, 820.0)
+RESONANCE_DECAY_S = 0.004
+
 _SHAFT_HARMONIC_AMPLITUDE = 0.25
 
 # With impulse_amplitude=1.0, envelope band energies at the characteristic
@@ -148,74 +121,99 @@ _SHAFT_HARMONIC_AMPLITUDE = 0.25
 CLASS_SEPARATION_NOISE_SIGMA = 0.5
 
 
-def preset_spec(label: FaultLabel, **rig) -> SyntheticSpec:
-    """The synthetic spec of one fault class; ``rig`` keywords (duration_s,
-    sample_rate_hz, shaft_hz, noise_sigma, impulse_amplitude) override the
-    defaults of :class:`SyntheticSpec`."""
-    return SyntheticSpec(
-        label=label,
-        fault_rate_hz=PRESET_FAULT_RATES[label],
-        modulation_depth=0.8 if label is FaultLabel.INNER_RACE else 0.0,
-        **rig,
-    )
+@dataclass
+class SimulateConfig:
+    """The synthetic rig's settings, one set for every class it draws."""
+
+    duration_s: float = field(default=2.0, metadata={"gt": 0})
+    sample_rate_hz: float = field(default=31175.0, metadata={"gt": 0})
+    shaft_hz: float = field(default=20.0, metadata={"gt": 0})
+    noise_sigma: float = field(default=0.1, metadata={"min": 0})
+    impulse_amplitude: float = field(default=1.0, metadata={"min": 0})
+    recordings_per_class: int = field(default=1, metadata={"min": 1})
+
+    def __post_init__(self) -> None:
+        """The rules across fields: every rate the rig draws stays below Nyquist, and a
+        recording holds at least two samples."""
+        top = max(self.shaft_hz, *RESONANCE_HZ, *sum(PRESET_FAULT_RATES.values(), ()))
+        if self.sample_rate_hz <= 2.0 * top:
+            raise ValueError(f"config field simulate.sample_rate_hz must be > {2.0 * top} "
+                             f"(twice the rig's highest rate, {top} Hz), got {self.sample_rate_hz}")
+        if round(self.duration_s * self.sample_rate_hz) < 2:
+            raise ValueError(f"config field simulate.duration_s must give >= 2 samples at "
+                             f"simulate.sample_rate_hz ({self.sample_rate_hz}), got {self.duration_s}")
 
 
-def _ring_kernel(spec: SyntheticSpec) -> np.ndarray:
+def preset_spec(label: FaultLabel, **rig) -> tuple[FaultLabel, SimulateConfig]:
+    """The (label, rig settings) pair that :func:`synthesize_recording` draws; ``rig`` keywords
+    (duration_s, sample_rate_hz, shaft_hz, noise_sigma, impulse_amplitude) override the
+    defaults of :class:`SimulateConfig`."""
+    return label, SimulateConfig(**rig)
+
+
+def _ring_kernel(fs: float) -> np.ndarray:
     """Decaying multi-resonance ring-down excited by a single unit impulse."""
-    fs = spec.sample_rate_hz
-    length = max(int(round(5.0 * spec.resonance_decay_s * fs)), 8)
+    length = max(int(round(5.0 * RESONANCE_DECAY_S * fs)), 8)
     t = np.arange(length) / fs
     kernel = np.zeros(length)
-    for f in spec.resonance_hz:
-        kernel += np.exp(-t / spec.resonance_decay_s) * np.sin(2.0 * np.pi * f * t)
+    for f in RESONANCE_HZ:
+        kernel += np.exp(-t / RESONANCE_DECAY_S) * np.sin(2.0 * np.pi * f * t)
     peak = np.max(np.abs(kernel))
     if peak > 0:
         kernel /= peak
     return kernel
 
 
-def synthesize_recording(spec: SyntheticSpec, seed: int, id: str | None = None) -> Recording:
-    """Generate a deterministic synthetic recording for ``spec``.
+def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
+                         id: str | None = None) -> Recording:
+    """Generate a deterministic synthetic recording of the class ``label`` drawn with the
+    rig settings ``sim``, where ``spec`` is ``(label, sim)``.
 
-    The linear channel is an impulse train at each characteristic rate
-    convolved with the ring-down kernel (amplitude modulated at shaft rate
-    when ``modulation_depth`` > 0), plus a shaft harmonic and white noise.
-    The angular channel carries the class-weighted resonance tones, the
-    shaft harmonic and independent noise.
+    The defect model is an impulse train at each of the class's characteristic
+    rates (:data:`PRESET_FAULT_RATES`), each impulse exciting the decaying
+    resonances :data:`RESONANCE_HZ` on the linear channel, while the angular
+    channel carries resonance tones whose band power depends on the fault class
+    (:data:`ANGULAR_TONE_WEIGHTS`). Rates and frequencies are generator knobs,
+    not claims about any particular bearing geometry.
+
+    The linear channel is the impulse trains convolved with the ring-down kernel
+    (amplitude modulated at shaft rate for the inner race), plus a shaft harmonic
+    and white noise. The angular channel carries the class-weighted resonance
+    tones, the shaft harmonic and independent noise.
     """
+    label, sim = spec
     rng = np.random.default_rng(seed)
-    fs = spec.sample_rate_hz
-    n = int(round(spec.duration_s * fs))
+    fs = sim.sample_rate_hz
+    n = int(round(sim.duration_s * fs))
     t = np.arange(n) / fs
 
     fault = np.zeros(n)
-    if spec.fault_rate_hz and spec.impulse_amplitude != 0.0:
-        kernel = _ring_kernel(spec)
-        for rate in spec.fault_rate_hz:
-            hits = np.arange(0.0, spec.duration_s, 1.0 / rate)
+    if PRESET_FAULT_RATES[label] and sim.impulse_amplitude != 0.0:
+        kernel = _ring_kernel(fs)
+        for rate in PRESET_FAULT_RATES[label]:
+            hits = np.arange(0.0, sim.duration_s, 1.0 / rate)
             idx = np.round(hits * fs).astype(int)
             idx = idx[idx < n]
             train = np.zeros(n)
-            train[idx] = spec.impulse_amplitude
+            train[idx] = sim.impulse_amplitude
             fault += np.convolve(train, kernel)[:n]
-        if spec.modulation_depth > 0.0:
-            fault *= 1.0 + spec.modulation_depth * np.cos(2.0 * np.pi * spec.shaft_hz * t)
+        if label is FaultLabel.INNER_RACE:
+            fault *= 1.0 + INNER_RACE_MODULATION_DEPTH * np.cos(2.0 * np.pi * sim.shaft_hz * t)
 
-    shaft = _SHAFT_HARMONIC_AMPLITUDE * np.sin(2.0 * np.pi * spec.shaft_hz * t)
-    linear = fault + shaft + rng.normal(0.0, spec.noise_sigma, n)
+    shaft = _SHAFT_HARMONIC_AMPLITUDE * np.sin(2.0 * np.pi * sim.shaft_hz * t)
+    linear = fault + shaft + rng.normal(0.0, sim.noise_sigma, n)
 
-    w1, w2 = ANGULAR_TONE_WEIGHTS[spec.label]
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(spec.resonance_hz))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(RESONANCE_HZ))
     angular = shaft.copy()
-    for weight, f, phase in zip((w1, w2), spec.resonance_hz, phases):
-        angular += weight * spec.impulse_amplitude * np.sin(2.0 * np.pi * f * t + phase)
-    angular += rng.normal(0.0, spec.noise_sigma, n)
+    for weight, f, phase in zip(ANGULAR_TONE_WEIGHTS[label], RESONANCE_HZ, phases):
+        angular += weight * sim.impulse_amplitude * np.sin(2.0 * np.pi * f * t + phase)
+    angular += rng.normal(0.0, sim.noise_sigma, n)
 
-    rec_id = id if id is not None else f"syn-{spec.label.canonical_name.lower()}-seed{seed}"
+    rec_id = id if id is not None else f"syn-{label.canonical_name.lower()}-seed{seed}"
     return Recording(
         sample_rate_hz=fs,
-        rpm=spec.shaft_hz * 60.0,
-        label=spec.label,
+        rpm=sim.shaft_hz * 60.0,
+        label=label,
         linear=linear[None, :],
         angular=angular,
         id=rec_id,

@@ -361,6 +361,8 @@ def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value
     ({"band": {"half_width_hz": -5.0}}, "band.half_width_hz", None),
     ({"seed": 2.5}, "seed", None),
     ({"segmentation": {"linear_channel": -1}}, "segmentation.linear_channel", None),
+    ({"simulate": {"sample_rate_hz": 1000.0}}, "simulate.sample_rate_hz", ("simulate", "--sample-rate-hz", "1000")),
+    ({"simulate": {"duration_s": 0.00001}}, "simulate.duration_s", ("simulate", "--duration-s", "0.00001")),
 ])
 def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, capsys, payload, name, flag):
     with pytest.raises(ValueError) as excinfo:
@@ -440,6 +442,19 @@ def test_flags_override_the_config_fields_they_name_and_absent_flags_keep_them(d
     assert run(["split", "--dataset", copy, "--config", config, "--val-fraction", "0.25"]) == 0
     split = json.loads((copy / "manifest.json").read_text())["config"]["split"]
     assert (split["test_fraction"], split["val_fraction"], split["stratified"]) == (0.3, 0.25, True)
+
+
+def test_a_flag_mends_a_config_file_value_that_breaks_a_rule_across_fields(tmp_path, capsys):
+    # Flags are laid over the file before any section is built, so only the merged values are checked.
+    simulate, band = tmp_path / "simulate.json", tmp_path / "band.json"
+    simulate.write_text(json.dumps({"simulate": {"sample_rate_hz": 1000.0, "duration_s": 0.00001}}))
+    band.write_text(json.dumps({"band": {"search_lo_hz": 3000.0}}))
+    assert run(["simulate", "--config", simulate, "--out", tmp_path / "out", *DESK_FLAGS]) == 0
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["simulate"]
+    assert (echo["sample_rate_hz"], echo["duration_s"]) == (8192.0, 0.8)
+    capsys.readouterr()
+    assert run(["srs", "--config", band, "--recording", tmp_path / "out" / "combined-r0.csv", "--lo", "100"]) == 0
+    assert "peaks_hz" in json.loads(capsys.readouterr().out)
 
 
 def test_train_rejects_batch_size_zero_with_the_config_message(desk_run, tmp_path, capsys):

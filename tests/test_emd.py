@@ -15,12 +15,20 @@ from vibediag.emd import (
     sift,
     spline_envelope,
     spline_knots,
-    zero_crossings,
 )
 
 
 def corr(a, b):
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def zero_crossings(series: np.ndarray) -> int:
+    """Count sign changes, ignoring exact zeros."""
+    s = np.sign(series)
+    s = s[s != 0]
+    if s.size < 2:
+        return 0
+    return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
 def test_find_extrema_hand_case():

@@ -6,9 +6,10 @@ import pytest
 from helpers import detected_rates, envelope_spectrum
 from vibediag.signal_model import (
     CLASS_SEPARATION_NOISE_SIGMA,
+    PRESET_FAULT_RATES,
     FaultLabel,
     Recording,
-    SyntheticSpec,
+    SimulateConfig,
     load_recording,
     preset_spec,
     save_recording,
@@ -133,28 +134,35 @@ def test_synthesis_is_deterministic():
     assert not np.array_equal(a.linear, c.linear)
 
 
-def test_rates_must_stay_below_nyquist():
-    with pytest.raises(ValueError, match="Nyquist"):
-        SyntheticSpec(label=FaultLabel.OUTER_RACE, sample_rate_hz=1000.0,
-                      fault_rate_hz=(600.0,), resonance_hz=(240.0,))
+@pytest.mark.parametrize("rig, least", [({"sample_rate_hz": 1640.0}, 1640.0),
+                                        ({"sample_rate_hz": 8192.0, "shaft_hz": 4096.0}, 8192.0)],
+                         ids=["sample-rate", "shaft-rate"])
+def test_rates_must_stay_below_nyquist(rig, least):
+    # The rig's highest rate is its 820 Hz resonance unless the shaft turns faster.
+    with pytest.raises(ValueError, match=rf"^config field simulate\.sample_rate_hz must be > {least} "):
+        SimulateConfig(**rig)
+    SimulateConfig(**{**rig, "sample_rate_hz": np.nextafter(least, np.inf)})
 
 
 def test_normal_with_zero_amplitude_has_no_impulse_peaks():
     spec = preset_spec(FaultLabel.NORMAL, duration_s=1.0, sample_rate_hz=8192.0,
                        impulse_amplitude=0.0, noise_sigma=0.1)
     rec = synthesize_recording(spec, seed=3)
-    assert detected_rates(rec.linear[0], spec.sample_rate_hz) == ()
+    _, sim = spec
+    assert detected_rates(rec.linear[0], sim.sample_rate_hz) == ()
 
 
 def test_outer_race_envelope_peaks_at_fault_rate():
     spec = preset_spec(FaultLabel.OUTER_RACE, duration_s=1.0, sample_rate_hz=8192.0,
                        noise_sigma=0.0)
-    assert spec.fault_rate_hz == (87.0,)
+    (rate,) = PRESET_FAULT_RATES[FaultLabel.OUTER_RACE]
     rec = synthesize_recording(spec, seed=1)
-    freqs, mags = envelope_spectrum(rec.linear[0], spec.sample_rate_hz)
+    _, sim = spec
+    freqs, mags = envelope_spectrum(rec.linear[0], sim.sample_rate_hz)
     band = (freqs >= 50.0) & (freqs <= 150.0)
     peak_hz = freqs[band][np.argmax(mags[band])]
-    assert abs(peak_hz - 87.0) <= 1.5
+    assert rate == 87.0
+    assert abs(peak_hz - rate) <= 1.5
 
 
 @pytest.mark.parametrize("noise_sigma", [0.1, CLASS_SEPARATION_NOISE_SIGMA])
@@ -165,7 +173,8 @@ def test_presets_have_distinguishable_envelope_signatures(noise_sigma):
         spec = preset_spec(label, duration_s=1.0, sample_rate_hz=8192.0,
                            noise_sigma=noise_sigma)
         rec = synthesize_recording(spec, seed=21 + label)
-        signatures[label] = detected_rates(rec.linear[0], spec.sample_rate_hz)
+        _, sim = spec
+        signatures[label] = detected_rates(rec.linear[0], sim.sample_rate_hz)
     assert signatures[FaultLabel.NORMAL] == ()
     assert signatures[FaultLabel.INNER_RACE] == (99.0,)
     assert signatures[FaultLabel.OUTER_RACE] == (87.0,)
