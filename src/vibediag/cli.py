@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ from vibediag.hybrid_model import (
 )
 from vibediag.nn_engine import load_model, save_model, train
 from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
-from vibediag.signal_model import FaultLabel, Recording, load_recording, save_recording, synthesize_recording
+from vibediag.signal_model import (FaultLabel, Recording, load_recording, read_json, save_recording,
+                                   synthesize_recording)
 
 
 def _sha256(path: Path) -> str:
@@ -105,12 +107,12 @@ def _configure(args) -> tuple[RunConfig, int]:
         value = getattr(args, dest, least)
         if value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
-    payload = json.loads(Path(args.config).read_text()) if args.config else {}
+    payload = read_json(args.config) if args.config else {}
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
             section, name = dest.split(".")
-            # A file that is not an object of objects is left for config_from_dict to reject.
-            if isinstance(payload, dict) and isinstance(payload.setdefault(section, {}), dict):
+            # A section that is not an object is left for config_from_dict to reject.
+            if isinstance(payload.setdefault(section, {}), dict):
                 payload[section][name] = value
     config = config_from_dict(payload)
     return config, resolve_seed(args.seed, config)
@@ -128,16 +130,13 @@ def _torsional_peaks(recording_path, band):
 
 def cmd_simulate(args, config: RunConfig, seed: int) -> Done:
     sim = config.simulate
-    out = Path(args.out)
-    artifacts = []
-    for label in FaultLabel:
-        for rep in range(sim.recordings_per_class):
-            rec_seed = seed * 1000 + int(label) * 10 + rep
-            rec_id = f"{label.canonical_name.lower()}-r{rep}"
-            rec = synthesize_recording((label, sim), rec_seed, id=rec_id)
-            _prepare_out(out)  # after a recording is synthesized, so a failed one leaves no --out
-            artifacts.extend(save_recording(rec, out / f"{rec_id}.csv"))
-    return Done(f"simulate: wrote {len(artifacts) // 2} recordings to {out}", out, artifacts)
+    # Every recording is drawn before --out is made, so a failed draw leaves no --out.
+    recordings = [synthesize_recording((label, sim), seed * 1000 + int(label) * 10 + rep,
+                                       id=f"{label.canonical_name.lower()}-r{rep}")
+                  for label in FaultLabel for rep in range(sim.recordings_per_class)]
+    out = _prepare_out(args.out)
+    artifacts = [path for rec in recordings for path in save_recording(rec, out / f"{rec.id}.csv")]
+    return Done(f"simulate: wrote {len(recordings)} recordings to {out}", out, artifacts)
 
 
 def cmd_srs(args, config: RunConfig, seed: int) -> Done:
@@ -171,12 +170,12 @@ def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
 def cmd_split(args, config: RunConfig, seed: int) -> Done:
     dataset_dir = Path(args.dataset)
     dataset = load_dataset(dataset_dir)
+    # Keep the featurize counters that the manifest being replaced recorded; read before any write.
+    previous = dataset_dir / "manifest.json"
+    extra = read_json(previous).get("extra", {}) if previous.is_file() else {}
     assign_splits(dataset, config.split, seed)
     save_dataset_json(dataset, dataset_dir)
     counts = {name: len(keys) for name, keys in dataset.splits.items()}
-    # Keep the featurize counters that the manifest being replaced recorded.
-    previous = dataset_dir / "manifest.json"
-    extra = json.loads(previous.read_text()).get("extra", {}) if previous.is_file() else {}
     return Done(f"split: {counts}", dataset_dir, [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
                 extra={**extra, **counts}, dataset=dataset)
 
@@ -218,7 +217,8 @@ def cmd_eval(args, config: RunConfig, seed: int) -> Done:
             raise ValueError(f"{data_bin}: sha256 {given}, but the checkpoint was trained on "
                              f"sha256 {trained['dataset_sha256']}")
     dataset = load_dataset(args.dataset)
-    branch = trained.get("branch", "hybrid")
+    image, feature = (layers is not None for layers in model.branches)
+    branch = "hybrid" if image and feature else "cnn" if image else "mlp"
     images, feats, labels, _ = dataset.arrays_for(args.split)
     metrics = evaluate_arrays(model, images, feats, labels)
     report = classification_report(metrics)
@@ -286,7 +286,11 @@ def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list
 def cmd_import(args, config: RunConfig, seed: int) -> Done:
     """Adapt an externally downloaded raw CSV into the recording format."""
     src = Path(args.src)
-    raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is rejected below, by its row count
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0, ndmin=2)
+    if len(raw) < 2:
+        raise ValueError(f"{src}: {len(raw)} data row(s), but a recording needs at least 2")
     linear = raw[:, _columns("--linear-cols", args.linear_cols, src, raw.shape[1], most=2)].T
     (angular_col,) = _columns("--angular-col", args.angular_col, src, raw.shape[1], most=1)
     angular = raw[:, angular_col]

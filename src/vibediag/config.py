@@ -33,7 +33,7 @@ from vibediag.emd import EmdConfig
 from vibediag.embedding import TsneConfig
 from vibediag.hybrid_model import SplitSpec
 from vibediag.nn_engine import TrainConfig
-from vibediag.signal_model import SimulateConfig
+from vibediag.signal_model import SimulateConfig, read_json
 
 SEED_ENV_VAR = "VIBEDIAG_SEED"
 
@@ -143,9 +143,7 @@ def config_from_dict(payload: dict) -> RunConfig:
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict({} if path is None else read_json(path))
 
 
 def config_to_dict(config: RunConfig) -> dict:

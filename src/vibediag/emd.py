@@ -35,11 +35,13 @@ THETA2 = 0.5
 ALPHA = 0.05
 # Extrema mirrored about each end of the series, per envelope.
 BOUNDARY_PAD_EXTREMA = 2
+# The Hilbert image draws at most this many modes, so no more are sifted.
+MAX_IMFS = 3
 
 
 @dataclass
 class EmdConfig:
-    max_imfs: int = field(default=3, metadata={"min": 1})
+    max_imfs: int = field(default=3, metadata={"in": tuple(range(1, MAX_IMFS + 1))})
     max_sift_iterations: int = field(default=100, metadata={"min": 1})
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vibediag.emd import ImfSet
+from vibediag.emd import MAX_IMFS, ImfSet
 
 IMAGE_SIZE = 32
 
@@ -150,7 +150,7 @@ def render_spectrum_image(
     if freq_max_hz > nyquist * (1.0 + 1e-12):
         raise ValueError(f"freq_max_hz {freq_max_hz} exceeds the Nyquist frequency {nyquist}")
 
-    modes = imfs.imfs[:3]
+    modes = imfs.imfs[:MAX_IMFS]
     n = modes[0].size
     time_bins = (np.arange(n) * IMAGE_SIZE) // n
     df = freq_max_hz / IMAGE_SIZE

@@ -38,7 +38,7 @@ from vibediag.nn_engine import (
     ReLU,
     eval_logits,
 )
-from vibediag.signal_model import N_CLASSES, FaultLabel
+from vibediag.signal_model import N_CLASSES, FaultLabel, read_json
 
 FLATTEN_WIDTH = 64 * (IMAGE_SIZE // 8) ** 2  # 64 maps of 4x4 -> 1024
 
@@ -396,12 +396,8 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
-    manifest = json.loads(json_path.read_text())
-    if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {DATASET_FORMAT!r}")
-    for key in ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed"):
-        if key not in manifest:
-            raise ValueError(f"{json_path}: no top-level key {key!r}")
+    manifest = read_json(json_path, ("total_bytes", "offsets", "provenance", "scaler", "splits",
+                                     "config_echo", "seed"), DATASET_FORMAT)
     scaler, splits = manifest["scaler"], manifest["splits"]
     if scaler is not None:
         for key in ("min", "max"):

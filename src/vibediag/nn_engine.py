@@ -24,6 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import get_blas_funcs
 
+from vibediag.signal_model import read_json
+
 
 @dataclass
 class TrainConfig:
@@ -116,12 +118,12 @@ def _column_windows(x: np.ndarray, dtype, rows: int) -> np.ndarray:
     return tall
 
 
-# A BLAS gemm computes the rows of its output (columns, in its column-major
-# view) in blocks counted from its first row, and the rows of a last partial
-# block by other kernels, whose sums can round differently: OpenBLAS's Haswell
-# sgemm and dgemm use blocks of 4. Conv3x3 runs its gemms over whole blocks of
-# 16 rows, so on any kernel whose block size divides 16 every output row has
-# the bits of a row inside a whole block, whatever its batch.
+# A BLAS gemm computes the rows of its output (columns, in its column-major view) in blocks counted
+# from its first row, and the rows of a last partial block by other kernels, whose sums can round
+# differently: OpenBLAS's Haswell sgemm and dgemm use blocks of 4. On a SkylakeX core (numpy's OpenBLAS
+# 0.3.31, scipy's 0.3.30) the conv tests keep the reference's bits with blocks of 4 or 8, not 2 or 1.
+# Conv3x3 runs its gemms over whole blocks of 16 rows, so on any kernel whose block size divides 16
+# every output row has the bits of a row inside a whole block, whatever its batch.
 _ROW_BLOCK = 16
 
 
@@ -513,12 +515,7 @@ def load_model(in_dir) -> tuple[Model, dict]:
     ends at its logits."""
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
-    manifest = json.loads(json_path.read_text())
-    if manifest.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{json_path}: format {manifest.get('format')!r} is not {MODEL_FORMAT!r}")
-    for key in ("layers", "tensors", "total_bytes"):
-        if key not in manifest:
-            raise ValueError(f"{json_path}: no top-level key {key!r}")
+    manifest = read_json(json_path, ("layers", "tensors", "total_bytes"), MODEL_FORMAT)
     layers = manifest["layers"]
     if not (isinstance(layers, dict) and layers.keys() == set(_GROUP_KEYS)):
         got = sorted(layers) if isinstance(layers, dict) else layers

@@ -164,6 +164,7 @@ def _ring_kernel(fs: float) -> np.ndarray:
     return kernel
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a draw past the float range is named below
 def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
                          id: str | None = None) -> Recording:
     """Generate a deterministic synthetic recording of the class ``label`` drawn with the
@@ -208,6 +209,9 @@ def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
     for weight, f, phase in zip(ANGULAR_TONE_WEIGHTS[label], RESONANCE_HZ, phases):
         angular += weight * sim.impulse_amplitude * np.sin(2.0 * np.pi * f * t + phase)
     angular += rng.normal(0.0, sim.noise_sigma, n)
+    if not (np.isfinite(linear).all() and np.isfinite(angular).all()):
+        raise ValueError(f"config fields simulate.noise_sigma ({sim.noise_sigma}) and simulate.impulse_amplitude "
+                         f"({sim.impulse_amplitude}) draw {label.canonical_name} samples past the float range")
 
     rec_id = id if id is not None else f"syn-{label.canonical_name.lower()}-seed{seed}"
     return Recording(
@@ -218,6 +222,24 @@ def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
         angular=angular,
         id=rec_id,
     )
+
+
+def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
+    """The JSON object in file ``path``; ValueError, starting with the path, if it is not JSON, not an object,
+    of a ``format`` other than ``format`` (if given) or lacks a key of ``keys``; FileNotFoundError if missing."""
+    path = Path(path)
+    try:
+        document = json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from read_text
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: holds a JSON {type(document).__name__}, not an object")
+    if format is not None and document.get("format") != format:
+        raise ValueError(f"{path}: format {document.get('format')!r} is not {format!r}")
+    for key in keys:
+        if key not in document:
+            raise ValueError(f"{path}: no top-level key {key!r}")
+    return document
 
 
 def _sidecar_path(csv_path: Path) -> Path:
@@ -269,18 +291,8 @@ def load_recording(path: str | Path) -> Recording:
     rows, non-numeric values and non-finite samples; FileNotFoundError when either file is missing.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"recording file not found: {path}")
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FileNotFoundError(f"metadata sidecar not found: {sidecar}")
-
-    meta = json.loads(sidecar.read_text())
-    for key in ("sample_rate_hz", "rpm", "label", "id"):
-        if key not in meta:
-            raise ValueError(f"sidecar {sidecar} is missing required field {key!r}")
-
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh:  # a missing recording is named before its sidecar
+        meta = read_json(_sidecar_path(path), keys=("sample_rate_hz", "rpm", "label", "id"))
         header = [h.strip() for h in fh.readline().split(",")]
         if header == [""]:
             raise ValueError(f"{path} is empty: missing header")

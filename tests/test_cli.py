@@ -5,14 +5,15 @@ import json
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from vibediag.cli import main
 from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
-from vibediag.hybrid_model import evaluate_arrays, load_dataset, render_report
-from vibediag.nn_engine import load_model
+from vibediag.hybrid_model import build_mlp_only, evaluate_arrays, load_dataset, render_report
+from vibediag.nn_engine import load_model, save_model
 from vibediag.segmentation import window_count
 
 
@@ -326,6 +327,73 @@ def test_failed_stage_exit_code_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# One malformed JSON document per stage that reads it: (command, the file under the test's copies
+# of a dataset, a checkpoint and recordings, its new text, the problem the error names after the
+# file). A text of None cuts the file to its first 20 characters.
+MALFORMED_JSON = {
+    "dataset-list": ("train", "dataset/dataset.json", "[1]", "holds a JSON list, not an object"),
+    "dataset-truncated": ("train", "dataset/dataset.json", None, "not JSON (Unterminated string"),
+    "model-int": ("eval", "ckpt/model.json", "5", "holds a JSON int, not an object"),
+    "model-empty": ("eval", "ckpt/model.json", "", "not JSON (Expecting value: line 1 column 1 (char 0))"),
+    "sidecar-int": ("featurize", "recordings/normal-r0.meta.json", "5", "holds a JSON int, not an object"),
+    "sidecar-unclosed": ("featurize", "recordings/normal-r0.meta.json", "{bad", "not JSON (Expecting property name"),
+    "config-list": ("simulate", "c.json", "[1]", "holds a JSON list, not an object"),
+    "config-truncated": ("simulate", "c.json", '{"simulate": {"noise', "not JSON (Unterminated string"),
+    "manifest-list": ("split", "dataset/manifest.json", "[1]", "holds a JSON list, not an object"),
+}
+
+
+@pytest.mark.parametrize("command, name, text, problem", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_a_malformed_json_document_fails_in_one_line_that_starts_with_its_path(desk_run, hop410_run, tmp_path,
+                                                                               capsys, command, name, text, problem):
+    for source in (hop410_run / "dataset", hop410_run / "ckpt", desk_run / "recordings"):
+        shutil.copytree(source, tmp_path / source.name)
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_text(path.read_text()[:20] if text is None else text)
+    dataset, ckpt, recordings = tmp_path / "dataset", tmp_path / "ckpt", tmp_path / "recordings"
+    kept = (dataset / "dataset.json").read_bytes()
+    argv = {"train": ["--dataset", dataset, "--out", out],
+            "eval": ["--checkpoint", ckpt, "--dataset", dataset, "--out", out],
+            "featurize": ["--recordings", recordings, "--out", out, *FEAT_FLAGS],
+            "simulate": ["--config", path, "--out", out],
+            "split": ["--dataset", dataset]}[command]
+    assert run([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {problem}") and err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()
+    assert (dataset / "dataset.json").read_bytes() == kept  # split fails before it rewrites dataset.json
+
+
+@pytest.mark.parametrize("text, flags, rows", [("1.0,2.0\n", [], 1), ("lin,ang\n", ["--has-header"], 0)],
+                         ids=["one-row", "header-only"])
+def test_import_names_a_csv_of_fewer_than_two_rows_in_one_line_and_leaves_no_out_directory(tmp_path, capsys,
+                                                                                          text, flags, rows):
+    src, out = tmp_path / "raw.csv", tmp_path / "imported"
+    src.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-input warning is not printed
+        assert run(["import", "--src", src, "--out", out, "--sample-rate-hz", "100", "--rpm", "60",
+                    "--label", "Normal", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {src}: {rows} data row(s), but a recording needs at least 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, flags, sigma, amplitude, label", [
+    ({}, ["--noise-sigma", "1e308"], 1e308, 1.0, "Normal"),
+    ({"simulate": {"impulse_amplitude": 1e308}}, [], 0.1, 1e308, "InnerRace"),
+], ids=["noise", "impulse"])
+def test_simulate_names_the_fields_of_a_draw_past_the_float_range_and_leaves_no_out_directory(
+        tmp_path, capsys, payload, flags, sigma, amplitude, label):
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(json.dumps(payload))
+    # RuntimeWarnings are errors under this suite, so an overflow warning would replace the message.
+    assert run(["simulate", "--config", config, "--out", out, "--sample-rate-hz", "8192", *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config fields simulate.noise_sigma ({sigma}) and simulate.impulse_amplitude ({amplitude}) "
+        f"draw {label} samples past the float range\n")
+    assert not out.exists()
+
+
 def test_config_file_round_trip_matches_defaults():
     loaded = load_config("configs/defaults.json")
     assert config_to_dict(loaded) == config_to_dict(RunConfig())
@@ -545,6 +613,13 @@ def test_eval_manifest_names_the_checkpoint_it_evaluated(hop410_run, tmp_path):
     assert first["extra"]["checkpoint"]["model.bin"] == hashlib.sha256(
         (hop410_run / "ckpt" / "model.bin").read_bytes()).hexdigest()
     assert first["extra"]["checkpoint"]["model.bin"] != second["extra"]["checkpoint"]["model.bin"]
+
+
+def test_eval_records_the_branch_of_a_checkpoint_saved_without_one(hop410_run, tmp_path):
+    ckpt = tmp_path / "api-mlp"
+    save_model(build_mlp_only(channels=1, seed=1), ckpt)
+    assert run(["eval", "--checkpoint", ckpt, "--dataset", hop410_run / "dataset", "--out", tmp_path / "eval"]) == 0
+    assert json.loads((tmp_path / "eval" / "manifest.json").read_text())["extra"]["branch"] == "mlp"
 
 
 def train_message(where, manifest):

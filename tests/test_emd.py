@@ -323,8 +323,9 @@ def test_sift_rejects_bad_input():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        config_from_dict({"emd": {"max_imfs": 0}})
+    for max_imfs in (0, 4):  # the image draws at most three modes, so a fourth would be sifted for nothing
+        with pytest.raises(ValueError, match=rf"^config field emd\.max_imfs must be one of \(1, 2, 3\), got {max_imfs}$"):
+            config_from_dict({"emd": {"max_imfs": max_imfs}})
 
 
 def test_config_rejects_removed_sd_threshold():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,11 +96,11 @@ def test_malformed_header(tmp_path):
 
 
 def test_missing_file_and_sidecar(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.csv"))):
         load_recording(tmp_path / "nope.csv")
     p = tmp_path / "nosidecar.csv"
     write_csv(p, ["index", "linear_x", "angular"], [[0, 1, 2], [1, 1, 2]])
-    with pytest.raises(FileNotFoundError, match="sidecar"):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nosidecar.meta.json"))):
         load_recording(p)
 
 
@@ -107,7 +108,7 @@ def test_sidecar_missing_field(tmp_path):
     p = tmp_path / "meta.csv"
     write_csv(p, ["index", "linear_x", "angular"], [[0, 1, 2], [1, 1, 2]],
               {"sample_rate_hz": 10, "rpm": 60, "label": "Normal"})
-    with pytest.raises(ValueError, match="id"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'meta.meta.json'))}: no top-level key 'id'$"):
         load_recording(p)
 
 
