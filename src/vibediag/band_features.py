@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks, peak_prominences
 
 _N_PEAKS, _SMOOTH_BINS, _MIN_PROMINENCE_RATIO = 2, 5, 3.0  # of find_torsional_peaks
 
@@ -93,6 +92,9 @@ def find_torsional_peaks(
     3 times the band median are rejected. Results are sorted by ascending
     frequency. Raises ValueError when fewer than two prominent maxima exist.
     """
+    # Imported here: scipy.signal adds about 1 s to every command's start, and only srs and featurize --srs use it.
+    from scipy.signal import find_peaks, peak_prominences
+
     freqs = spectrum.freqs_hz
     if search_lo_hz >= search_hi_hz:
         raise ValueError(f"search band [{search_lo_hz}, {search_hi_hz}] Hz is out of order: "

@@ -173,6 +173,8 @@ def cmd_split(args, config: RunConfig, seed: int) -> Done:
     # Keep the featurize counters that the manifest being replaced recorded; read before any write.
     previous = dataset_dir / "manifest.json"
     extra = read_json(previous).get("extra", {}) if previous.is_file() else {}
+    if not isinstance(extra, dict):
+        raise ValueError(f"{previous}: extra must be an object, got {extra!r}")
     assign_splits(dataset, config.split, seed)
     save_dataset_json(dataset, dataset_dir)
     counts = {name: len(keys) for name, keys in dataset.splits.items()}

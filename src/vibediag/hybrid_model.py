@@ -398,7 +398,12 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     json_path = in_dir / "dataset.json"
     manifest = read_json(json_path, ("total_bytes", "offsets", "provenance", "scaler", "splits",
                                      "config_echo", "seed"), DATASET_FORMAT)
-    scaler, splits = manifest["scaler"], manifest["splits"]
+    scaler, splits, provenance = manifest["scaler"], manifest["splits"], manifest["provenance"]
+    if not isinstance(provenance, list):
+        raise ValueError(f"{json_path}: provenance must be a list of strings, got {provenance!r}")
+    for key in provenance:
+        if not isinstance(key, str):
+            raise ValueError(f"{json_path}: provenance must be a list of strings, got {key!r} in it")
     if scaler is not None:
         for key in ("min", "max"):
             values = scaler.get(key) if isinstance(scaler, dict) else None
@@ -414,14 +419,14 @@ def load_dataset(in_dir) -> FeaturizedDataset:
         got = sorted(splits) if isinstance(splits, dict) else splits
         raise ValueError(f"{json_path}: splits must be null or have exactly the keys {list(SPLIT_NAMES)}, "
                          f"got {got!r}")
-    split_of = dict.fromkeys(manifest["provenance"])  # window key -> the split that names it
+    split_of = dict.fromkeys(provenance)  # window key -> the split that names it
     for split_name, keys in (splits or {}).items():
         for key in keys:
             if key not in split_of or split_of[key] is not None:
                 where = "not in provenance" if key not in split_of else f"in split {split_of[key]!r} too"
                 raise ValueError(f"{json_path}: split {split_name!r} names window {key!r}, {where}")
             split_of[key] = split_name
-    n, given = len(manifest["provenance"]), manifest["offsets"]
+    n, given = len(provenance), manifest["offsets"]
     channels = 1 if given.get("images") == dataset_layout(n, 1)[0]["images"] else 3
     offsets, total = dataset_layout(n, channels)
     for name in [*offsets, *sorted(given.keys() - offsets.keys())]:
@@ -445,7 +450,7 @@ def load_dataset(in_dir) -> FeaturizedDataset:
     not_onehot = np.flatnonzero((onehot != np.eye(N_CLASSES)[labels]).any(axis=1))
     if not_onehot.size:
         row = not_onehot[0]
-        raise ValueError(f"{bin_path}: labels_onehot row {row} (window {manifest['provenance'][row]!r}) "
+        raise ValueError(f"{bin_path}: labels_onehot row {row} (window {provenance[row]!r}) "
                          f"is {onehot[row].tolist()}, not one 1.0 and {N_CLASSES - 1} 0.0")
 
     if scaler is not None:
@@ -454,7 +459,7 @@ def load_dataset(in_dir) -> FeaturizedDataset:
         images=read("images"),
         features_raw=read("features"),
         labels=labels,
-        provenance=list(manifest["provenance"]),
+        provenance=provenance,
         scaler=scaler,
         splits=splits,
         config_echo=manifest["config_echo"],

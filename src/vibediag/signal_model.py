@@ -224,6 +224,10 @@ def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
     )
 
 
+# JSON's own name for each Python type that json.loads returns, other than dict.
+_JSON_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
+
+
 def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
     """The JSON object in file ``path``; ValueError, starting with the path, if it is not JSON, not an object,
     of a ``format`` other than ``format`` (if given) or lacks a key of ``keys``; FileNotFoundError if missing."""
@@ -233,7 +237,7 @@ def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from read_text
         raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(document, dict):
-        raise ValueError(f"{path}: holds a JSON {type(document).__name__}, not an object")
+        raise ValueError(f"{path}: holds a JSON {_JSON_TYPE_NAMES[type(document)]}, not an object")
     if format is not None and document.get("format") != format:
         raise ValueError(f"{path}: format {document.get('format')!r} is not {format!r}")
     for key in keys:

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -331,15 +333,19 @@ def test_failed_stage_exit_code_one(tmp_path, capsys):
 # of a dataset, a checkpoint and recordings, its new text, the problem the error names after the
 # file). A text of None cuts the file to its first 20 characters.
 MALFORMED_JSON = {
-    "dataset-list": ("train", "dataset/dataset.json", "[1]", "holds a JSON list, not an object"),
+    "dataset-list": ("train", "dataset/dataset.json", "[1]", "holds a JSON array, not an object"),
     "dataset-truncated": ("train", "dataset/dataset.json", None, "not JSON (Unterminated string"),
-    "model-int": ("eval", "ckpt/model.json", "5", "holds a JSON int, not an object"),
+    "model-int": ("eval", "ckpt/model.json", "5", "holds a JSON number, not an object"),
+    "model-bool": ("eval", "ckpt/model.json", "true", "holds a JSON boolean, not an object"),
     "model-empty": ("eval", "ckpt/model.json", "", "not JSON (Expecting value: line 1 column 1 (char 0))"),
-    "sidecar-int": ("featurize", "recordings/normal-r0.meta.json", "5", "holds a JSON int, not an object"),
+    "sidecar-int": ("featurize", "recordings/normal-r0.meta.json", "5", "holds a JSON number, not an object"),
+    "sidecar-string": ("featurize", "recordings/normal-r0.meta.json", '"x"', "holds a JSON string, not an object"),
     "sidecar-unclosed": ("featurize", "recordings/normal-r0.meta.json", "{bad", "not JSON (Expecting property name"),
-    "config-list": ("simulate", "c.json", "[1]", "holds a JSON list, not an object"),
+    "config-list": ("simulate", "c.json", "[1]", "holds a JSON array, not an object"),
+    "config-null": ("simulate", "c.json", "null", "holds a JSON null, not an object"),
     "config-truncated": ("simulate", "c.json", '{"simulate": {"noise', "not JSON (Unterminated string"),
-    "manifest-list": ("split", "dataset/manifest.json", "[1]", "holds a JSON list, not an object"),
+    "manifest-list": ("split", "dataset/manifest.json", "[1]", "holds a JSON array, not an object"),
+    "manifest-extra-int": ("split", "dataset/manifest.json", '{"extra": 5}', "extra must be an object, got 5"),
 }
 
 
@@ -362,6 +368,17 @@ def test_a_malformed_json_document_fails_in_one_line_that_starts_with_its_path(d
     assert err.startswith(f"error: {path}: {problem}") and err.endswith("\n") and err.count("\n") == 1
     assert not out.exists()
     assert (dataset / "dataset.json").read_bytes() == kept  # split fails before it rewrites dataset.json
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
+    # scipy.signal pulls in stats, optimize, interpolate, sparse, spatial and ndimage: about 1 s
+    # at every command's start. Only the srs peak search needs it, and it imports it on first use.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, vibediag.cli; print(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    subpackages = {name.split(".")[1] for name in done.stdout.split() if name.startswith("scipy.")}
+    assert {name for name in subpackages if not name.startswith("_")} - {"version"} == {"linalg"}
 
 
 @pytest.mark.parametrize("text, flags, rows", [("1.0,2.0\n", [], 1), ("lin,ang\n", ["--has-header"], 0)],

@@ -526,6 +526,13 @@ def _splits_keys(edit, got):
     return corrupt
 
 
+def _provenance(value, got):
+    def corrupt(manifest):
+        manifest["provenance"] = value if value != "entry" else [*manifest["provenance"][:-1], 5]
+        return f"provenance must be a list of strings, got {got}"
+    return corrupt
+
+
 _TOP_LEVEL_KEYS = ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed")
 _BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler_entry("min", [0, 0, 0]),
                 "no-max": _scaler_entry("max", None), "min-nan": _scaler_entry("min", [float("nan"), 0.0]),
@@ -535,13 +542,15 @@ _BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler
 _BAD_SPLITS = {"no-val": _splits_keys(lambda splits: splits.pop("val"), ["test", "train"]),
                "extra-split": _splits_keys(lambda splits: splits.update(holdout=[]),
                                            ["holdout", "test", "train", "val"])}
+_BAD_PROVENANCE = {"provenance-int": _provenance(5, "5"), "provenance-null": _provenance(None, "None"),
+                   "provenance-int-entry": _provenance("entry", "5 in it")}
 
 
 @pytest.mark.parametrize("corrupt", [*map(_drop_key, _TOP_LEVEL_KEYS), _name_a_train_window_in_val,
                                      _name_a_window_provenance_lacks, *_BAD_SCALERS.values(),
-                                     *_BAD_SPLITS.values()],
+                                     *_BAD_SPLITS.values(), *_BAD_PROVENANCE.values()],
                          ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window",
-                              *_BAD_SCALERS, *_BAD_SPLITS])
+                              *_BAD_SCALERS, *_BAD_SPLITS, *_BAD_PROVENANCE])
 def test_load_dataset_names_dataset_json_and_the_key_it_rejects(tmp_path, corrupt):
     ds = dataset_from_examples(make_examples())
     save_dataset(assign_splits(ds, SplitSpec(), 2), tmp_path)
