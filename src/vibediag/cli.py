@@ -16,10 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 import vibediag
 from vibediag.band_features import find_torsional_peaks, magnitude_spectrum
@@ -42,8 +39,8 @@ from vibediag.hybrid_model import (
 )
 from vibediag.nn_engine import load_model, save_model, train
 from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
-from vibediag.signal_model import (FaultLabel, Recording, load_recording, read_json, save_recording,
-                                   synthesize_recording)
+from vibediag.signal_model import (FaultLabel, Recording, finite_positive, finite_rows, load_recording, read_json,
+                                   read_samples, save_recording, synthesize_recording)
 
 
 def _sha256(path: Path) -> str:
@@ -287,21 +284,22 @@ def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list
 
 def cmd_import(args, config: RunConfig, seed: int) -> Done:
     """Adapt an externally downloaded raw CSV into the recording format."""
+    for flag, value in (("--sample-rate-hz", args.sample_rate_hz), ("--rpm", args.rpm)):
+        finite_positive(flag, value)
     src = Path(args.src)
-    with warnings.catch_warnings():  # an empty file is rejected below, by its row count
-        warnings.simplefilter("ignore", UserWarning)
-        raw = np.loadtxt(src, delimiter=args.delimiter, skiprows=1 if args.has_header else 0, ndmin=2)
-    if len(raw) < 2:
-        raise ValueError(f"{src}: {len(raw)} data row(s), but a recording needs at least 2")
-    linear = raw[:, _columns("--linear-cols", args.linear_cols, src, raw.shape[1], most=2)].T
+    with open(src) as fh:
+        if args.has_header:
+            fh.readline()
+        raw = read_samples(fh, args.delimiter)
+    linear_cols = _columns("--linear-cols", args.linear_cols, src, raw.shape[1], most=2)
     (angular_col,) = _columns("--angular-col", args.angular_col, src, raw.shape[1], most=1)
-    angular = raw[:, angular_col]
+    channels = finite_rows(src, raw[:, linear_cols + [angular_col]])  # a column no flag selects may hold NaN
     rec = Recording(
         sample_rate_hz=args.sample_rate_hz,
         rpm=args.rpm,
         label=FaultLabel.from_name(args.label),
-        linear=linear,
-        angular=angular,
+        linear=channels[:, :-1].T,
+        angular=channels[:, -1],
         id=args.id or src.stem,
     )
     out = _prepare_out(args.out)

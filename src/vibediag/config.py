@@ -29,7 +29,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from vibediag.emd import EmdConfig
+from vibediag.emd import MIN_SIFT_LEN, EmdConfig
 from vibediag.embedding import TsneConfig
 from vibediag.hybrid_model import SplitSpec
 from vibediag.nn_engine import TrainConfig
@@ -40,7 +40,7 @@ SEED_ENV_VAR = "VIBEDIAG_SEED"
 
 @dataclass
 class SegmentationConfig:
-    window_len: int = field(default=3897, metadata={"min": 1})
+    window_len: int = field(default=3897, metadata={"min": MIN_SIFT_LEN})  # each window is sifted
     hop: int = field(default=1559, metadata={"min": 1})
     linear_channel: int = field(default=0, metadata={"min": 0})
 

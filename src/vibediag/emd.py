@@ -37,6 +37,8 @@ ALPHA = 0.05
 BOUNDARY_PAD_EXTREMA = 2
 # The Hilbert image draws at most this many modes, so no more are sifted.
 MAX_IMFS = 3
+# The fewest samples a series to sift may have.
+MIN_SIFT_LEN = 8
 
 
 @dataclass
@@ -234,8 +236,8 @@ def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:
     """
     config = config or EmdConfig()
     x = np.asarray(series, dtype=np.float64)
-    if x.size < 8:
-        raise ValueError("series must have length >= 8")
+    if x.size < MIN_SIFT_LEN:
+        raise ValueError(f"series must have length >= {MIN_SIFT_LEN}")
     if not np.isfinite(x).all():
         raise ValueError("series contains non-finite values")
 

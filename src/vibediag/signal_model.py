@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -26,7 +28,7 @@ class FaultLabel(IntEnum):
 
     @classmethod
     def from_name(cls, name: str) -> "FaultLabel":
-        key = name.strip().lower().replace("_", "").replace(" ", "")
+        key = str(name).strip().lower().replace("_", "").replace(" ", "")
         for label, canonical in _LABEL_NAMES.items():
             if canonical.lower() == key:
                 return label
@@ -42,6 +44,13 @@ _LABEL_NAMES = {
 }
 
 N_CLASSES = len(FaultLabel)
+
+
+def finite_positive(name: str, value) -> float:
+    """``value`` as a float if it is a finite number above 0, not a bool; otherwise ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -62,10 +71,8 @@ class Recording:
     def __post_init__(self) -> None:
         self.linear = np.atleast_2d(np.asarray(self.linear, dtype=np.float64))
         self.angular = np.asarray(self.angular, dtype=np.float64)
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.rpm <= 0:
-            raise ValueError("rpm must be positive")
+        for name in ("sample_rate_hz", "rpm"):
+            finite_positive(name, getattr(self, name))
         if self.linear.shape[0] not in (1, 2):
             raise ValueError("linear must carry one or two channels")
         if self.angular.ndim != 1:
@@ -272,48 +279,67 @@ def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
     return path, sidecar
 
 
-def _first_bad_row(path: Path, width: int) -> str:
-    """Why ``load_recording`` rejects ``path``, naming its first bad 1-based data row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                return f"ragged row {row_no}: expected {width} fields, got {len(row)}"
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                return f"non-numeric value in row {row_no}"
-            if not np.isfinite(values[1:]).all():
-                return f"non-finite value in row {row_no}"
-    return f"{path}: no data rows, or a row that numpy cannot read as numbers"
+def _first_bad_row(fh, start: int, delimiter: str) -> str | None:
+    """The first ragged or non-numeric row of ``fh`` from ``start`` on, counted as numpy's loadtxt counts rows."""
+    fh.seek(start)
+    rows = csv.reader((line.split("#", 1)[0] for line in fh), delimiter=delimiter, quotechar='"')
+    width = None
+    for row_no, row in enumerate(filter(None, rows), start=1):
+        if len(row) != (width := width or len(row)):
+            return f"ragged row {row_no}: expected {width} fields, got {len(row)}"
+        try:
+            [float(v) for v in row]
+        except ValueError:
+            return f"non-numeric value in row {row_no}"
+
+
+def read_samples(fh, delimiter: str = ",") -> np.ndarray:
+    """The float64 table of the open CSV ``fh`` from its current line on, parsed by one numpy ``loadtxt`` call that
+    skips blank lines and ``#`` comments and reads ``"``-quoted fields. A ValueError names the file and, for a
+    ragged or non-numeric row, the first such row counted from 1; fewer than two data rows fail too."""
+    start = fh.tell() if fh.seekable() else None  # a pipe cannot be read again to name its bad row
+    try:
+        with warnings.catch_warnings():  # a file without data rows is named below, by its row count
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=delimiter, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        why = start is not None and _first_bad_row(fh, start, delimiter)
+        raise ValueError(f"{fh.name}: {why or exc}") from None
+    if len(table) < 2:
+        raise ValueError(f"{fh.name}: {len(table)} data row(s), but a recording needs at least 2")
+    return table
+
+
+def finite_rows(path: str | Path, table: np.ndarray) -> np.ndarray:
+    """``table``; ValueError naming ``path`` and the first 1-based row of a non-finite value, if any."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in row {bad[0] + 1}")
+    return table
 
 
 def load_recording(path: str | Path) -> Recording:
-    """Load a recording CSV, parsed by one ``np.loadtxt`` call that skips blank lines, and its
-    metadata sidecar. Raises ValueError naming the first offending 1-based data row for ragged
-    rows, non-numeric values and non-finite samples; FileNotFoundError when either file is missing.
-    """
-    path = Path(path)
-    with open(path, newline="") as fh:  # a missing recording is named before its sidecar
-        meta = read_json(_sidecar_path(path), keys=("sample_rate_hz", "rpm", "label", "id"))
-        header = [h.strip() for h in fh.readline().split(",")]
-        if header == [""]:
-            raise ValueError(f"{path} is empty: missing header")
-        if header not in (["index", "linear_x", "angular"], ["index", "linear_x", "linear_y", "angular"]):
-            raise ValueError(f"malformed header {header!r}; expected index,linear_x[,linear_y],angular")
+    """Load a recording CSV (rows read by :func:`read_samples`) and its sidecar; errors name the file at fault."""
+    sidecar = _sidecar_path(Path(path))
+    with open(path) as fh:  # a missing recording is named before its sidecar, read before any row
+        meta = read_json(sidecar, keys=("sample_rate_hz", "rpm", "label", "id"))
+        rate, rpm = (finite_positive(f"{sidecar}: {key}", meta[key]) for key in ("sample_rate_hz", "rpm"))
         try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != len(header) or not np.isfinite(data[:, 1:]).all():
-        raise ValueError(_first_bad_row(path, len(header)))
-    columns = np.ascontiguousarray(data.T)
+            label = FaultLabel.from_name(meta["label"])
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
+        header = [h.strip() for h in fh.readline().split(",")]
+        if header not in (["index", "linear_x", "angular"], ["index", "linear_x", "linear_y", "angular"]):
+            raise ValueError(f"{path}: malformed header {header!r}; expected index,linear_x[,linear_y],angular")
+        data = read_samples(fh)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[1]} fields in each row, but the header names {len(header)}")
+    channels = np.ascontiguousarray(finite_rows(path, data[:, 1:]).T)
     return Recording(
-        sample_rate_hz=float(meta["sample_rate_hz"]),
-        rpm=float(meta["rpm"]),
-        label=FaultLabel.from_name(meta["label"]),
-        linear=columns[1:-1],
-        angular=columns[-1],
+        sample_rate_hz=rate,
+        rpm=rpm,
+        label=label,
+        linear=channels[:-1],
+        angular=channels[-1],
         id=str(meta["id"]),
     )

@@ -17,6 +17,7 @@ from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_co
 from vibediag.hybrid_model import build_mlp_only, evaluate_arrays, load_dataset, render_report
 from vibediag.nn_engine import load_model, save_model
 from vibediag.segmentation import window_count
+from vibediag.signal_model import load_recording
 
 
 def run(argv):
@@ -292,8 +293,6 @@ def test_embed_rejects_fewer_than_two_points_before_reading_a_file(tmp_path, cap
 
 
 def test_import_adapter(every_stage):
-    from vibediag.signal_model import load_recording
-
     out, _ = every_stage["import"]
     rec = load_recording(out / "raw.csv")
     assert rec.n_samples == 64
@@ -346,6 +345,18 @@ MALFORMED_JSON = {
     "config-truncated": ("simulate", "c.json", '{"simulate": {"noise', "not JSON (Unterminated string"),
     "manifest-list": ("split", "dataset/manifest.json", "[1]", "holds a JSON array, not an object"),
     "manifest-extra-int": ("split", "dataset/manifest.json", '{"extra": 5}', "extra must be an object, got 5"),
+    **{f"sidecar-{name}": ("featurize", "recordings/normal-r0.meta.json",
+                           json.dumps({"sample_rate_hz": 8192.0, "rpm": 1200.0, "label": "Normal", "id": "normal-r0",
+                                       key: value}), problem)
+       for name, key, value, problem in [
+           ("rate-string", "sample_rate_hz", "abc", "sample_rate_hz must be a finite number > 0, got 'abc'"),
+           ("rate-negative", "sample_rate_hz", -5, "sample_rate_hz must be a finite number > 0, got -5"),
+           ("rate-bool", "sample_rate_hz", True, "sample_rate_hz must be a finite number > 0, got True"),
+           ("rate-nan", "sample_rate_hz", float("nan"), "sample_rate_hz must be a finite number > 0, got nan"),
+           ("rpm-null", "rpm", None, "rpm must be a finite number > 0, got None"),
+           ("label-unknown", "label", "Cracked", "unknown fault label 'Cracked'; expected one of "
+                                                 "['Normal', 'InnerRace', 'OuterRace', 'Ball', 'Combined']"),
+       ]},
 }
 
 
@@ -393,6 +404,95 @@ def test_import_names_a_csv_of_fewer_than_two_rows_in_one_line_and_leaves_no_out
                     "--label", "Normal", *flags]) == 1
     assert capsys.readouterr().err == f"error: {src}: {rows} data row(s), but a recording needs at least 2\n"
     assert not out.exists()
+
+
+def _linear_x(line: str, value: str) -> str:
+    """A recording CSV ``line`` of index, linear_x and angular with its linear_x set to ``value``."""
+    index, _, angular = line.split(",")
+    return f"{index},{value},{angular}"
+
+
+# Edits of the desk ball-r0.csv (its lines, the header first; data row k is line k), each with the problem
+# that featurize names after the file.
+MALFORMED_RECORDINGS = {
+    "ragged": (lambda lines: lines[:5] + ["5,0.5"] + lines[6:], "ragged row 5: expected 3 fields, got 2"),
+    "non-numeric": (lambda lines: lines[:5] + [_linear_x(lines[5], "abc")] + lines[6:],
+                    "non-numeric value in row 5"),
+    "nan": (lambda lines: lines[:5] + [_linear_x(lines[5], "nan")] + lines[6:], "non-finite value in row 5"),
+    "header": (lambda lines: ["idx,linear_x,angular"] + lines[1:],
+               "malformed header ['idx', 'linear_x', 'angular']; expected index,linear_x[,linear_y],angular"),
+    "one-row": (lambda lines: lines[:2], "1 data row(s), but a recording needs at least 2"),
+    "header-only": (lambda lines: lines[:1], "0 data row(s), but a recording needs at least 2"),
+    # loadtxt skips the blank line, so it is not a row and does not shift the count.
+    "blank-line-then-nan": (lambda lines: lines[:3] + [""] + lines[3:20] + [_linear_x(lines[20], "nan")] + lines[21:],
+                            "non-finite value in row 20"),
+}
+
+
+@pytest.mark.parametrize("edit, problem", MALFORMED_RECORDINGS.values(), ids=MALFORMED_RECORDINGS)
+def test_a_malformed_recording_csv_fails_in_one_line_naming_the_file_and_its_data_row(desk_run, tmp_path, capsys,
+                                                                                   edit, problem):
+    recordings, out = tmp_path / "recordings", tmp_path / "out"
+    shutil.copytree(desk_run / "recordings", recordings)
+    path = recordings / "ball-r0.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert run(["featurize", "--recordings", recordings, "--out", out, *FEAT_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert not out.exists()
+
+
+IMPORT_FLAGS = ["--sample-rate-hz", "100", "--rpm", "60", "--label", "Normal"]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("1.0,2.0\n3.0,abc\n5.0,6.0\n", "non-numeric value in row 2"),
+    ("1.0,2.0\n3.0\n5.0,6.0\n", "ragged row 2: expected 2 fields, got 1"),
+    ("1.0,2.0\n3.0,nan\n5.0,6.0\n", "non-finite value in row 2"),
+], ids=["non-numeric", "ragged", "nan"])
+def test_a_malformed_import_csv_fails_in_one_line_naming_the_file_and_its_data_row(tmp_path, capsys, text, problem):
+    src, out = tmp_path / "raw.csv", tmp_path / "imported"
+    src.write_text(text)
+    assert run(["import", "--src", src, "--out", out, *IMPORT_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: {src}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sample-rate-hz", "nan"), ("--sample-rate-hz", "inf"),
+                                         ("--sample-rate-hz", "0"), ("--rpm", "-1")])
+def test_import_names_a_rate_flag_that_is_not_a_finite_positive_number_and_leaves_no_out_directory(
+        tmp_path, capsys, flag, value):
+    src, out = tmp_path / "raw.csv", tmp_path / "imported"
+    src.write_text("1.0,2.0\n3.0,4.0\n")
+    assert run(["import", "--src", src, "--out", out, *IMPORT_FLAGS, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be a finite number > 0, got {float(value)!r}\n"
+    assert not out.exists()
+
+
+def test_import_skips_comment_and_blank_lines_and_a_nan_in_a_column_no_flag_selects(tmp_path):
+    src, out = tmp_path / "raw.csv", tmp_path / "imported"
+    src.write_text("# logger export\n0.0,1.0,nan\n\n0.5,2.0,7.0  # a note\n1.0,3.0,nan\n")
+    assert run(["import", "--src", src, "--out", out, *IMPORT_FLAGS]) == 0
+    rec = load_recording(out / "raw.csv")
+    np.testing.assert_array_equal(rec.linear, [[0.0, 0.5, 1.0]])
+    np.testing.assert_array_equal(rec.angular, [1.0, 2.0, 3.0])
+
+
+def test_import_reads_a_csv_from_a_pipe(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = tmp_path / "imported"
+    done = subprocess.run([sys.executable, "-m", "vibediag.cli", "import", "--src", "/dev/stdin", "--out", str(out),
+                           *IMPORT_FLAGS], input="1.0,2.0\n3.0,4.0\n", env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    np.testing.assert_array_equal(load_recording(out / "stdin.csv").angular, [2.0, 4.0])
+
+
+def test_importing_a_desk_recording_writes_its_csv_and_sidecar_byte_for_byte(desk_run, tmp_path):
+    recordings, out = desk_run / "recordings", tmp_path / "imported"
+    assert run(["import", "--src", recordings / "normal-r0.csv", "--out", out, "--has-header", "--linear-cols", "1",
+                "--angular-col", "2", "--sample-rate-hz", "8192", "--rpm", "1200", "--label", "Normal"]) == 0
+    for name in ("normal-r0.csv", "normal-r0.meta.json"):
+        assert (out / name).read_bytes() == (recordings / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("payload, flags, sigma, amplitude, label", [
@@ -448,6 +548,7 @@ def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value
     ({"segmentation": {"linear_channel": -1}}, "segmentation.linear_channel", None),
     ({"simulate": {"sample_rate_hz": 1000.0}}, "simulate.sample_rate_hz", ("simulate", "--sample-rate-hz", "1000")),
     ({"simulate": {"duration_s": 0.00001}}, "simulate.duration_s", ("simulate", "--duration-s", "0.00001")),
+    ({"segmentation": {"window_len": 5}}, "segmentation.window_len", ("featurize", "--window-len", "5")),
 ])
 def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, capsys, payload, name, flag):
     with pytest.raises(ValueError) as excinfo:

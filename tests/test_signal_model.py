@@ -191,3 +191,7 @@ def test_recording_validation():
     with pytest.raises(ValueError, match="equal length"):
         Recording(10.0, 60.0, FaultLabel.NORMAL, np.array([[1.0, 2.0, 3.0]]),
                   np.array([0.0, 0.0]), "x")
+    for rate, rpm, name, value in [(np.nan, 60.0, "sample_rate_hz", "nan"), (10.0, np.inf, "rpm", "inf"),
+                                   (0.0, 60.0, "sample_rate_hz", "0.0"), (10.0, -1.0, "rpm", "-1.0")]:
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, got {value}$"):
+            Recording(rate, rpm, FaultLabel.NORMAL, np.array([[1.0, 2.0]]), np.array([0.0, 0.0]), "x")
