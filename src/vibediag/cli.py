@@ -39,8 +39,8 @@ from vibediag.hybrid_model import (
 )
 from vibediag.nn_engine import load_model, save_model, train
 from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
-from vibediag.signal_model import (FaultLabel, Recording, finite_positive, finite_rows, load_recording, read_json,
-                                   read_samples, save_recording, synthesize_recording)
+from vibediag.signal_model import (FaultLabel, Recording, check_value, finite_rows, load_recording, open_csv,
+                                   read_json, read_samples, save_recording, synthesize_recording)
 
 
 def _sha256(path: Path) -> str:
@@ -92,18 +92,18 @@ def _prepare_out(path: str) -> Path:
     return out
 
 
-# Flags that are not config fields, by dest, with their least values; t-SNE needs two points.
-_FLAG_MINIMUMS = {"jobs": 1, "max_points": 2}
+# The numeric flags that are not config fields, by dest, with the type and bound of each; t-SNE needs two points.
+_FLAG_RULES = {"jobs": (int, {"min": 1}), "max_points": (int, {"min": 2}), "target": (float, {"gt": 0, "max": 1}),
+               "sample_rate_hz": (float, {"gt": 0}), "rpm": (float, {"gt": 0})}
 
 
 def _configure(args) -> tuple[RunConfig, int]:
     """The run config with every given ``section.field`` flag laid over the config file, each
     section validated once over both, and the resolved seed. The flags that are not config
     fields are checked first, before any file is read."""
-    for dest, least in _FLAG_MINIMUMS.items():
-        value = getattr(args, dest, least)
-        if value < least:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+    for dest, (hint, bound) in _FLAG_RULES.items():
+        if hasattr(args, dest):
+            check_value(f"--{dest.replace('_', '-')}", getattr(args, dest), hint, bound)
     payload = read_json(args.config) if args.config else {}
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -233,8 +233,6 @@ def cmd_eval(args, config: RunConfig, seed: int) -> Done:
 
 
 def cmd_embed(args, config: RunConfig, seed: int) -> Done:
-    if not 0 < args.target <= 1:
-        raise ValueError(f"--target must be in (0, 1], got {args.target}")
     dataset = load_dataset(args.dataset)
     flat = dataset.images.reshape(len(dataset), -1)
     model = pca_fit(flat)
@@ -284,10 +282,14 @@ def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list
 
 def cmd_import(args, config: RunConfig, seed: int) -> Done:
     """Adapt an externally downloaded raw CSV into the recording format."""
-    for flag, value in (("--sample-rate-hz", args.sample_rate_hz), ("--rpm", args.rpm)):
-        finite_positive(flag, value)
+    try:
+        label = FaultLabel.from_name(args.label)
+    except ValueError as exc:
+        raise ValueError(f"--label: {exc}") from None
+    if len(args.delimiter) != 1 or args.delimiter in '"#\r\n':
+        raise ValueError(f"--delimiter must be one character other than '\"', '#', CR and LF, got {args.delimiter!r}")
     src = Path(args.src)
-    with open(src) as fh:
+    with open_csv(src) as fh:
         if args.has_header:
             fh.readline()
         raw = read_samples(fh, args.delimiter)
@@ -297,7 +299,7 @@ def cmd_import(args, config: RunConfig, seed: int) -> Done:
     rec = Recording(
         sample_rate_hz=args.sample_rate_hz,
         rpm=args.rpm,
-        label=FaultLabel.from_name(args.label),
+        label=label,
         linear=channels[:, :-1].T,
         angular=channels[:, -1],
         id=args.id or src.stem,

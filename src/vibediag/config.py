@@ -9,7 +9,9 @@ envelope extrema, log compression, Adam's betas and epsilon, the t-SNE
 optimiser) live in their modules, and split and embed draw from the run seed.
 Each field declares its bound once, as plain data in its metadata (``min``,
 ``gt``, ``lt`` or ``in``), and ``config_from_dict`` checks every type and
-bound where a config enters; code that builds a section itself is trusted.
+bound where a config enters, through ``signal_model.check_value``, the one
+check of every value from outside (flags, the seed, sidecars and a dataset's
+scaler too); code that builds a section itself is trusted.
 The emd, train, split, tsne and simulate sections are defined in the modules
 that use them. ``band``, ``train`` and ``simulate`` also check rules across
 their fields when built; the rig's ``simulate`` section (in ``signal_model``)
@@ -22,9 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import operator
 import os
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +33,7 @@ from vibediag.emd import MIN_SIFT_LEN, EmdConfig
 from vibediag.embedding import TsneConfig
 from vibediag.hybrid_model import SplitSpec
 from vibediag.nn_engine import TrainConfig
-from vibediag.signal_model import SimulateConfig, read_json
+from vibediag.signal_model import SimulateConfig, check_value, read_json
 
 SEED_ENV_VAR = "VIBEDIAG_SEED"
 
@@ -78,44 +78,6 @@ class RunConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
 
 
-# The bounds a field may declare in its metadata, each with the words of its message.
-_BOUNDS = {
-    "min": (">=", operator.ge),
-    "gt": (">", operator.gt),
-    "lt": ("<", operator.lt),
-    "in": ("one of", lambda value, allowed: value in allowed),
-}
-
-
-def _has_type(value, hint) -> bool:
-    """Whether ``value`` has the declared type: an int may stand for a float, a bool is not
-    an int, ``float | None`` also takes None, and ``tuple[float, float]`` takes a list or
-    tuple of exactly two floats."""
-    if typing.get_origin(hint) is tuple:
-        kinds = typing.get_args(hint)
-        return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
-                and all(map(_has_type, value, kinds)))
-    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    if float in kinds:
-        kinds += (int,)
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
-
-
-def _check_field(name: str, f: dataclasses.Field, hint, value) -> None:
-    """Reject ``value``, naming it ``name``, unless it has the type ``hint`` and lies within
-    the bound in the metadata of field ``f``. A tuple's bound holds for each element; None
-    passes any bound."""
-    if not _has_type(value, hint):
-        kind = hint.__name__ if isinstance(hint, type) else hint
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    items = value if isinstance(value, (list, tuple)) else (value,)
-    bound = [(_BOUNDS[key], limit) for key, limit in f.metadata.items()]
-    if not all(v is None or holds(v, limit) for (_, holds), limit in bound for v in items):
-        must = " and ".join(f"{words} {limit!r}" for (words, _), limit in bound)
-        each = " each" if items is value else ""
-        raise ValueError(f"{name} must be {must}{each}, got {value!r}")
-
-
 def _build_section(cls, payload: dict, prefix: str = ""):
     """``cls`` built from ``payload`` with every field checked; a field whose type is a
     dataclass is a section, built from its own object."""
@@ -133,7 +95,7 @@ def _build_section(cls, payload: dict, prefix: str = ""):
                 raise ValueError(f"config section {name!r} must be an object")
             kwargs[f.name] = _build_section(hints[f.name], value, name + ".")
         else:
-            _check_field(f"config field {name}", f, hints[f.name], value)
+            check_value(f"config field {name}", value, hints[f.name], f.metadata)
             kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -165,5 +127,4 @@ def resolve_seed(flag_seed: int | None, config: RunConfig) -> int:
     else:
         return 0
     seed_field = next(f for f in dataclasses.fields(RunConfig) if f.name == "seed")
-    _check_field(name, seed_field, int, value)
-    return value
+    return check_value(name, value, int, seed_field.metadata)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,7 +37,7 @@ from vibediag.nn_engine import (
     ReLU,
     eval_logits,
 )
-from vibediag.signal_model import N_CLASSES, FaultLabel, read_json
+from vibediag.signal_model import N_CLASSES, FaultLabel, check_value, read_json
 
 FLATTEN_WIDTH = 64 * (IMAGE_SIZE // 8) ** 2  # 64 maps of 4x4 -> 1024
 
@@ -389,8 +388,9 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
 def load_dataset(in_dir) -> FeaturizedDataset:
     """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
-    unknown format, a missing top-level key, a ``scaler`` whose ``min`` or ``max`` does not hold
-    2 finite numbers or whose ``min`` exceeds its ``max`` for a feature, ``splits`` that is not
+    unknown format, a missing top-level key, a ``scaler`` whose ``min`` or ``max`` is not 2 finite
+    numbers or whose ``min`` exceeds its ``max`` for a feature, a ``config_echo`` that is not an
+    object, a ``seed`` that is not null or an int >= 0, ``splits`` that is not
     null or keyed by exactly ``SPLIT_NAMES``, ``offsets`` or ``total_bytes`` that differ from the
     :func:`dataset_layout` of ``len(provenance)`` windows, a wrong length, a label row that is
     not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
@@ -405,16 +405,15 @@ def load_dataset(in_dir) -> FeaturizedDataset:
         if not isinstance(key, str):
             raise ValueError(f"{json_path}: provenance must be a list of strings, got {key!r} in it")
     if scaler is not None:
-        for key in ("min", "max"):
-            values = scaler.get(key) if isinstance(scaler, dict) else None
-            # JSON gives int or float; NaN, the infinities, bools and ints past the floats fail.
-            if not (isinstance(values, list) and len(values) == 2
-                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)):
-                raise ValueError(f"{json_path}: scaler {key!r} must hold 2 finite numbers, one per feature, "
-                                 f"got {values!r}")
+        for key in ("min", "max"):  # one number per feature
+            check_value(f"{json_path}: scaler {key!r}", scaler.get(key) if isinstance(scaler, dict) else None,
+                        tuple[float, float])
         for feature, (low, high) in enumerate(zip(scaler["min"], scaler["max"])):
             if low > high:
                 raise ValueError(f"{json_path}: scaler 'min' {low!r} exceeds 'max' {high!r} for feature {feature}")
+    if not isinstance(manifest["config_echo"], dict):
+        raise ValueError(f"{json_path}: config_echo must be an object, got {manifest['config_echo']!r}")
+    check_value(f"{json_path}: seed", manifest["seed"], int | None, {"min": 0})
     if splits is not None and not (isinstance(splits, dict) and splits.keys() == set(SPLIT_NAMES)):
         got = sorted(splits) if isinstance(splits, dict) else splits
         raise ValueError(f"{json_path}: splits must be null or have exactly the keys {list(SPLIT_NAMES)}, "

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import get_blas_funcs
 
-from vibediag.signal_model import read_json
+from vibediag.signal_model import check_value, read_json
 
 
 @dataclass
@@ -508,7 +508,8 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 def load_model(in_dir) -> tuple[Model, dict]:
     """A model from ``model.json`` and ``model.bin``: float32 when every stored value is a
     float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
-    file, on an unknown format, a missing top-level key, ``layers`` whose keys are not the
+    file, on an unknown format, a missing top-level key, a ``config`` that is not null or an
+    object, a ``seed`` that is not null or an int >= 0, ``layers`` whose keys are not the
     three layer groups, an unknown layer type, a layer spec with missing or unknown keys, a
     tensor table its layers do not imply, or a wrong length.
     A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: the head
@@ -516,6 +517,9 @@ def load_model(in_dir) -> tuple[Model, dict]:
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
     manifest = read_json(json_path, ("layers", "tensors", "total_bytes"), MODEL_FORMAT)
+    if not isinstance(manifest.get("config"), (dict, type(None))):
+        raise ValueError(f"{json_path}: config must be null or an object, got {manifest['config']!r}")
+    check_value(f"{json_path}: seed", manifest.get("seed"), int | None, {"min": 0})
     layers = manifest["layers"]
     if not (isinstance(layers, dict) and layers.keys() == set(_GROUP_KEYS)):
         got = sorted(layers) if isinstance(layers, dict) else layers

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 import numbers
+import operator
+import sys
+import typing
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -46,13 +51,6 @@ _LABEL_NAMES = {
 N_CLASSES = len(FaultLabel)
 
 
-def finite_positive(name: str, value) -> float:
-    """``value`` as a float if it is a finite number above 0, not a bool; otherwise ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
 @dataclass
 class Recording:
     """One acquisition: co-registered linear and angular acceleration channels.
@@ -72,7 +70,7 @@ class Recording:
         self.linear = np.atleast_2d(np.asarray(self.linear, dtype=np.float64))
         self.angular = np.asarray(self.angular, dtype=np.float64)
         for name in ("sample_rate_hz", "rpm"):
-            finite_positive(name, getattr(self, name))
+            check_value(name, getattr(self, name), float, {"gt": 0})
         if self.linear.shape[0] not in (1, 2):
             raise ValueError("linear must carry one or two channels")
         if self.angular.ndim != 1:
@@ -253,6 +251,44 @@ def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
     return document
 
 
+# The bounds a value may be given, each with the words of its message.
+_BOUNDS = {"min": (">=", operator.ge), "max": ("<=", operator.le), "gt": (">", operator.gt), "lt": ("<", operator.lt),
+           "in": ("one of", lambda value, allowed: value in allowed)}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` has the type ``hint``: a float is a finite real number, which an int or a numpy
+    scalar may stand for; a bool is not a number; ``X | None`` also takes None; and ``tuple[float, float]``
+    takes a list or tuple of exactly two floats."""
+    kinds = typing.get_args(hint) or (hint,)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(kinds) and all(map(_has_type, value, kinds))
+    if isinstance(value, bool):
+        return bool in kinds
+    if float in kinds and isinstance(value, numbers.Real):
+        return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    return isinstance(value, kinds)
+
+
+def check_value(name: str, value, hint, bound=None):
+    """``value`` if it has the type ``hint`` and lies within ``bound``, a map of ``min``, ``max``, ``gt``, ``lt``
+    or ``in`` to a limit that each element of a tuple meets and None passes; else a ValueError naming ``name``.
+    A rule on floats fails in one phrase (``a finite number > 0``); any other names its type or its bound."""
+    bound = (bound or {}).items()
+    typed = _has_type(value, hint)
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    if typed and all(v is None or _BOUNDS[key][1](v, limit) for key, limit in bound for v in items):
+        return value
+    limits = " and ".join(f"{_BOUNDS[key][0]} {limit!r}" for key, limit in bound)
+    kinds = typing.get_args(hint) or (hint,)
+    if float in kinds:
+        count = f"{len(kinds)} finite numbers" if typing.get_origin(hint) is tuple else "a finite number"
+        must = " ".join(filter(None, (count, limits, "or None" if type(None) in kinds else "")))
+    else:
+        must = limits if typed else getattr(hint, "__name__", hint)
+    raise ValueError(f"{name} must be {must}, got {value!r}")
+
+
 def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix("").with_suffix(".meta.json")
 
@@ -293,15 +329,29 @@ def _first_bad_row(fh, start: int, delimiter: str) -> str | None:
             return f"non-numeric value in row {row_no}"
 
 
+@contextlib.contextmanager
+def open_csv(path: str | Path):
+    """``path`` open for reading text; a byte that is not UTF-8 fails where it is read, in one ValueError
+    naming the file."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
+
+
 def read_samples(fh, delimiter: str = ",") -> np.ndarray:
     """The float64 table of the open CSV ``fh`` from its current line on, parsed by one numpy ``loadtxt`` call that
     skips blank lines and ``#`` comments and reads ``"``-quoted fields. A ValueError names the file and, for a
-    ragged or non-numeric row, the first such row counted from 1; fewer than two data rows fail too."""
+    ragged or non-numeric row, the first such row counted from 1; fewer than two data rows fail too. A byte that
+    is not UTF-8 is left to :func:`open_csv` to name."""
     start = fh.tell() if fh.seekable() else None  # a pipe cannot be read again to name its bad row
     try:
         with warnings.catch_warnings():  # a file without data rows is named below, by its row count
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(fh, delimiter=delimiter, quotechar='"', ndmin=2)
+    except UnicodeDecodeError:
+        raise  # named by open_csv
     except ValueError as exc:
         why = start is not None and _first_bad_row(fh, start, delimiter)
         raise ValueError(f"{fh.name}: {why or exc}") from None
@@ -319,11 +369,13 @@ def finite_rows(path: str | Path, table: np.ndarray) -> np.ndarray:
 
 
 def load_recording(path: str | Path) -> Recording:
-    """Load a recording CSV (rows read by :func:`read_samples`) and its sidecar; errors name the file at fault."""
+    """Load a recording CSV (opened by :func:`open_csv`, rows read by :func:`read_samples`) and its sidecar;
+    errors name the file at fault."""
     sidecar = _sidecar_path(Path(path))
-    with open(path) as fh:  # a missing recording is named before its sidecar, read before any row
+    with open_csv(path) as fh:  # a missing recording is named before its sidecar, read before any row
         meta = read_json(sidecar, keys=("sample_rate_hz", "rpm", "label", "id"))
-        rate, rpm = (finite_positive(f"{sidecar}: {key}", meta[key]) for key in ("sample_rate_hz", "rpm"))
+        rate, rpm = (float(check_value(f"{sidecar}: {key}", meta[key], float, {"gt": 0}))
+                     for key in ("sample_rate_hz", "rpm"))
         try:
             label = FaultLabel.from_name(meta["label"])
         except ValueError as exc:

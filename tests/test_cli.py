@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -12,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vibediag.cli import main
+from vibediag.cli import _FLAG_RULES, build_parser, main
 from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
 from vibediag.hybrid_model import build_mlp_only, evaluate_arrays, load_dataset, render_report
 from vibediag.nn_engine import load_model, save_model
@@ -330,13 +332,20 @@ def test_failed_stage_exit_code_one(tmp_path, capsys):
 
 # One malformed JSON document per stage that reads it: (command, the file under the test's copies
 # of a dataset, a checkpoint and recordings, its new text, the problem the error names after the
-# file). A text of None cuts the file to its first 20 characters.
+# file). A text of None cuts the file to its first 20 characters; a dict sets those top-level keys.
 MALFORMED_JSON = {
     "dataset-list": ("train", "dataset/dataset.json", "[1]", "holds a JSON array, not an object"),
     "dataset-truncated": ("train", "dataset/dataset.json", None, "not JSON (Unterminated string"),
     "model-int": ("eval", "ckpt/model.json", "5", "holds a JSON number, not an object"),
     "model-bool": ("eval", "ckpt/model.json", "true", "holds a JSON boolean, not an object"),
     "model-empty": ("eval", "ckpt/model.json", "", "not JSON (Expecting value: line 1 column 1 (char 0))"),
+    "model-config-int": ("eval", "ckpt/model.json", {"config": 5}, "config must be null or an object, got 5"),
+    "model-config-string": ("eval", "ckpt/model.json", {"config": "dataset_sha256"},
+                            "config must be null or an object, got 'dataset_sha256'"),
+    "model-config-list": ("eval", "ckpt/model.json", {"config": ["dataset_sha256"]},
+                          "config must be null or an object, got ['dataset_sha256']"),
+    "model-seed-text": ("eval", "ckpt/model.json", {"seed": "abc"}, "seed must be int | None, got 'abc'"),
+    "model-seed-negative": ("eval", "ckpt/model.json", {"seed": -1}, "seed must be >= 0, got -1"),
     "sidecar-int": ("featurize", "recordings/normal-r0.meta.json", "5", "holds a JSON number, not an object"),
     "sidecar-string": ("featurize", "recordings/normal-r0.meta.json", '"x"', "holds a JSON string, not an object"),
     "sidecar-unclosed": ("featurize", "recordings/normal-r0.meta.json", "{bad", "not JSON (Expecting property name"),
@@ -366,6 +375,8 @@ def test_a_malformed_json_document_fails_in_one_line_that_starts_with_its_path(d
     for source in (hop410_run / "dataset", hop410_run / "ckpt", desk_run / "recordings"):
         shutil.copytree(source, tmp_path / source.name)
     path, out = tmp_path / name, tmp_path / "out"
+    if isinstance(text, dict):
+        text = json.dumps({**json.loads(path.read_text()), **text})
     path.write_text(path.read_text()[:20] if text is None else text)
     dataset, ckpt, recordings = tmp_path / "dataset", tmp_path / "ckpt", tmp_path / "recordings"
     kept = (dataset / "dataset.json").read_bytes()
@@ -379,6 +390,21 @@ def test_a_malformed_json_document_fails_in_one_line_that_starts_with_its_path(d
     assert err.startswith(f"error: {path}: {problem}") and err.endswith("\n") and err.count("\n") == 1
     assert not out.exists()
     assert (dataset / "dataset.json").read_bytes() == kept  # split fails before it rewrites dataset.json
+
+
+@pytest.mark.parametrize("key, value, problem", [("config_echo", 5, "config_echo must be an object, got 5"),
+                                                 ("seed", "abc", "seed must be int | None, got 'abc'")],
+                         ids=["config-echo-int", "seed-text"])
+def test_split_over_a_dataset_json_it_rejects_leaves_it_and_the_manifest_unwritten(hop410_run, tmp_path, capsys,
+                                                                                   key, value, problem):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(hop410_run / "dataset", dataset)
+    path = dataset / "dataset.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    kept = {name: (dataset / name).read_bytes() for name in ("dataset.json", "manifest.json")}
+    assert run(["split", "--dataset", dataset, "--seed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert {name: (dataset / name).read_bytes() for name in kept} == kept
 
 
 def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
@@ -468,6 +494,41 @@ def test_import_names_a_rate_flag_that_is_not_a_finite_positive_number_and_leave
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--label", "Cracked", "--label: unknown fault label 'Cracked'; expected one of "
+                           "['Normal', 'InnerRace', 'OuterRace', 'Ball', 'Combined']"),
+    *[("--delimiter", value, f"--delimiter must be one character other than '\"', '#', CR and LF, got {value!r}")
+      for value in (";;", "", '"', "#")],
+], ids=["label", "delimiter-two", "delimiter-empty", "delimiter-quote", "delimiter-comment"])
+def test_import_names_a_bad_label_or_delimiter_flag_before_it_reads_the_csv(tmp_path, capsys, flag, value, problem):
+    out = tmp_path / "imported"
+    assert run(["import", "--src", tmp_path / "missing.csv", "--out", out, *IMPORT_FLAGS, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, flags", [(b"\xff\xfe1.0,2.0\n3.0,4.0\n", []),
+                                         (b"\xff\xfelin,ang\n1.0,2.0\n3.0,4.0\n", ["--has-header"])],
+                         ids=["rows", "header"])
+def test_import_names_a_csv_that_is_not_utf8_in_one_line_and_leaves_no_out_directory(tmp_path, capsys, data, flags):
+    src, out = tmp_path / "raw.csv", tmp_path / "imported"
+    src.write_bytes(data)
+    assert run(["import", "--src", src, "--out", out, *IMPORT_FLAGS, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {src}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+    assert not out.exists()
+
+
+def test_featurize_names_a_recording_that_is_not_utf8_in_one_line_and_leaves_no_out_directory(desk_run, tmp_path,
+                                                                                              capsys):
+    recordings, out = tmp_path / "recordings", tmp_path / "out"
+    shutil.copytree(desk_run / "recordings", recordings)
+    path = recordings / "ball-r0.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert run(["featurize", "--recordings", recordings, "--out", out, *FEAT_FLAGS]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+    assert not out.exists()
+
+
 def test_import_skips_comment_and_blank_lines_and_a_nan_in_a_column_no_flag_selects(tmp_path):
     src, out = tmp_path / "raw.csv", tmp_path / "imported"
     src.write_text("# logger export\n0.0,1.0,nan\n\n0.5,2.0,7.0  # a note\n1.0,3.0,nan\n")
@@ -549,6 +610,14 @@ def test_config_rejects_a_value_of_another_type_in_one_line(section, name, value
     ({"simulate": {"sample_rate_hz": 1000.0}}, "simulate.sample_rate_hz", ("simulate", "--sample-rate-hz", "1000")),
     ({"simulate": {"duration_s": 0.00001}}, "simulate.duration_s", ("simulate", "--duration-s", "0.00001")),
     ({"segmentation": {"window_len": 5}}, "segmentation.window_len", ("featurize", "--window-len", "5")),
+    # Not finite: these crashed, diverged or ran until a late check named them otherwise.
+    ({"simulate": {"sample_rate_hz": math.inf}}, "simulate.sample_rate_hz", ("simulate", "--sample-rate-hz", "inf")),
+    ({"simulate": {"duration_s": math.inf}}, "simulate.duration_s", ("simulate", "--duration-s", "inf")),
+    ({"train": {"learning_rate": math.inf}}, "train.learning_rate", ("train", "--learning-rate", "inf")),
+    ({"hht": {"freq_max_hz": math.inf}}, "hht.freq_max_hz", ("featurize", "--freq-max-hz", "inf")),
+    ({"tsne": {"perplexity": math.inf}}, "tsne.perplexity", ("embed", "--perplexity", "inf")),
+    ({"simulate": {"duration_s": 10**400}}, "simulate.duration_s", None),
+    ({"band": {"centers_hz": [math.inf, 820.0]}}, "band.centers_hz", None),
 ])
 def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, capsys, payload, name, flag):
     with pytest.raises(ValueError) as excinfo:
@@ -557,10 +626,35 @@ def test_config_rejects_a_value_outside_its_bound_at_load_in_one_line(tmp_path, 
     assert re.fullmatch(rf"config field {re.escape(name)} must [^\n]*, got [^\n]*", line), line
     if flag:
         stage, *value = flag
-        inputs = ["--recordings", tmp_path / "recordings"] if stage == "featurize" else []
+        # Inputs that do not exist: the flag must fail before any of them is read.
+        inputs = {"featurize": ["--recordings", tmp_path / "recordings"], "train": ["--dataset", tmp_path / "ds"],
+                  "embed": ["--dataset", tmp_path / "ds"]}.get(stage, [])
         assert run([stage, *inputs, "--out", tmp_path / "out", *value]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, line", [
+    ({"simulate": {"sample_rate_hz": math.inf}}, "simulate.sample_rate_hz must be a finite number > 0, got inf"),
+    ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be a finite number > 0 and < 1, got 1.5"),
+    ({"split": {"val_fraction": math.nan}}, "split.val_fraction must be a finite number > 0 and < 1, got nan"),
+    ({"hht": {"freq_max_hz": -math.inf}}, "hht.freq_max_hz must be a finite number > 0 or None, got -inf"),
+    ({"band": {"centers_hz": [math.inf, 820.0]}}, "band.centers_hz must be 2 finite numbers > 0, got [inf, 820.0]"),
+    ({"simulate": {"noise_sigma": True}}, "simulate.noise_sigma must be a finite number >= 0, got True"),
+], ids=["inf", "above", "nan", "minus-inf", "tuple", "bool"])
+def test_a_float_field_fails_in_one_phrase_whichever_part_of_its_rule_it_breaks(payload, line):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_dict(payload)
+    assert str(excinfo.value) == f"config field {line}"
+
+
+def test_every_numeric_flag_is_a_config_field_the_seed_or_a_row_of_the_flag_table():
+    # Each of these is checked at load, so a new numeric flag cannot go unchecked.
+    (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.type in (int, float) and "." not in action.dest and action.dest != "seed":
+                assert _FLAG_RULES.get(action.dest, (None,))[0] is action.type, (command, action.option_strings)
 
 
 # Settings that are fixed by the protocol, or drawn from the run seed, at their last values.

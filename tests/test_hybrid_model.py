@@ -510,13 +510,20 @@ def _scaler_entry(key, values):
             del manifest["scaler"][key]
         else:
             manifest["scaler"][key] = values
-        return f"scaler '{key}' must hold 2 finite numbers, one per feature, got {values!r}"
+        return f"scaler '{key}' must be 2 finite numbers, got {values!r}"
     return corrupt
 
 
 def _min_above_max(manifest):
     low = manifest["scaler"]["min"][1] = manifest["scaler"]["max"][1] + 1.0
     return f"scaler 'min' {low!r} exceeds 'max' {manifest['scaler']['max'][1]!r} for feature 1"
+
+
+def _top_level(key, value, problem):
+    def corrupt(manifest):
+        manifest[key] = value
+        return problem
+    return corrupt
 
 
 def _splits_keys(edit, got):
@@ -544,13 +551,15 @@ _BAD_SPLITS = {"no-val": _splits_keys(lambda splits: splits.pop("val"), ["test",
                                            ["holdout", "test", "train", "val"])}
 _BAD_PROVENANCE = {"provenance-int": _provenance(5, "5"), "provenance-null": _provenance(None, "None"),
                    "provenance-int-entry": _provenance("entry", "5 in it")}
+_BAD_ECHO_AND_SEED = {"config-echo-int": _top_level("config_echo", 5, "config_echo must be an object, got 5"),
+                      "seed-text": _top_level("seed", "abc", "seed must be int | None, got 'abc'")}
 
 
 @pytest.mark.parametrize("corrupt", [*map(_drop_key, _TOP_LEVEL_KEYS), _name_a_train_window_in_val,
                                      _name_a_window_provenance_lacks, *_BAD_SCALERS.values(),
-                                     *_BAD_SPLITS.values(), *_BAD_PROVENANCE.values()],
+                                     *_BAD_SPLITS.values(), *_BAD_PROVENANCE.values(), *_BAD_ECHO_AND_SEED.values()],
                          ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window",
-                              *_BAD_SCALERS, *_BAD_SPLITS, *_BAD_PROVENANCE])
+                              *_BAD_SCALERS, *_BAD_SPLITS, *_BAD_PROVENANCE, *_BAD_ECHO_AND_SEED])
 def test_load_dataset_names_dataset_json_and_the_key_it_rejects(tmp_path, corrupt):
     ds = dataset_from_examples(make_examples())
     save_dataset(assign_splits(ds, SplitSpec(), 2), tmp_path)
