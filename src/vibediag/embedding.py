@@ -71,8 +71,12 @@ def pca_fit(data: np.ndarray) -> PcaModel:
         eigvals = eigvals[order]
         u = eigvecs[:, order]
         scale = np.sqrt(np.maximum(eigvals, 0.0) * (n - 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            components = np.where(scale[:, None] > 0, (xc.T @ u).T / scale[:, None], 0.0)
+        # In place, so the centred copy and this one are the only image-sized arrays.
+        components = (xc.T @ u).T
+        positive = scale > 0
+        np.divide(components, scale[:, None], out=components, where=positive[:, None])
+        components[~positive] = 0.0
+    del xc  # before the keep-copy below
 
     eigvals = np.maximum(eigvals, 0.0)
     total = eigvals.sum()

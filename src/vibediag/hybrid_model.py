@@ -147,23 +147,7 @@ BRANCH_BUILDERS = {"hybrid": build_hybrid, "cnn": build_cnn_only, "mlp": build_m
 
 def shape_trace(model: Model, channels: int = 3, feature_width: int = 2):
     """Per-layer (type, output shape) rows from a zeros probe, for shape audits."""
-
-    def run(layers, x):
-        rows = []
-        for layer in layers:
-            x = layer.forward(x, training=False)
-            rows.append((layer.kind, x.shape[1:]))
-        return rows, x
-
-    trace, parts = {}, []
-    probes = (np.zeros((1, IMAGE_SIZE, IMAGE_SIZE, channels)), np.zeros((1, feature_width)))
-    for name, layers, probe in zip(("image", "feature"), model.branches, probes):
-        if layers is not None:
-            trace[name], out = run(layers, probe)
-            parts.append(out)
-    merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    trace["head"], _ = run(model.head_layers, merged)
-    return trace
+    return model.layer_shapes(np.zeros((1, IMAGE_SIZE, IMAGE_SIZE, channels)), np.zeros((1, feature_width)))
 
 
 # ---------------------------------------------------------------------------

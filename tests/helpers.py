@@ -426,3 +426,33 @@ def reference_tsne(data, config, seed):
         y = y + velocity
         y = y - y.mean(axis=0)
     return y, kl_history
+
+
+def reference_pca_fit(data):
+    """``embedding.pca_fit`` with every step out of place: the dual branch
+    divides into a new array and zeroes zero-scale rows with ``np.where``."""
+    from vibediag.embedding import PcaModel
+
+    x = np.asarray(data, dtype=np.float64)
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    xc = x - mean
+    if n >= d:
+        eigvals, eigvecs = np.linalg.eigh((xc.T @ xc) / (n - 1))
+        order = np.argsort(eigvals)[::-1]
+        eigvals, components = eigvals[order], eigvecs[:, order].T
+    else:
+        eigvals, eigvecs = np.linalg.eigh((xc @ xc.T) / (n - 1))
+        order = np.argsort(eigvals)[::-1]
+        eigvals, u = eigvals[order], eigvecs[:, order]
+        scale = np.sqrt(np.maximum(eigvals, 0.0) * (n - 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            components = np.where(scale[:, None] > 0, (xc.T @ u).T / scale[:, None], 0.0)
+    eigvals = np.maximum(eigvals, 0.0)
+    total = eigvals.sum()
+    keep = eigvals > eigvals[0] * 1e-12
+    eigvals, components = eigvals[keep], components[keep]
+    flips = np.sign(components[np.arange(components.shape[0]), np.abs(components).argmax(axis=1)])
+    ratios = eigvals / total
+    return PcaModel(components=components * flips[:, None], explained_variance_ratio=ratios,
+                    cumulative_ratio=np.cumsum(ratios), mean=mean)

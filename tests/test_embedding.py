@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_conditional_affinities, reference_tsne
+from helpers import reference_conditional_affinities, reference_pca_fit, reference_tsne
 from vibediag.config import config_from_dict
 from vibediag.embedding import (
     EXAGGERATION_ITERS,
@@ -93,6 +94,33 @@ def test_zero_variance_data():
     model = pca_fit(np.ones((10, 4)))
     assert model.explained_variance_ratio.shape == (1,)
     assert model.explained_variance_ratio[0] == 0.0
+
+
+@pytest.mark.parametrize("case", ["wide", "wide repeated rows", "tall"])
+def test_pca_fit_gives_the_bits_of_the_out_of_place_reference(case):
+    # Repeated rows leave a rank-deficient Gram matrix, whose eigenvalues at
+    # rounding level include negatives: their scale is 0 and their rows zeroed.
+    rng = np.random.default_rng(11)
+    data = {"wide": lambda: rng.uniform(size=(40, 300)),
+            "wide repeated rows": lambda: np.repeat(rng.uniform(size=(6, 300)), 5, axis=0),
+            "tall": lambda: rng.normal(size=(300, 40))}[case]()
+    got, want = pca_fit(data), reference_pca_fit(data)
+    for name in ("components", "explained_variance_ratio", "cumulative_ratio", "mean"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_pca_fit_holds_at_most_two_and_a_half_image_matrices():
+    # The dual branch's centred copy and its projection are the only
+    # image-sized arrays alive at once; the keep-copy comes after the first goes.
+    data = np.random.default_rng(12).uniform(size=(190, 3072))
+    tracemalloc.start()
+    try:
+        pca_fit(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * data.nbytes, peak / data.nbytes
 
 
 def two_clusters(n=200, dim=10, separation=10.0, seed=0):

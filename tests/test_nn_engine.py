@@ -20,8 +20,11 @@ from helpers import (
     where_maxpool2x2_winners,
 )
 from vibediag.config import config_from_dict
-from vibediag.hybrid_model import build_hybrid, predict_classes
+from vibediag.hybrid_model import BRANCH_BUILDERS, build_hybrid, predict_classes
 from vibediag.nn_engine import (
+    _LAYER_TYPES,
+    EVAL_BLOCK,
+    EVAL_CHUNK,
     Adam,
     Conv3x3,
     Dense,
@@ -33,6 +36,7 @@ from vibediag.nn_engine import (
     ReLU,
     TrainConfig,
     adam_step,
+    eval_logits,
     load_model,
     save_model,
     softmax_crossentropy,
@@ -190,6 +194,130 @@ def test_no_layer_holds_a_training_cache_after_train():
                      TrainConfig(batch_size=4, max_epochs=2, patience=1))
     for layer in model._all_layers():
         assert layer._cache is None and getattr(layer, "_scale", None) is None, layer.kind
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 16, 32, 64, 128])
+@pytest.mark.parametrize("size, cin", [(32, 3), (16, 16), (8, 32)])
+def test_conv_bias_gradient_gives_the_bits_of_a_row_order_sum(dtype, width, size, cin):
+    # The hybrid's three conv inputs at batch 20: 20,480, 5,120 and 1,280 gradient rows.
+    rng = np.random.default_rng(width)
+    conv = Conv3x3(cin, width, rng)
+    conv.kernels, conv.bias = conv.kernels.astype(dtype), conv.bias.astype(dtype)
+    conv.d_kernels, conv.d_bias = np.zeros_like(conv.kernels), np.zeros_like(conv.bias)
+    conv.input_grad = False
+    conv.forward(rng.normal(size=(20, size, size, cin)).astype(dtype), training=True)
+    grad = rng.normal(size=(20, size, size, width)).astype(dtype)
+    conv.backward(grad)
+    np.testing.assert_array_equal(_bits(conv.d_bias), _bits(grad.reshape(-1, width).sum(axis=0)))
+
+
+def test_the_row_independent_layers_are_declared_by_class():
+    assert {cls for cls in _LAYER_TYPES.values() if cls.row_independent} == {
+        Conv3x3, MaxPool2x2, ReLU, Flatten, Dropout}
+
+
+def _conv(cin, cout):
+    return lambda rng: Conv3x3(cin, cout, rng)
+
+
+# Each row-independent layer and the shape of one input row: the hybrid's
+# three convs, then a conv whose (h+2)*w tall rows per image are not a whole
+# number of _ROW_BLOCK rows, so a split moves its images within the blocks.
+_ROW_INDEPENDENT_CASES = [
+    (_conv(3, 16), (32, 32, 3)), (_conv(16, 32), (16, 16, 16)), (_conv(32, 64), (8, 8, 32)),
+    (_conv(2, 3), (5, 3, 2)), (lambda rng: MaxPool2x2(), (8, 8, 4)), (lambda rng: ReLU(), (6, 6, 4)),
+    (lambda rng: Flatten(), (4, 4, 3)), (lambda rng: Dropout(0.5), (7,)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 100])
+@pytest.mark.parametrize("make, row_shape", _ROW_INDEPENDENT_CASES)
+def test_a_row_independent_layer_gives_a_split_batch_the_bits_of_the_whole(dtype, n, make, row_shape):
+    rng = np.random.default_rng(n)
+    layer = make(rng)
+    for name, value in layer.params():
+        setattr(layer, name, value.astype(dtype))
+    x = rng.normal(size=(n, *row_shape)).astype(dtype)
+    whole = layer.forward(x)
+    assert whole.dtype == dtype
+    for cuts in (range(EVAL_BLOCK, n, EVAL_BLOCK), sorted(set(rng.integers(1, n, size=3))) if n > 1 else []):
+        split = np.concatenate([layer.forward(part) for part in np.split(x, list(cuts))])
+        np.testing.assert_array_equal(_bits(split), _bits(whole))
+
+
+def _whole_chunk_logits(model, images, features):
+    """Each layer's eval forward over every row of a chunk at once."""
+    parts = []
+    for layers, x in zip(model.branches, (images, features)):
+        if layers is not None:
+            x = np.asarray(x, model.dtype)
+            for layer in layers:
+                x = layer.forward(x)
+            parts.append(x)
+    x = np.concatenate(parts, axis=1)
+    for layer in model.head_layers:
+        x = layer.forward(x)
+    return x
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_BUILDERS))
+def test_eval_logits_give_the_bits_of_whole_chunk_forwards(branch):
+    model = BRANCH_BUILDERS[branch](channels=3, seed=2)
+    rng = np.random.default_rng(9)
+    images, feats = rng.uniform(size=(600, 32, 32, 3)), rng.uniform(size=(600, 2))
+    for n in (1, 31, 32, 33, 256, 257, 600):
+        chunks = list(eval_logits(model, images[:n], feats[:n], n))
+        assert [rows for rows, _ in chunks] == [slice(lo, min(lo + EVAL_CHUNK, n)) for lo in range(0, n, EVAL_CHUNK)]
+        for rows, logits in chunks:
+            want = _whole_chunk_logits(model, images[rows], feats[rows])
+            assert logits.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(_bits(logits), _bits(want))
+
+
+def _record_rows(layer, seen):
+    forward = layer.forward
+
+    def counted(x, *args, **kwargs):
+        seen.append(len(x))
+        return forward(x, *args, **kwargs)
+
+    layer.forward = counted
+
+
+def test_an_eval_forward_blocks_only_the_leading_row_independent_layers():
+    model = build_hybrid(channels=3, seed=0)
+    seen = {layer: [] for layer in model._all_layers()}
+    for layer, rows in seen.items():
+        _record_rows(layer, rows)
+    lead = model.image_layers[:10]  # three conv, pool, ReLU stages and the Flatten; then Dense
+    assert [layer.kind for layer in lead].count("conv3x3") == 3 and lead[-1].kind == "flatten"
+    rng = np.random.default_rng(4)
+    n = 2 * EVAL_BLOCK + 5
+    images, feats = rng.uniform(size=(n, 32, 32, 3)), rng.uniform(size=(n, 2))
+
+    def forward(rows, **kwargs):
+        for layer_rows in seen.values():
+            layer_rows.clear()
+        model.forward_logits(images[:rows], feats[:rows], **kwargs)
+
+    forward(n)
+    assert all(seen[layer] == [EVAL_BLOCK, EVAL_BLOCK, 5] for layer in lead)
+    # The feature branch starts with a Dense, so it and the head run once over every row.
+    assert all(rows == [n] for layer, rows in seen.items() if layer not in lead)
+    # A training forward, and an eval forward of one block, run every layer once.
+    for rows, kwargs in ((n, {"training": True, "rng": rng}), (EVAL_BLOCK, {})):
+        forward(rows, **kwargs)
+        assert all(layer_rows == [rows] for layer_rows in seen.values())
+
+
+def test_layer_shapes_of_a_blocked_forward_are_those_of_one_row():
+    model = build_hybrid(channels=3, seed=0)
+    rng = np.random.default_rng(6)
+    n = EVAL_BLOCK + 1
+    images, feats = rng.uniform(size=(n, 32, 32, 3)), rng.uniform(size=(n, 2))
+    assert model.layer_shapes(images, feats) == model.layer_shapes(images[:1], feats[:1])
 
 
 def _two_stage_model(pool_first, channels, flat_width, dtype):
