@@ -10,13 +10,23 @@ suppressed by mirroring the first and last ``BOUNDARY_PAD_EXTREMA`` extrema
 about the series ends before splining. Extraction stops once the residual is monotone or has fewer
 than three interior extrema.
 
+Each pass finds the extrema in one :func:`find_extrema` call, which has two
+paths. A series with no zero step, which is what sifting a noisy window
+nearly always gives, places each extremum straight from the turns of the
+step signs; a series with flat runs first drops its zero steps and places a
+plateau's extremum at its midpoint. Both give the same indices where both
+apply.
+
 Each pass builds both envelopes in one :func:`spline_envelope` call: the two
 mirrored knot sets share one set of band arrays, and each set's knot slopes
 come from its own tridiagonal solve by LAPACK ``gtsv``, the routine behind
 scipy's natural ``CubicSpline``, so a pass makes two ``gtsv`` calls. The
 pieces are built and evaluated in scipy's operation order, so each envelope
 is bitwise equal to ``CubicSpline(xs, ys, bc_type="natural")`` (scipy 1.17)
-on its own knots, without its per-call validation and object set-up.
+on its own knots, without its per-call validation and object set-up. The
+pieces' knots and coefficients are the rows of one array, one ``np.repeat``
+spreads them over the grid, and the polynomial is summed in place in the
+spread rows.
 """
 
 from __future__ import annotations
@@ -72,23 +82,33 @@ class ImfSet:
 def find_extrema(series: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Interior extrema by three-point comparison.
 
-    Returns ((max_idx, max_val), (min_idx, min_val)). A plateau bounded by a
-    rise and a fall contributes its (floor) midpoint index.
+    Returns ((max_idx, max_val), (min_idx, min_val)), the indices of dtype
+    ``intp``. A plateau bounded by a rise and a fall contributes its (floor)
+    midpoint index. A series with no zero step (no two equal neighbours)
+    takes a fast path: every step then counts, and each extremum is the
+    sample between the two steps that turn. Any other series drops its zero
+    steps first; both paths give the same indices.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size < 3:
         raise ValueError("series must have length >= 3")
     d = x[1:] - x[:-1]
-    nz = np.flatnonzero(d)
-    if nz.size < 2:
-        empty = np.zeros(0, dtype=int), np.zeros(0)
-        return empty, (np.zeros(0, dtype=int), np.zeros(0))
-    rising = d[nz] > 0
-    turn = np.flatnonzero(rising[:-1] != rising[1:])
-    # A rise then a fall is a maximum; the extremum spans samples
-    # nz[k]+1 .. nz[k+1]. Maxima and minima alternate, so every other
-    # turn is a maximum.
-    mids = (nz[turn] + 1 + nz[turn + 1]) // 2
+    if np.count_nonzero(d) == d.size:
+        rising = d > 0
+        turn = np.flatnonzero(rising[:-1] != rising[1:])
+        mids = turn + 1
+    else:
+        nz = np.flatnonzero(d)
+        if nz.size < 2:
+            empty = np.zeros(0, dtype=int), np.zeros(0)
+            return empty, (np.zeros(0, dtype=int), np.zeros(0))
+        rising = d[nz] > 0
+        turn = np.flatnonzero(rising[:-1] != rising[1:])
+        # A rise then a fall is a maximum; the extremum spans samples
+        # nz[k]+1 .. nz[k+1]. (With no zero step, nz[k] = k, hence the
+        # fast path's turn + 1.)
+        mids = (nz[turn] + 1 + nz[turn + 1]) // 2
+    # Maxima and minima alternate, so every other turn is a maximum.
     first_max = 0 if turn.size == 0 or rising[turn[0]] else 1
     max_idx = mids[first_max::2]
     min_idx = mids[1 - first_max::2]
@@ -196,13 +216,16 @@ def spline_envelope(
     if not np.isfinite(s).all():
         raise ValueError("monotone component")
 
-    # Piece coefficients as in CubicHermiteSpline. scipy's evaluator starts
-    # its sum from 0.0, hence the 0.0 + ys.
+    # Each piece's left knot, then its coefficients as in CubicHermiteSpline
+    # (const, lin, quad, cubic), one row each. scipy's evaluator starts its
+    # sum from 0.0, hence the 0.0 + ys.
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    cubic = t / dx
-    quad = (slope - s[:-1]) / dx - t
-    lin = s[:-1]
-    const = 0.0 + ys[:-1]
+    coef = np.empty((5, m - 1))
+    coef[0] = xs[:-1]
+    coef[1] = 0.0 + ys[:-1]
+    coef[2] = s[:-1]
+    coef[3] = (slope - s[:-1]) / dx - t
+    coef[4] = t / dx
 
     # Piece k covers xs[k] <= g < xs[k+1]; each block's end pieces
     # extrapolate. Grid point g lies right of the knots with ceil(xs) <= g,
@@ -217,15 +240,20 @@ def spline_envelope(
     for lo, hi in blocks:
         counts[lo] += first[lo]
         counts[hi - 1] += n - first[hi]
-    x0, c3, c2, c1, c0 = (np.repeat(c, counts) for c in (xs[:-1], const, lin, quad, cubic))
-    # PPoly's term order: ((c3 + c2 z) + c1 z^2) + c0 (z^2 z).
-    z = _sample_grid(n) - x0
-    z2 = z * z
-    out = c3 + c2 * z
-    out += c1 * z2
-    z2 *= z
-    out += c0 * z2
-    return out.reshape(2, -1)
+    # One repeat spreads all five rows; the sum then runs in place, z^2
+    # taking the spent c2 row. PPoly's term order:
+    # ((c3 + c2 z) + c1 z^2) + c0 (z^2 z).
+    z, c3, c2, c1, c0 = np.repeat(coef, counts, axis=1)
+    np.subtract(_sample_grid(n), z, out=z)
+    c2 *= z
+    c3 += c2
+    np.multiply(z, z, out=c2)
+    c1 *= c2
+    c3 += c1
+    c2 *= z
+    c0 *= c2
+    c3 += c0
+    return c3.reshape(2, -1)
 
 
 def sift(series: np.ndarray, config: EmdConfig | None = None) -> ImfSet:

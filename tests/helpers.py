@@ -251,6 +251,26 @@ def reference_find_extrema(series):
     return (max_idx, x[max_idx]), (min_idx, x[min_idx])
 
 
+def reference_analytic_signal(series, dt):
+    """``hht.analytic_signal`` as it was before it moved to ``scipy.fft``: the
+    one-sided spectrum method through ``np.fft``, along the last axis. Returns
+    a dict of ``y``, ``amplitude``, ``phase`` and ``frequency_hz``."""
+    x = np.asarray(series, dtype=np.float64)
+    n = x.shape[-1]
+    gain = np.zeros(n)
+    gain[0] = 1.0
+    gain[1 : (n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        gain[n // 2] = 1.0
+    z = np.fft.ifft(np.fft.fft(x) * gain)
+    phase = np.unwrap(np.angle(z))
+    freq = np.empty_like(phase)
+    freq[..., 1:-1] = (phase[..., 2:] - phase[..., :-2]) / (4.0 * np.pi * dt)
+    freq[..., 0] = (phase[..., 1] - phase[..., 0]) / (2.0 * np.pi * dt)
+    freq[..., -1] = (phase[..., -1] - phase[..., -2]) / (2.0 * np.pi * dt)
+    return {"y": z.imag, "amplitude": np.abs(z), "phase": phase, "frequency_hz": np.maximum(freq, 0.0)}
+
+
 def reference_render_pixels(imfs, dt, freq_max_hz, channels=3):
     """The Hilbert raster by a sequential ``np.add.at`` scatter, with the
     frequency taken from a second unwrap of the analytic phase."""

@@ -76,6 +76,44 @@ def test_find_extrema_matches_sign_of_differences_reference(x):
         assert bitwise_equal(val, ref_val)
 
 
+def series_with_one_zero_step(n, where, seed):
+    """Distinct normal values, except that one sample repeats its left
+    neighbour: at the start, the middle or the end."""
+    x = np.random.default_rng(seed).normal(size=n)
+    k = {"start": 0, "middle": n // 2 - 1, "end": n - 2}[where]
+    x[k + 1] = x[k]
+    return x
+
+
+def tone_with_a_flat_peak(n):
+    """A sampled tone whose first maximum is held for one more sample."""
+    x = np.sin(2 * np.pi * 7 * np.arange(n) / n)
+    k = int(np.argmax(x[: n // 7]))
+    x[k + 1] = x[k]
+    return x
+
+
+@pytest.mark.parametrize("kind, x", [
+    *[("distinct", np.random.default_rng(s).normal(size=n))
+      for s, n in enumerate([3, 4, 5, 50, 1024, 3897])],
+    ("distinct", np.array([0.0, 1.0, 0.0])),
+    ("distinct", np.linspace(-1.0, 1.0, 20)),
+    ("distinct", np.sin(2 * np.pi * 5 * np.arange(1000) / 1000) + 1e-3 * np.arange(1000)),
+    *[("one zero step", series_with_one_zero_step(n, where, s))
+      for s, n in enumerate([4, 5, 50, 3897]) for where in ("start", "middle", "end")],
+    ("one zero step", tone_with_a_flat_peak(700)),
+])
+def test_find_extrema_takes_either_path_with_the_bits_of_the_reference(kind, x):
+    # find_extrema takes its fast path exactly when no step of the series is
+    # zero; each case here is made to take the one path its kind names.
+    zero_steps = x.size - 1 - np.count_nonzero(np.diff(x))
+    assert zero_steps == (0 if kind == "distinct" else 1)
+    for (idx, val), (ref_idx, ref_val) in zip(find_extrema(x), reference_find_extrema(x)):
+        assert idx.dtype == np.intp and ref_idx.dtype == np.intp
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert bitwise_equal(val, ref_val)
+
+
 # Plateau series with flat runs of up to 12 samples added at either end.
 flat_ended_series = st.tuples(plateau_series, st.integers(0, 12), st.integers(0, 12)).map(
     lambda t: np.concatenate([np.full(t[1], t[0][0]), t[0], np.full(t[2], t[0][-1])]))

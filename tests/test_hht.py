@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import desk_window, reference_render_pixels
+from helpers import desk_window, reference_analytic_signal, reference_render_pixels
 from vibediag.emd import ImfSet, sift
 from vibediag.hht import (
     AnalyticSignal,
@@ -184,3 +184,17 @@ def test_stacked_analytic_signal_equals_one_call_per_row_bitwise(n):
         for field in ("x", "y", "amplitude", "phase", "frequency_hz"):
             a, b = getattr(stacked, field)[k], getattr(single, field)
             assert a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("n", [4, 5, 255, 256, 1024, 1559, 3897])
+@pytest.mark.parametrize("shape", ["row", "stack"])
+def test_analytic_signal_gives_the_bits_of_numpys_fft(n, shape):
+    # scipy.fft and np.fft share pocketfft; this fails if their bits part.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n if shape == "row" else (3, n))
+    dt = 1 / 31175.0
+    got = analytic_signal(x, dt)
+    for field, want in reference_analytic_signal(x, dt).items():
+        a = getattr(got, field)
+        assert a.shape == want.shape and a.dtype == want.dtype, field
+        assert a.tobytes() == want.tobytes(), field
