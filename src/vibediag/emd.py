@@ -27,6 +27,10 @@ on its own knots, without its per-call validation and object set-up. The
 pieces' knots and coefficients are the rows of one array, one ``np.repeat``
 spreads them over the grid, and the polynomial is summed in place in the
 spread rows.
+
+``dgtsv`` is looked up from ``scipy.linalg.lapack`` on the first call and kept
+in a module-level reference: importing ``scipy.linalg`` costs a command's
+start about 170 ms, and only the sift and the conv call into it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 # Rilling's stopping rule: the envelope mean may exceed THETA1 times the
 # envelope amplitude on at most a fraction ALPHA of the samples, and THETA2
@@ -49,6 +52,8 @@ BOUNDARY_PAD_EXTREMA = 2
 MAX_IMFS = 3
 # The fewest samples a series to sift may have.
 MIN_SIFT_LEN = 8
+# scipy.linalg.lapack.dgtsv once bound by _bind_dgtsv.
+_dgtsv = None
 
 
 @dataclass
@@ -148,6 +153,12 @@ def _sample_grid(n: int) -> np.ndarray:
     return grid
 
 
+def _bind_dgtsv():
+    global _dgtsv
+    from scipy.linalg.lapack import dgtsv as _dgtsv
+    return _dgtsv
+
+
 def spline_envelope(
     extrema: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     n: int,
@@ -208,8 +219,9 @@ def spline_envelope(
     # One solve per block, each on contiguous slices that gtsv overwrites
     # in place, so rhs ends up holding both blocks' slopes. The entries
     # coupling row a-1 to row a lie outside every slice.
+    gtsv = _dgtsv or _bind_dgtsv()
     for lo, hi in blocks:
-        *_, info = dgtsv(lower[lo:hi], diag[lo:hi + 1], upper[lo:hi], rhs[lo:hi + 1], 1, 1, 1, 1)
+        *_, info = gtsv(lower[lo:hi], diag[lo:hi + 1], upper[lo:hi], rhs[lo:hi + 1], 1, 1, 1, 1)
         if info != 0:
             raise ValueError("monotone component")
     s = rhs

@@ -10,7 +10,10 @@ checkpoint I/O each touch one array. Layers build float64 and the
 deterministic sequence: the hybrid builders make float32 models, so
 training runs at float32, and ``model.bin`` holds their float64 upcasts,
 which are exact. ``load_model`` builds float32 when every stored value is
-a float32 value, and float64 otherwise.
+a float32 value, and float64 otherwise. The conv's GEMMs run through scipy's
+BLAS ``gemm``, whose lookup, ``scipy.linalg.blas.get_blas_funcs``, is bound
+on the first conv forward and kept in a module-level reference, so that
+importing the CLI does not load ``scipy.linalg`` (about 170 ms).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import get_blas_funcs
 
 from vibediag.signal_model import check_value, read_json
 
@@ -128,6 +130,14 @@ def _column_windows(x: np.ndarray, dtype, rows: int) -> np.ndarray:
 # Conv3x3 runs its gemms over whole blocks of 16 rows, so on any kernel whose block size divides 16
 # every output row has the bits of a row inside a whole block, whatever its batch.
 _ROW_BLOCK = 16
+# scipy.linalg.blas.get_blas_funcs once bound by _bind_get_blas_funcs.
+_get_blas_funcs = None
+
+
+def _bind_get_blas_funcs():
+    global _get_blas_funcs
+    from scipy.linalg.blas import get_blas_funcs as _get_blas_funcs
+    return _get_blas_funcs
 
 
 class Conv3x3(Layer):
@@ -173,7 +183,7 @@ class Conv3x3(Layer):
         out[:span] = self.bias
         # Each kernel row adds its windows @ kernels[di] in place: BLAS gemm
         # (beta=1) on the column-major transposes of the row-major arrays.
-        gemm = get_blas_funcs("gemm", (out,))
+        gemm = (_get_blas_funcs or _bind_get_blas_funcs())("gemm", (out,))
         for di in range(3):
             gemm(1.0, self.kernels[di].reshape(-1, self.out_channels).T, tall[di * w : di * w + span].T,
                  beta=1.0, c=out[:span].T, overwrite_c=True)

@@ -1,8 +1,13 @@
-"""Window-level featurization shared by the CLI and the experiment scripts."""
+"""Window-level featurization shared by the CLI and the experiment scripts.
+
+With ``jobs > 1``, :func:`featurize_windows` imports the process pool only
+then, and loads the scipy a window runs (``scipy.linalg.lapack`` for the
+sift, ``scipy.fft`` for the analytic signal) before the pool forks, so every
+worker shares the parent's copy instead of importing its own.
+"""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +35,11 @@ def featurize_windows(windows: Sequence[Window], config: RunConfig, jobs: int = 
     """Images plus raw band-power features for each window, input order kept."""
     tasks = [(w, config) for w in windows]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.fft  # noqa: F401
+        import scipy.linalg.lapack  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_featurize_window, tasks, chunksize=8))
     return [_featurize_window(task) for task in tasks]

@@ -296,14 +296,16 @@ def _sidecar_path(csv_path: Path) -> Path:
 def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
     """Write ``<path>`` as CSV plus the ``<name>.meta.json`` sidecar, and return both paths.
 
-    Samples are written with full repr so a load round-trips bitwise.
+    Samples are written with full repr so a load round-trips bitwise. Each row is one format
+    string, with the bytes ``csv.writer`` writes: repr floats and CRLF line ends.
     """
     path = Path(path)
     header = ["index", "linear_x", "linear_y"][: 1 + len(recording.linear)] + ["angular"]
+    columns = [*recording.linear.tolist(), recording.angular.tolist()]
+    row = ",".join(["%d"] + ["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(range(recording.n_samples), *recording.linear.tolist(), recording.angular.tolist()))
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row % values for values in zip(range(recording.n_samples), *columns)]))
     meta = {
         "sample_rate_hz": recording.sample_rate_hz,
         "rpm": recording.rpm,

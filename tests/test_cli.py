@@ -36,6 +36,7 @@ def run_recorded(stages, where, argv):
     return code
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DESK_FLAGS = ["--sample-rate-hz", "8192", "--duration-s", "0.8", "--noise-sigma", "0.2"]
 FEAT_FLAGS = ["--window-len", "1024", "--hop", "512", "--channels", "1", "--freq-max-hz", "4096"]
 
@@ -407,15 +408,67 @@ def test_split_over_a_dataset_json_it_rejects_leaves_it_and_the_manifest_unwritt
     assert {name: (dataset / name).read_bytes() for name in kept} == kept
 
 
-def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
-    # scipy.signal pulls in stats, optimize, interpolate, sparse, spatial and ndimage: about 1 s
-    # at every command's start. Only the srs peak search needs it, and it imports it on first use.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, vibediag.cli; print(' '.join(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+def fresh_python(code, *args):
+    """What ``code`` prints, run with ``args`` in a new interpreter on this checkout's sources."""
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, check=True)
-    subpackages = {name.split(".")[1] for name in done.stdout.split() if name.startswith("scipy.")}
-    assert {name for name in subpackages if not name.startswith("_")} - {"version"} == {"linalg"}
+    return done.stdout
+
+
+def scipy_modules(names):
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
+    # scipy.linalg's package init is about 170 ms, scipy.fft about 60 ms and scipy.signal about 1 s
+    # at every command's start. Each is imported where it is first used.
+    loaded = fresh_python("import sys, vibediag.cli; print(' '.join(sys.modules))").split()
+    assert scipy_modules(loaded) == []
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_simulate_and_split_load_no_scipy(desk_run, tmp_path):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(desk_run / "dataset", dataset)
+    code = ("import sys; from vibediag.cli import main; "
+            "assert main(['simulate', '--out', sys.argv[1], '--seed', '3', *sys.argv[3:]]) == 0; "
+            "assert main(['split', '--dataset', sys.argv[2], '--seed', '3']) == 0; "
+            "print(' '.join(sys.modules))")
+    assert scipy_modules(fresh_python(code, tmp_path / "rec", dataset, *DESK_FLAGS).split()) == []
+
+
+def test_featurize_on_two_jobs_loads_the_workers_scipy_first_and_writes_the_serial_bytes(desk_run, tmp_path):
+    # The workers fork from a parent that has loaded what they run, so they share its copy.
+    out = tmp_path / "dataset"
+    code = ("import sys; from vibediag.cli import main; "
+            "assert main(['featurize', '--recordings', sys.argv[1], '--out', sys.argv[2], '--seed', '7', "
+            "'--jobs', '2', *sys.argv[3:]]) == 0; "
+            "print(' '.join(sys.modules))")
+    loaded = fresh_python(code, desk_run / "recordings", out, *FEAT_FLAGS).split()
+    assert {"scipy.linalg.lapack", "scipy.fft"} <= set(loaded)
+    assert (out / "dataset.bin").read_bytes() == (desk_run / "dataset" / "dataset.bin").read_bytes()
+
+
+FIRST_CALL_INPUTS = """
+import numpy as np
+from vibediag import emd, hht, nn_engine
+rng = np.random.default_rng(11)
+series = rng.normal(size=777).cumsum()
+"""
+
+
+@pytest.mark.parametrize("call", ["emd.spline_envelope(emd.find_extrema(series), series.size)",
+                                  "hht.analytic_signal(series).y",
+                                  "nn_engine.Conv3x3(3, 8, rng).forward(rng.normal(size=(5, 12, 12, 3)))"],
+                         ids=["spline-envelope", "analytic-signal", "conv3x3-forward"])
+def test_a_first_call_into_scipy_in_a_fresh_interpreter_gives_the_in_process_bits(tmp_path, call):
+    scope = {}
+    exec(FIRST_CALL_INPUTS, scope)
+    expected = eval(call, scope)
+    fresh_python(f"import sys{FIRST_CALL_INPUTS}assert 'scipy' not in sys.modules\nnp.save(sys.argv[1], {call})",
+                 tmp_path / "first.npy")
+    first = np.load(tmp_path / "first.npy")
+    assert (first.dtype, first.shape, first.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
 @pytest.mark.parametrize("text, flags, rows", [("1.0,2.0\n", [], 1), ("lin,ang\n", ["--has-header"], 0)],
@@ -539,10 +592,9 @@ def test_import_skips_comment_and_blank_lines_and_a_nan_in_a_column_no_flag_sele
 
 
 def test_import_reads_a_csv_from_a_pipe(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = tmp_path / "imported"
     done = subprocess.run([sys.executable, "-m", "vibediag.cli", "import", "--src", "/dev/stdin", "--out", str(out),
-                           *IMPORT_FLAGS], input="1.0,2.0\n3.0,4.0\n", env={**os.environ, "PYTHONPATH": src},
+                           *IMPORT_FLAGS], input="1.0,2.0\n3.0,4.0\n", env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     np.testing.assert_array_equal(load_recording(out / "stdin.csv").angular, [2.0, 4.0])

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -123,6 +124,20 @@ def test_roundtrip_is_bitwise_identity(tmp_path):
     assert back.label is rec.label
     assert back.id == rec.id
     assert back.sample_rate_hz == rec.sample_rate_hz
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_a_saved_recording_has_the_bytes_csv_writer_writes(tmp_path, channels):
+    values = [0.1, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 123456.789, -2.5e-7, 3.0]
+    rec = Recording(sample_rate_hz=100.0, rpm=60.0, label=FaultLabel.NORMAL, id="r",
+                    linear=[values, values[::-1]][:channels], angular=values[3:] + values[:3])
+    path = tmp_path / "r.csv"
+    save_recording(rec, path)
+    with open(tmp_path / "csv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "linear_x", "linear_y"][: 1 + channels] + ["angular"])
+        writer.writerows(zip(range(len(values)), *rec.linear.tolist(), rec.angular.tolist()))
+    assert path.read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 def test_synthesis_is_deterministic():
