@@ -38,9 +38,9 @@ from vibediag.hybrid_model import (
     save_dataset_json,
 )
 from vibediag.nn_engine import load_model, save_model, train
-from vibediag.pipeline import featurize_windows, load_recordings_dir, recording_windows, sift_counters
-from vibediag.signal_model import (FaultLabel, Recording, check_value, finite_rows, load_recording, open_csv,
-                                   read_json, read_samples, save_recording, synthesize_recording)
+from vibediag.pipeline import featurize_windows, load_featurizable, recording_paths, recording_windows, sift_counters
+from vibediag.signal_model import (NOT_READ, FaultLabel, Recording, check_value, finite_rows, load_recording,
+                                   open_csv, read_json, read_samples, save_recording, synthesize_recording)
 
 
 def _sha256(path: Path) -> str:
@@ -74,6 +74,12 @@ def write_manifest(out_dir: Path, command: str, seed: int, config: RunConfig,
     if extra:
         manifest["extra"] = extra
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+# The manifest.json that write_manifest writes, as split reads it back from a dataset directory: only the
+# counters of ``extra``, which split keeps, and nothing inside them.
+MANIFEST_JSON = {"command": NOT_READ, "version": NOT_READ, "seed": NOT_READ, "config": NOT_READ,
+                 "artifacts": NOT_READ, "extra": {...: NOT_READ}, ...: NOT_READ}
 
 
 class Done:
@@ -153,8 +159,8 @@ def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
         config.band.centers_hz = tuple(p.center_hz for p in _torsional_peaks(args.srs, config.band))
     # The windows are views into the recordings; both go once featurize returns,
     # and the examples go once the dataset holds their arrays.
-    examples = featurize_windows(recording_windows(load_recordings_dir(args.recordings), config),
-                                 config, jobs=args.jobs)
+    recordings = [load_featurizable(path, config) for path in recording_paths(args.recordings)]
+    examples = featurize_windows(recording_windows(recordings, config), config, jobs=args.jobs)
     counters = {"examples": len(examples), **sift_counters(examples, config.emd.max_sift_iterations)}
     dataset = dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
     del examples
@@ -169,9 +175,7 @@ def cmd_split(args, config: RunConfig, seed: int) -> Done:
     dataset = load_dataset(dataset_dir)
     # Keep the featurize counters that the manifest being replaced recorded; read before any write.
     previous = dataset_dir / "manifest.json"
-    extra = read_json(previous).get("extra", {}) if previous.is_file() else {}
-    if not isinstance(extra, dict):
-        raise ValueError(f"{previous}: extra must be an object, got {extra!r}")
+    extra = read_json(previous, MANIFEST_JSON)["extra"] if previous.is_file() else {}
     assign_splits(dataset, config.split, seed)
     save_dataset_json(dataset, dataset_dir)
     counts = {name: len(keys) for name, keys in dataset.splits.items()}
@@ -208,8 +212,9 @@ def cmd_train(args, config: RunConfig, seed: int) -> Done:
 def cmd_eval(args, config: RunConfig, seed: int) -> Done:
     checkpoint = Path(args.checkpoint)
     model, model_manifest = load_model(checkpoint)
-    trained = model_manifest.get("config") or {}
+    trained = model_manifest["config"] or {}
     if "dataset_sha256" in trained:
+        check_value(f"{checkpoint / 'model.json'}: config.dataset_sha256", trained["dataset_sha256"], str)
         data_bin = Path(args.dataset) / "dataset.bin"
         given = _sha256(data_bin)
         if given != trained["dataset_sha256"]:

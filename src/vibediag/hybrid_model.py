@@ -37,7 +37,7 @@ from vibediag.nn_engine import (
     ReLU,
     eval_logits,
 )
-from vibediag.signal_model import N_CLASSES, FaultLabel, check_value, read_json
+from vibediag.signal_model import N_CLASSES, NOT_READ, FaultLabel, OrNull, read_json
 
 FLATTEN_WIDTH = 64 * (IMAGE_SIZE // 8) ** 2  # 64 maps of 4x4 -> 1024
 
@@ -322,6 +322,24 @@ def dataset_layout(n: int, channels: int) -> tuple[dict, int]:
     return offsets, offset
 
 
+# The dataset.json that save_dataset_json writes, as load_dataset reads it (see signal_model.check_document).
+_COUNT = (int, {"min": 0})
+DATASET_JSON = {
+    "format": (str, {"in": (DATASET_FORMAT,)}),
+    "counts": NOT_READ,
+    "label_map": NOT_READ,
+    "offsets": {name: {"byte_offset": _COUNT, "byte_length": _COUNT, "shape": [_COUNT]}
+                for name in dataset_layout(0, 1)[0]},
+    "provenance": [str],
+    "scaler": OrNull({"min": tuple[float, float], "max": tuple[float, float]}),
+    "splits": OrNull({name: [str] for name in SPLIT_NAMES}),
+    "config_echo": {...: NOT_READ},  # the featurize config, echoed into each later stage's manifest
+    "seed": (int | None, {"min": 0}),
+    "total_bytes": _COUNT,
+    ...: NOT_READ,
+}
+
+
 def save_dataset_json(dataset: FeaturizedDataset, out_dir) -> None:
     """Write ``dataset.json``, the manifest of the ``dataset.bin`` that
     :func:`save_dataset` writes for the same arrays."""
@@ -371,53 +389,40 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> FeaturizedDataset:
-    """The dataset of ``dataset.json`` and ``dataset.bin``; ValueError, naming the file, on an
-    unknown format, a missing top-level key, a ``scaler`` whose ``min`` or ``max`` is not 2 finite
-    numbers or whose ``min`` exceeds its ``max`` for a feature, a ``config_echo`` that is not an
-    object, a ``seed`` that is not null or an int >= 0, ``splits`` that is not
-    null or keyed by exactly ``SPLIT_NAMES``, ``offsets`` or ``total_bytes`` that differ from the
-    :func:`dataset_layout` of ``len(provenance)`` windows, a wrong length, a label row that is
-    not one-hot, or a split that names a window twice or one ``provenance`` lacks."""
+    """The dataset of ``dataset.json`` and ``dataset.bin``. ``dataset.json`` must meet
+    :data:`DATASET_JSON`; beyond that, a ValueError naming the file rejects a ``scaler`` whose
+    ``min`` exceeds its ``max`` for a feature, ``splits`` that name a window twice, name one
+    ``provenance`` lacks or leave one out, ``offsets`` or ``total_bytes`` that differ from the
+    :func:`dataset_layout` of ``len(provenance)`` windows, a ``dataset.bin`` of another length
+    and a label row that is not one-hot."""
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
-    manifest = read_json(json_path, ("total_bytes", "offsets", "provenance", "scaler", "splits",
-                                     "config_echo", "seed"), DATASET_FORMAT)
+    manifest = read_json(json_path, DATASET_JSON)
     scaler, splits, provenance = manifest["scaler"], manifest["splits"], manifest["provenance"]
-    if not isinstance(provenance, list):
-        raise ValueError(f"{json_path}: provenance must be a list of strings, got {provenance!r}")
-    for key in provenance:
-        if not isinstance(key, str):
-            raise ValueError(f"{json_path}: provenance must be a list of strings, got {key!r} in it")
-    if scaler is not None:
-        for key in ("min", "max"):  # one number per feature
-            check_value(f"{json_path}: scaler {key!r}", scaler.get(key) if isinstance(scaler, dict) else None,
-                        tuple[float, float])
-        for feature, (low, high) in enumerate(zip(scaler["min"], scaler["max"])):
-            if low > high:
-                raise ValueError(f"{json_path}: scaler 'min' {low!r} exceeds 'max' {high!r} for feature {feature}")
-    if not isinstance(manifest["config_echo"], dict):
-        raise ValueError(f"{json_path}: config_echo must be an object, got {manifest['config_echo']!r}")
-    check_value(f"{json_path}: seed", manifest["seed"], int | None, {"min": 0})
-    if splits is not None and not (isinstance(splits, dict) and splits.keys() == set(SPLIT_NAMES)):
-        got = sorted(splits) if isinstance(splits, dict) else splits
-        raise ValueError(f"{json_path}: splits must be null or have exactly the keys {list(SPLIT_NAMES)}, "
-                         f"got {got!r}")
+    for feature, (low, high) in enumerate(zip(scaler["min"], scaler["max"]) if scaler else ()):
+        if low > high:
+            raise ValueError(f"{json_path}: scaler.min[{feature}] must be <= scaler.max[{feature}] ({high!r}), "
+                             f"got {low!r}")
     split_of = dict.fromkeys(provenance)  # window key -> the split that names it
     for split_name, keys in (splits or {}).items():
-        for key in keys:
+        for i, key in enumerate(keys):
             if key not in split_of or split_of[key] is not None:
-                where = "not in provenance" if key not in split_of else f"in split {split_of[key]!r} too"
-                raise ValueError(f"{json_path}: split {split_name!r} names window {key!r}, {where}")
+                where = "not in provenance" if key not in split_of else f"which splits.{split_of[key]} names too"
+                raise ValueError(f"{json_path}: splits.{split_name}[{i}] names window {key!r}, {where}")
             split_of[key] = split_name
+    left_out = next((key for key, split_name in split_of.items() if split_name is None), None) if splits else None
+    if left_out is not None:
+        raise ValueError(f"{json_path}: provenance[{provenance.index(left_out)}] names window {left_out!r}, "
+                         f"which none of the splits names")
     n, given = len(provenance), manifest["offsets"]
-    channels = 1 if given.get("images") == dataset_layout(n, 1)[0]["images"] else 3
+    channels = 1 if given["images"] == dataset_layout(n, 1)[0]["images"] else 3
     offsets, total = dataset_layout(n, channels)
-    for name in [*offsets, *sorted(given.keys() - offsets.keys())]:
-        if given.get(name) != offsets.get(name):
-            raise ValueError(f"{json_path}: offsets entry {name!r} {given.get(name)} is not "
-                             f"{offsets.get(name)}, the layout of {n} windows in provenance")
+    for name, entry in offsets.items():
+        if given[name] != entry:
+            raise ValueError(f"{json_path}: offsets.{name} must be {entry}, the layout of {n} windows in "
+                             f"provenance, got {given[name]}")
     if manifest["total_bytes"] != total:
-        raise ValueError(f"{json_path}: total_bytes {manifest['total_bytes']} is not {total}, for {n} windows")
+        raise ValueError(f"{json_path}: total_bytes must be {total}, for {n} windows, got {manifest['total_bytes']}")
     bin_path = in_dir / "dataset.bin"
     size = bin_path.stat().st_size
     if size != total:

@@ -18,6 +18,7 @@ importing the CLI does not load ``scipy.linalg`` (about 170 ms).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from vibediag.signal_model import check_value, read_json
+from vibediag.signal_model import NOT_READ, OrNull, read_json
 
 
 @dataclass
@@ -70,6 +71,9 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
+_WIDTH = (int, {"min": 1})  # a layer's channel or feature count, as model.json declares it
+
+
 class Layer:
     """Shared layer protocol.
 
@@ -82,7 +86,7 @@ class Layer:
     """
 
     kind = ""  # the layer's ``type`` in model.json
-    spec_fields = ()  # constructor arguments, recorded in model.json in this order
+    spec_fields = {}  # constructor arguments, recorded in model.json in this order, each with its declaration
     input_grad = True
     # Whether an eval forward gives each output row the same bits, however the batch around it is split:
     # ``Model`` then runs the leading such layers of a branch over blocks of ``EVAL_BLOCK`` rows.
@@ -160,7 +164,7 @@ class Conv3x3(Layer):
     """
 
     kind = "conv3x3"
-    spec_fields = ("in_channels", "out_channels")
+    spec_fields = {"in_channels": _WIDTH, "out_channels": _WIDTH}
     param_names = ("kernels", "bias")
     row_independent = True  # every tall row is inside a whole block of _ROW_BLOCK rows
 
@@ -276,7 +280,7 @@ class Flatten(Layer):
 
 class Dense(Layer):
     kind = "dense"
-    spec_fields = ("in_features", "out_features")
+    spec_fields = {"in_features": _WIDTH, "out_features": _WIDTH}
     param_names = ("weights", "bias")
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -315,7 +319,7 @@ class Dropout(Layer):
     """Inverted dropout: survivors are scaled by 1/(1-rate); identity in eval mode."""
 
     kind = "dropout"
-    spec_fields = ("rate",)
+    spec_fields = {"rate": (float, {"min": 0, "lt": 1})}
     row_independent = True
 
     def __init__(self, rate: float = 0.5):
@@ -545,6 +549,28 @@ def _tensor_table(model: Model) -> list[dict]:
     return table
 
 
+def _layer_spec(spec) -> dict:
+    """The declaration of one layer spec of model.json: the fields of the type it names. The head of an older
+    checkpoint ends in a parameter-free ``softmax``, which load_model drops."""
+    fields = {**{kind: cls.spec_fields for kind, cls in _LAYER_TYPES.items()}, "softmax": {}}
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    named = fields.get(kind) if isinstance(kind, str) else None
+    return {"type": (str, {"in": tuple(fields)}), **({...: NOT_READ} if named is None else named)}
+
+
+# The model.json that save_model writes, as load_model reads it (see signal_model.check_document).
+_COUNT = (int, {"min": 0})
+MODEL_JSON = {
+    "format": (str, {"in": (MODEL_FORMAT,)}),
+    "layers": {"image_branch": OrNull([_layer_spec]), "feature_branch": OrNull([_layer_spec]), "head": [_layer_spec]},
+    "tensors": [{"layer_index": _COUNT, "name": str, "shape": [_WIDTH], "byte_offset": _COUNT, "byte_length": _COUNT}],
+    "total_bytes": _COUNT,
+    "seed": (int | None, {"min": 0}),
+    "config": OrNull({...: NOT_READ}),  # the train config echo; eval compares its dataset_sha256, if any
+    ...: NOT_READ,
+}
+
+
 def save_model(model: Model, out_dir, seed: int | None = None, config: dict | None = None) -> None:
     """Write ``model.json`` (manifest with the tensor table) and ``model.bin`` (parameters)."""
     out_dir = Path(out_dir)
@@ -563,44 +589,39 @@ def save_model(model: Model, out_dir, seed: int | None = None, config: dict | No
 
 def load_model(in_dir) -> tuple[Model, dict]:
     """A model from ``model.json`` and ``model.bin``: float32 when every stored value is a
-    float32 value, as a float32 model saves, and float64 otherwise. ValueError, naming the
-    file, on an unknown format, a missing top-level key, a ``config`` that is not null or an
-    object, a ``seed`` that is not null or an int >= 0, ``layers`` whose keys are not the
-    three layer groups, an unknown layer type, a layer spec with missing or unknown keys, a
-    tensor table its layers do not imply, or a wrong length.
+    float32 value, as a float32 model saves, and float64 otherwise. ``model.json`` must meet
+    :data:`MODEL_JSON`; beyond that, a ValueError naming the file rejects two null branches, a
+    ``softmax`` layer anywhere but at the end of the head, a tensor table other than the one its
+    layers give, a ``total_bytes`` other than their size and a ``model.bin`` of another length.
     A parameter-free ``softmax`` that ends an older checkpoint's head is dropped: the head
     ends at its logits."""
     in_dir = Path(in_dir)
     json_path = in_dir / "model.json"
-    manifest = read_json(json_path, ("layers", "tensors", "total_bytes"), MODEL_FORMAT)
-    if not isinstance(manifest.get("config"), (dict, type(None))):
-        raise ValueError(f"{json_path}: config must be null or an object, got {manifest['config']!r}")
-    check_value(f"{json_path}: seed", manifest.get("seed"), int | None, {"min": 0})
+    manifest = read_json(json_path, MODEL_JSON)
     layers = manifest["layers"]
-    if not (isinstance(layers, dict) and layers.keys() == set(_GROUP_KEYS)):
-        got = sorted(layers) if isinstance(layers, dict) else layers
-        raise ValueError(f"{json_path}: layers must have exactly the keys {list(_GROUP_KEYS)}, got {got!r}")
-    if layers["head"] and layers["head"][-1] == {"type": "softmax"}:
+    if layers["head"][-1:] == [{"type": "softmax"}]:
         layers = {**layers, "head": layers["head"][:-1]}
-    kinds = {spec.get("type") for group in layers.values() if group for spec in group}
-    if not kinds <= _LAYER_TYPES.keys():
-        raise ValueError(f"{json_path}: unknown layer types {sorted(kinds - _LAYER_TYPES.keys(), key=str)}")
-    for key, group in layers.items():
-        for i, spec in enumerate(group or ()):
-            want = {"type", *_LAYER_TYPES[spec["type"]].spec_fields}
-            if spec.keys() != want:
-                raise ValueError(f"{json_path}: {key} layer {i} ({spec['type']}) has keys {sorted(spec)}, "
-                                 f"not {sorted(want)}")
+    if layers["image_branch"] is layers["feature_branch"] is None:
+        raise ValueError(f"{json_path}: layers.feature_branch must not be null when layers.image_branch is")
+    inner = [f"layers.{key}[{i}]" for key, group in layers.items() for i, spec in enumerate(group or ())
+             if spec["type"] == "softmax"]
+    if inner:
+        raise ValueError(f"{json_path}: {inner[0]}.type must not be 'softmax', which only ends an older "
+                         f"checkpoint's head")
     blob = (in_dir / "model.bin").read_bytes()
     values = np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)
     with np.errstate(over="ignore"):  # beyond float32's range casts to inf: not equal, float64
         exact32 = np.array_equal(values, values.astype(np.float32))
     model = model_from_manifest_layers(layers, np.float32 if exact32 else np.float64)
-    if manifest["tensors"] != _tensor_table(model):
-        raise ValueError(f"{json_path}: tensor table does not match the layers it lists")
-    if not len(blob) == manifest["total_bytes"] == 8 * model.params.size:
-        raise ValueError(f"{in_dir / 'model.bin'}: {len(blob)} bytes, but the manifest needs "
-                         f"{8 * model.params.size}")
+    for i, (row, want) in enumerate(itertools.zip_longest(manifest["tensors"], _tensor_table(model),
+                                                          fillvalue="nothing")):
+        if row != want:
+            raise ValueError(f"{json_path}: tensors[{i}] must be {want}, as the layers give it, got {row}")
+    size = 8 * model.params.size
+    if manifest["total_bytes"] != size:
+        raise ValueError(f"{json_path}: total_bytes must be {size}, the layers' size, got {manifest['total_bytes']}")
+    if len(blob) != size:
+        raise ValueError(f"{in_dir / 'model.bin'}: {len(blob)} bytes, but model.json's total_bytes is {size}")
     model.params[...] = values
     return model, manifest
 

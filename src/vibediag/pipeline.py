@@ -17,7 +17,7 @@ from vibediag.emd import sift
 from vibediag.hht import render_spectrum_image
 from vibediag.hybrid_model import Example
 from vibediag.segmentation import Window, segment
-from vibediag.signal_model import Recording, load_recording
+from vibediag.signal_model import Recording, load_recording, sidecar_path
 
 
 def _featurize_window(task: tuple[Window, RunConfig]) -> Example:
@@ -64,9 +64,26 @@ def recording_windows(recordings: Sequence[Recording], config: RunConfig) -> lis
     return windows
 
 
-def load_recordings_dir(directory: str | Path) -> list[Recording]:
+def recording_paths(directory: str | Path) -> list[Path]:
+    """The recording CSVs of ``directory``, sorted; FileNotFoundError if it has none."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no recording CSV files in {directory}")
-    return [load_recording(p) for p in paths]
+    return paths
+
+
+def load_recordings_dir(directory: str | Path) -> list[Recording]:
+    return [load_recording(p) for p in recording_paths(directory)]
+
+
+def load_featurizable(path: Path, config: RunConfig) -> Recording:
+    """The recording of ``path``; ValueError naming its sidecar if, at its rate, a window of ``config``'s length
+    has no spectrum bin in a band, as the band features of one zero window find."""
+    recording, window_len, band = load_recording(path), config.segmentation.window_len, config.band
+    try:
+        extract_features([0.0] * window_len, recording.sample_rate_hz, band.centers_hz, band.half_width_hz)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path(path)}: sample_rate_hz {recording.sample_rate_hz} with windows of "
+                         f"{window_len} samples: {exc}") from None
+    return recording

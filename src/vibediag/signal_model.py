@@ -9,6 +9,7 @@ import math
 import numbers
 import operator
 import sys
+import types
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -233,9 +234,9 @@ def synthesize_recording(spec: tuple[FaultLabel, SimulateConfig], seed: int,
 _JSON_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
 
 
-def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
-    """The JSON object in file ``path``; ValueError, starting with the path, if it is not JSON, not an object,
-    of a ``format`` other than ``format`` (if given) or lacks a key of ``keys``; FileNotFoundError if missing."""
+def read_json(path: str | Path, declaration=None) -> dict:
+    """The JSON object in file ``path``; ValueError, starting with the path, if it is not JSON, not an object or,
+    given a ``declaration``, breaks it (see :func:`check_document`); FileNotFoundError if missing."""
     path = Path(path)
     try:
         document = json.loads(path.read_text())
@@ -243,12 +244,66 @@ def read_json(path: str | Path, keys=(), format: str | None = None) -> dict:
         raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(document, dict):
         raise ValueError(f"{path}: holds a JSON {_JSON_TYPE_NAMES[type(document)]}, not an object")
-    if format is not None and document.get("format") != format:
-        raise ValueError(f"{path}: format {document.get('format')!r} is not {format!r}")
-    for key in keys:
-        if key not in document:
-            raise ValueError(f"{path}: no top-level key {key!r}")
+    if declaration is not None:
+        check_document(path, document, declaration)
     return document
+
+
+# A declaration's mark for a key whose value no loader reads: it may be absent and hold anything.
+NOT_READ = "not read"
+
+
+@dataclass(frozen=True)
+class OrNull:
+    """A declaration that null meets too."""
+
+    declaration: object
+
+
+def check_document(path: str | Path, document, declaration) -> None:
+    """Check the JSON value ``document`` of file ``path`` against ``declaration``; the first value that breaks it
+    fails in one ValueError, ``<path>: <dotted key> must be ..., got ...``. A declaration is one of:
+
+    * :data:`NOT_READ`;
+    * a type hint, or a ``(hint, bound)`` pair, checked by :func:`check_value`;
+    * ``[d]``: an array whose every element meets ``d``;
+    * ``{key: d, ...}``: an object with each key whose ``d`` is not ``NOT_READ``, each value meeting its ``d``,
+      and no other key, unless the key ``...`` (always ``NOT_READ``) lets other keys be there unread;
+    * :class:`OrNull` of a declaration;
+    * a function of the value, returning the declaration that value must meet.
+    """
+    def walk(name, value, declared, nullable=False):
+        if isinstance(declared, types.FunctionType):
+            declared = declared(value)
+        if declared is NOT_READ:
+            return
+        if isinstance(declared, OrNull):
+            if value is not None:
+                walk(name, value, declared.declaration, True)
+        elif isinstance(declared, dict):
+            required = [key for key, item in declared.items() if key is not ... and item is not NOT_READ]
+            exact = ... not in declared
+            if not (isinstance(value, dict) and value.keys() >= set(required)
+                    and (not exact or value.keys() <= declared.keys())):
+                what = f"have {'exactly ' * exact}the keys {required}" if required or exact else "be an object"
+                what = "be null or " + what.removeprefix("be ") if nullable else what
+                got = sorted(value) if isinstance(value, dict) else value
+                raise ValueError(f"{path}: {name or 'the top level'} must {what}, got {got!r}")
+            for key, item in declared.items():
+                if key in value:
+                    walk(f"{name}.{key}" if name else key, value[key], item)
+        elif isinstance(declared, list):
+            if not isinstance(value, list):
+                raise ValueError(f"{path}: {name} must be {'null or ' * nullable}an array, got {value!r}")
+            if declared[0] is str and all(type(item) is str for item in value):
+                return  # the long arrays, of window keys, in one pass
+            for i, item in enumerate(value):
+                walk(f"{name}[{i}]", item, declared[0])
+        else:
+            hint, bound = declared if isinstance(declared, tuple) else (declared, None)
+            check_value(f"{path}: {name}", value, hint, bound)
+
+    walk("", document, declaration)
 
 
 # The bounds a value may be given, each with the words of its message.
@@ -289,8 +344,13 @@ def check_value(name: str, value, hint, bound=None):
     raise ValueError(f"{name} must be {must}, got {value!r}")
 
 
-def _sidecar_path(csv_path: Path) -> Path:
+def sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix("").with_suffix(".meta.json")
+
+
+# The sidecar that save_recording writes, as load_recording reads it.
+SIDECAR_JSON = {"sample_rate_hz": (float, {"gt": 0}), "rpm": (float, {"gt": 0}), "label": str, "id": str,
+                ...: NOT_READ}
 
 
 def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
@@ -312,7 +372,7 @@ def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
         "label": recording.label.canonical_name,
         "id": recording.id,
     }
-    sidecar = _sidecar_path(path)
+    sidecar = sidecar_path(path)
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
     return path, sidecar
 
@@ -373,15 +433,13 @@ def finite_rows(path: str | Path, table: np.ndarray) -> np.ndarray:
 def load_recording(path: str | Path) -> Recording:
     """Load a recording CSV (opened by :func:`open_csv`, rows read by :func:`read_samples`) and its sidecar;
     errors name the file at fault."""
-    sidecar = _sidecar_path(Path(path))
+    sidecar = sidecar_path(Path(path))
     with open_csv(path) as fh:  # a missing recording is named before its sidecar, read before any row
-        meta = read_json(sidecar, keys=("sample_rate_hz", "rpm", "label", "id"))
-        rate, rpm = (float(check_value(f"{sidecar}: {key}", meta[key], float, {"gt": 0}))
-                     for key in ("sample_rate_hz", "rpm"))
+        meta = read_json(sidecar, SIDECAR_JSON)
         try:
             label = FaultLabel.from_name(meta["label"])
         except ValueError as exc:
-            raise ValueError(f"{sidecar}: {exc}") from None
+            raise ValueError(f"{sidecar}: label: {exc}") from None
         header = [h.strip() for h in fh.readline().split(",")]
         if header not in (["index", "linear_x", "angular"], ["index", "linear_x", "linear_y", "angular"]):
             raise ValueError(f"{path}: malformed header {header!r}; expected index,linear_x[,linear_y],angular")
@@ -390,10 +448,10 @@ def load_recording(path: str | Path) -> Recording:
         raise ValueError(f"{path}: {data.shape[1]} fields in each row, but the header names {len(header)}")
     channels = np.ascontiguousarray(finite_rows(path, data[:, 1:]).T)
     return Recording(
-        sample_rate_hz=rate,
-        rpm=rpm,
+        sample_rate_hz=float(meta["sample_rate_hz"]),
+        rpm=float(meta["rpm"]),
         label=label,
         linear=channels[:-1],
         angular=channels[-1],
-        id=str(meta["id"]),
+        id=meta["id"],
     )

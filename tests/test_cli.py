@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -345,6 +346,8 @@ MALFORMED_JSON = {
                             "config must be null or an object, got 'dataset_sha256'"),
     "model-config-list": ("eval", "ckpt/model.json", {"config": ["dataset_sha256"]},
                           "config must be null or an object, got ['dataset_sha256']"),
+    "model-dataset-sha256-int": ("eval", "ckpt/model.json", {"config": {"dataset_sha256": 5}},
+                                 "config.dataset_sha256 must be str, got 5"),
     "model-seed-text": ("eval", "ckpt/model.json", {"seed": "abc"}, "seed must be int | None, got 'abc'"),
     "model-seed-negative": ("eval", "ckpt/model.json", {"seed": -1}, "seed must be >= 0, got -1"),
     "sidecar-int": ("featurize", "recordings/normal-r0.meta.json", "5", "holds a JSON number, not an object"),
@@ -355,6 +358,8 @@ MALFORMED_JSON = {
     "config-truncated": ("simulate", "c.json", '{"simulate": {"noise', "not JSON (Unterminated string"),
     "manifest-list": ("split", "dataset/manifest.json", "[1]", "holds a JSON array, not an object"),
     "manifest-extra-int": ("split", "dataset/manifest.json", '{"extra": 5}', "extra must be an object, got 5"),
+    "manifest-no-extra": ("split", "dataset/manifest.json", '{"command": "featurize"}',
+                          "the top level must have the keys ['extra'], got ['command']"),
     **{f"sidecar-{name}": ("featurize", "recordings/normal-r0.meta.json",
                            json.dumps({"sample_rate_hz": 8192.0, "rpm": 1200.0, "label": "Normal", "id": "normal-r0",
                                        key: value}), problem)
@@ -364,7 +369,7 @@ MALFORMED_JSON = {
            ("rate-bool", "sample_rate_hz", True, "sample_rate_hz must be a finite number > 0, got True"),
            ("rate-nan", "sample_rate_hz", float("nan"), "sample_rate_hz must be a finite number > 0, got nan"),
            ("rpm-null", "rpm", None, "rpm must be a finite number > 0, got None"),
-           ("label-unknown", "label", "Cracked", "unknown fault label 'Cracked'; expected one of "
+           ("label-unknown", "label", "Cracked", "label: unknown fault label 'Cracked'; expected one of "
                                                  "['Normal', 'InnerRace', 'OuterRace', 'Ball', 'Combined']"),
        ]},
 }
@@ -406,6 +411,102 @@ def test_split_over_a_dataset_json_it_rejects_leaves_it_and_the_manifest_unwritt
     assert run(["split", "--dataset", dataset, "--seed", "3"]) == 1
     assert capsys.readouterr().err == f"error: {path}: {problem}\n"
     assert {name: (dataset / name).read_bytes() for name in kept} == kept
+
+
+def test_featurize_names_the_sidecar_whose_rate_leaves_a_band_without_a_spectrum_bin(desk_run, tmp_path, capsys):
+    recordings, out = tmp_path / "recordings", tmp_path / "out"
+    shutil.copytree(desk_run / "recordings", recordings)
+    sidecar = recordings / "combined-r0.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sample_rate_hz": 5}))
+    assert run(["featurize", "--recordings", recordings, "--out", out, "--window-len", "1024", "--hop", "410",
+                "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == (f"error: {sidecar}: sample_rate_hz 5.0 with windows of 1024 samples: "
+                                       f"band 240.0±40.0 Hz does not intersect the spectrum bins\n")
+    assert not out.exists()
+
+
+# Every key of a document is set, in turn, to each of these nine values.
+PROBE_VALUES = [None, True, 5, 1.5, "x", [], {}, [5], {"k": 5}]
+
+
+def key_paths(value, path=()):
+    """The path of every key of every object in ``value``, and of the first element of every array."""
+    items = value.items() if isinstance(value, dict) else enumerate(value[:1]) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from key_paths(item, (*path, key))
+
+
+def dotted(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def split_reads(dataset):
+    """``split`` over ``dataset``; a ValueError with what it printed after ``error: ``, if it fails."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()):
+        if run(["split", "--dataset", dataset, "--seed", "7"]):
+            raise ValueError(err.getvalue().removeprefix("error: ").removesuffix("\n"))
+
+
+# Per document: the fixture directory its reader reads, the file in it, the reader, the keys that no reader
+# reads (fnmatch patterns of dotted keys) and the (dotted key, value) pairs that a reader takes as valid. A
+# scaler minimum of 5 or 1.5 is valid because every band power of the fixture is larger.
+PROBED = {
+    "dataset.json": ("dataset", "dataset.json", load_dataset, ["counts*", "label_map*", "config_echo.*"],
+                     [("seed", 5), ("seed", None), ("scaler", None), ("splits", None), ("config_echo", {}),
+                      ("config_echo", {"k": 5}), ("scaler.min[0]", 5), ("scaler.min[0]", 1.5)]),
+    "model.json": ("ckpt", "model.json", load_model, ["config.*"],
+                   [("seed", 5), ("seed", None), ("config", None), ("config", {}), ("config", {"k": 5})]),
+    "manifest.json": ("dataset", "manifest.json", split_reads,
+                      ["command*", "version*", "seed*", "config*", "artifacts*", "extra.*"],
+                      [("extra", {}), ("extra", {"k": 5})]),
+    "sidecar": ("recordings", "normal-r0.meta.json", lambda d: load_recording(d / "normal-r0.csv"), [],
+                [("sample_rate_hz", 5), ("sample_rate_hz", 1.5), ("rpm", 5), ("rpm", 1.5), ("id", "x")]),
+}
+
+
+@pytest.mark.parametrize("document", PROBED)
+def test_each_value_of_a_document_loads_where_valid_or_fails_naming_the_file_and_the_key(desk_run, hop410_run,
+                                                                                        tmp_path, document):
+    """Each key path of a document the desk fixtures write, set to each of the nine values: the reader
+    loads it, where the key is not read or the value is valid there, or fails in one line that starts
+    with the file's path and names the key, a key that holds it or a key inside it, or, where two keys
+    disagree (the splits and provenance, the tensor table and the layers, the scaler's min and max),
+    names the other key and mentions this key's top-level name."""
+    where, name, reader, not_read, valid = PROBED[document]
+    source = {"recordings": desk_run, "dataset": hop410_run, "ckpt": hop410_run}[where] / where
+    shutil.copytree(source, tmp_path / where)
+    path = tmp_path / where / name
+    kept = {p: p.read_bytes() for p in (tmp_path / where).glob("*.json")}
+    original = json.loads(path.read_text())
+    wrong = []
+    for keys in key_paths(original):
+        key = dotted(keys)
+        for value in PROBE_VALUES:
+            for p, text in kept.items():
+                p.write_bytes(text)
+            changed = json.loads(kept[path])
+            *parents, last = keys
+            target = changed
+            for k in parents:
+                target = target[k]
+            target[last] = value
+            path.write_text(json.dumps(changed))
+            try:
+                reader(tmp_path / where)
+            except ValueError as exc:
+                message = str(exc)
+                named = re.match(rf"{re.escape(str(path))}: ([^\s:]+)", message)
+                on_the_path = named and any(a == b or a.startswith((b + ".", b + "["))
+                                            for a, b in ((key, named[1]), (named[1], key)))
+                if "\n" in message or not (on_the_path or named and re.search(rf"\b{keys[0]}\b", message)):
+                    wrong.append((key, value, message))
+            except Exception as exc:  # any other error names neither the file nor the key
+                wrong.append((key, value, f"{type(exc).__name__}: {exc}"))
+            else:
+                if not any(fnmatch.fnmatch(key, pattern) for pattern in not_read) and (key, value) not in valid:
+                    wrong.append((key, value, "loads"))
+    assert not wrong, "\n".join(map(repr, wrong))
 
 
 def fresh_python(code, *args):

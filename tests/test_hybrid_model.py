@@ -393,7 +393,8 @@ def test_load_dataset_rejects_unknown_format(tmp_path):
     manifest = json.loads((tmp_path / "dataset.json").read_text())
     manifest["format"] = "vibediag-dataset-v2"
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"dataset\.json: format 'vibediag-dataset-v2'"):
+    with pytest.raises(ValueError, match=r"dataset\.json: format must be one of \('vibediag-dataset-v1',\), "
+                                         r"got 'vibediag-dataset-v2'$"):
         load_dataset(tmp_path)
 
 
@@ -425,16 +426,25 @@ def _reshape_labels(offsets):
     offsets["labels_onehot"]["shape"] = [15, 10]
 
 
-@pytest.mark.parametrize("corrupt, entry", [(_reshape_features, "features"), (_drop_labels, "labels_onehot"),
-                                            (_drop_a_feature_offset, "features"),
-                                            (_move_labels_past_the_end, "labels_onehot"),
-                                            (_reshape_labels, "labels_onehot")])
-def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_path, corrupt, entry):
+@pytest.mark.parametrize("corrupt, problem", [
+    (_reshape_features, r"offsets\.features must be \{.*\}, the layout of 30 windows in provenance, "
+                        r"got \{.*\[3, 2\]\}$"),
+    (_drop_labels, r"offsets must have exactly the keys \['images', 'features', 'labels_onehot'\], "
+                   r"got \['features', 'images'\]$"),
+    (_drop_a_feature_offset, r"offsets\.features must have exactly the keys \['byte_offset', 'byte_length', 'shape'\], "
+                             r"got \['byte_length', 'shape'\]$"),
+    (_move_labels_past_the_end, r"offsets\.labels_onehot must be \{'byte_offset': 246240, .*\}, the layout of 30 "
+                                r"windows in provenance, got \{'byte_offset': 246248, .*\}$"),
+    (_reshape_labels, r"offsets\.labels_onehot must be \{.*\}, the layout of 30 windows in provenance, "
+                      r"got \{.*'shape': \[15, 10\]\}$"),
+], ids=["_reshape_features-features", "_drop_labels-labels_onehot", "_drop_a_feature_offset-features",
+        "_move_labels_past_the_end-labels_onehot", "_reshape_labels-labels_onehot"])
+def test_load_dataset_names_dataset_json_and_the_offsets_entry_it_rejects(tmp_path, corrupt, problem):
     save_dataset(dataset_from_examples(make_examples()), tmp_path)
     manifest = json.loads((tmp_path / "dataset.json").read_text())
     corrupt(manifest["offsets"])
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=rf"dataset\.json: offsets entry '{entry}' ") as excinfo:
+    with pytest.raises(ValueError, match=rf"dataset\.json: {problem}") as excinfo:
         load_dataset(tmp_path)
     assert len(str(excinfo.value).splitlines()) == 1
 
@@ -444,7 +454,8 @@ def test_load_dataset_checks_the_offsets_against_the_length_of_provenance(tmp_pa
     manifest = json.loads((tmp_path / "dataset.json").read_text())
     manifest["provenance"].pop()
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"dataset\.json: offsets entry 'images' .* the layout of 29 windows") as excinfo:
+    with pytest.raises(ValueError, match=r"dataset\.json: offsets\.images must be .*, the layout of 29 windows") \
+            as excinfo:
         load_dataset(tmp_path)
     assert len(str(excinfo.value).splitlines()) == 1
 
@@ -452,7 +463,7 @@ def test_load_dataset_checks_the_offsets_against_the_length_of_provenance(tmp_pa
 def test_load_dataset_rejects_images_of_two_channels(tmp_path):
     # save_dataset refuses these images; the manifest writer alone still lays out two channels.
     save_dataset_json(dataset_from_examples(make_examples(channels=2)), tmp_path)
-    with pytest.raises(ValueError, match=r"dataset\.json: offsets entry 'images' .*\[30, 32, 32, 2\]"):
+    with pytest.raises(ValueError, match=r"dataset\.json: offsets\.images must be .*, got .*\[30, 32, 32, 2\]"):
         load_dataset(tmp_path)
 
 
@@ -489,34 +500,39 @@ def test_load_dataset_rejects_a_label_row_that_is_not_one_hot(tmp_path, row):
 def _drop_key(key):
     def corrupt(manifest):
         del manifest[key]
-        return f"no top-level key '{key}'"
+        return f"the top level must have the keys {['format', *_TOP_LEVEL_KEYS]}, got {sorted(manifest)}"
     return corrupt
 
 
 def _name_a_train_window_in_val(manifest):
     key = manifest["splits"]["train"][0]
     manifest["splits"]["val"].append(key)
-    return f"split 'val' names window '{key}', in split 'train' too"
+    return f"splits.val[{len(manifest['splits']['val']) - 1}] names window '{key}', which splits.train names too"
 
 
 def _name_a_window_provenance_lacks(manifest):
     manifest["splits"]["test"].append("nosuch:0")
-    return "split 'test' names window 'nosuch:0', not in provenance"
+    return f"splits.test[{len(manifest['splits']['test']) - 1}] names window 'nosuch:0', not in provenance"
+
+
+def _leave_a_window_out(manifest):
+    key = manifest["splits"]["test"].pop()
+    return f"provenance[{manifest['provenance'].index(key)}] names window '{key}', which none of the splits names"
 
 
 def _scaler_entry(key, values):
     def corrupt(manifest):
         if values is None:
             del manifest["scaler"][key]
-        else:
-            manifest["scaler"][key] = values
-        return f"scaler '{key}' must be 2 finite numbers, got {values!r}"
+            return f"scaler must be null or have exactly the keys ['min', 'max'], got {sorted(manifest['scaler'])}"
+        manifest["scaler"][key] = values
+        return f"scaler.{key} must be 2 finite numbers, got {values!r}"
     return corrupt
 
 
 def _min_above_max(manifest):
     low = manifest["scaler"]["min"][1] = manifest["scaler"]["max"][1] + 1.0
-    return f"scaler 'min' {low!r} exceeds 'max' {manifest['scaler']['max'][1]!r} for feature 1"
+    return f"scaler.min[1] must be <= scaler.max[1] ({manifest['scaler']['max'][1]!r}), got {low!r}"
 
 
 def _top_level(key, value, problem):
@@ -536,11 +552,11 @@ def _splits_keys(edit, got):
 def _provenance(value, got):
     def corrupt(manifest):
         manifest["provenance"] = value if value != "entry" else [*manifest["provenance"][:-1], 5]
-        return f"provenance must be a list of strings, got {got}"
+        return got
     return corrupt
 
 
-_TOP_LEVEL_KEYS = ("total_bytes", "offsets", "provenance", "scaler", "splits", "config_echo", "seed")
+_TOP_LEVEL_KEYS = ("offsets", "provenance", "scaler", "splits", "config_echo", "seed", "total_bytes")
 _BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler_entry("min", [0, 0, 0]),
                 "no-max": _scaler_entry("max", None), "min-nan": _scaler_entry("min", [float("nan"), 0.0]),
                 "max-inf": _scaler_entry("max", [1.0, float("inf")]), "min-text": _scaler_entry("min", ["a", 0.0]),
@@ -549,16 +565,17 @@ _BAD_SCALERS = {"max-of-one": _scaler_entry("max", [1]), "min-of-three": _scaler
 _BAD_SPLITS = {"no-val": _splits_keys(lambda splits: splits.pop("val"), ["test", "train"]),
                "extra-split": _splits_keys(lambda splits: splits.update(holdout=[]),
                                            ["holdout", "test", "train", "val"])}
-_BAD_PROVENANCE = {"provenance-int": _provenance(5, "5"), "provenance-null": _provenance(None, "None"),
-                   "provenance-int-entry": _provenance("entry", "5 in it")}
+_BAD_PROVENANCE = {"provenance-int": _provenance(5, "provenance must be an array, got 5"),
+                   "provenance-null": _provenance(None, "provenance must be an array, got None"),
+                   "provenance-int-entry": _provenance("entry", "provenance[29] must be str, got 5")}
 _BAD_ECHO_AND_SEED = {"config-echo-int": _top_level("config_echo", 5, "config_echo must be an object, got 5"),
                       "seed-text": _top_level("seed", "abc", "seed must be int | None, got 'abc'")}
 
 
 @pytest.mark.parametrize("corrupt", [*map(_drop_key, _TOP_LEVEL_KEYS), _name_a_train_window_in_val,
-                                     _name_a_window_provenance_lacks, *_BAD_SCALERS.values(),
+                                     _name_a_window_provenance_lacks, _leave_a_window_out, *_BAD_SCALERS.values(),
                                      *_BAD_SPLITS.values(), *_BAD_PROVENANCE.values(), *_BAD_ECHO_AND_SEED.values()],
-                         ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window",
+                         ids=[*(f"no-{k}" for k in _TOP_LEVEL_KEYS), "overlap", "unknown-window", "window-left-out",
                               *_BAD_SCALERS, *_BAD_SPLITS, *_BAD_PROVENANCE, *_BAD_ECHO_AND_SEED])
 def test_load_dataset_names_dataset_json_and_the_key_it_rejects(tmp_path, corrupt):
     ds = dataset_from_examples(make_examples())

@@ -20,7 +20,7 @@ from helpers import (
     where_maxpool2x2_winners,
 )
 from vibediag.config import config_from_dict
-from vibediag.hybrid_model import BRANCH_BUILDERS, build_hybrid, predict_classes
+from vibediag.hybrid_model import BRANCH_BUILDERS, build_cnn_only, build_hybrid, predict_classes
 from vibediag.nn_engine import (
     _LAYER_TYPES,
     EVAL_BLOCK,
@@ -661,8 +661,9 @@ def _shrink_last_bias(manifest):
     manifest["tensors"][-1].update(shape=[1], byte_length=8)
 
 
-@pytest.mark.parametrize("corrupt", [_drop_last_tensor, _shrink_last_bias])
-def test_load_model_rejects_a_tensor_table_its_layers_do_not_imply(tmp_path, corrupt):
+@pytest.mark.parametrize("corrupt, drop", [(_drop_last_tensor, 1), (_shrink_last_bias, 0)],
+                         ids=["_drop_last_tensor", "_shrink_last_bias"])
+def test_load_model_rejects_a_tensor_table_its_layers_do_not_imply(tmp_path, corrupt, drop):
     # model.bin and total_bytes are cut to match, so only the table is wrong.
     save_model(tiny_mlp(), tmp_path)
     manifest = json.loads((tmp_path / "model.json").read_text())
@@ -672,7 +673,8 @@ def test_load_model_rejects_a_tensor_table_its_layers_do_not_imply(tmp_path, cor
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     blob = (tmp_path / "model.bin").read_bytes()
     (tmp_path / "model.bin").write_bytes(blob[: manifest["total_bytes"]])
-    with pytest.raises(ValueError, match=r"model\.json: tensor table does not match"):
+    with pytest.raises(ValueError, match=rf"model\.json: tensors\[{len(manifest['tensors']) - 1 + drop}\] must be "
+                                         rf"\{{.*\}}, as the layers give it, got (nothing|\{{.*'shape': \[1\].*\}})$"):
         load_model(tmp_path)
 
 
@@ -680,7 +682,27 @@ def test_load_model_rejects_a_model_bin_of_another_length(tmp_path):
     save_model(tiny_mlp(), tmp_path)
     blob = (tmp_path / "model.bin").read_bytes()
     (tmp_path / "model.bin").write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match=r"model\.bin: \d+ bytes"):
+    with pytest.raises(ValueError, match=rf"model\.bin: {len(blob) - 8} bytes, but model\.json's total_bytes is "
+                                         rf"{len(blob)}$"):
+        load_model(tmp_path)
+
+
+def test_load_model_checks_total_bytes_against_the_layers_before_model_bin_against_it(tmp_path):
+    save_model(tiny_mlp(), tmp_path)
+    size = (tmp_path / "model.bin").stat().st_size
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**manifest, "total_bytes": 16}))
+    with pytest.raises(ValueError, match=rf"model\.json: total_bytes must be {size}, the layers' size, got 16$"):
+        load_model(tmp_path)
+
+
+def test_load_model_names_model_json_when_both_branches_are_null(tmp_path):
+    save_model(build_cnn_only(channels=1, seed=8), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    manifest["layers"]["image_branch"] = None
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"model\.json: layers\.feature_branch must not be null when "
+                                         r"layers\.image_branch is$"):
         load_model(tmp_path)
 
 
@@ -705,7 +727,8 @@ def test_load_model_drops_the_softmax_that_ends_an_older_head(tmp_path):
 def test_load_model_rejects_a_softmax_inside_the_head(tmp_path):
     save_model(build_hybrid(channels=1, seed=8), tmp_path)
     _edit_head(tmp_path, lambda head: head.insert(1, {"type": "softmax"}))
-    with pytest.raises(ValueError, match=r"model\.json: unknown layer types \['softmax'\]$"):
+    with pytest.raises(ValueError, match=r"model\.json: layers\.head\[1\]\.type must not be 'softmax', which only "
+                                         r"ends an older checkpoint's head$"):
         load_model(tmp_path)
 
 
@@ -716,26 +739,32 @@ def test_load_model_rejects_a_softmax_inside_the_head(tmp_path):
 def test_load_model_names_model_json_and_the_layer_of_a_bad_spec(tmp_path, edit, keys):
     save_model(build_hybrid(channels=1, seed=8), tmp_path)
     _edit_head(tmp_path, lambda head: edit(head[0]))
-    with pytest.raises(ValueError, match=rf"model\.json: head layer 0 \(dense\) has keys {re.escape(keys)}, not"):
+    with pytest.raises(ValueError, match=rf"model\.json: layers\.head\[0\] must have exactly the keys "
+                                         rf"\['type', 'in_features', 'out_features'\], got {re.escape(keys)}$"):
         load_model(tmp_path)
 
 
 def test_load_model_rejects_unknown_format(tmp_path):
     save_model(tiny_mlp(), tmp_path)
     manifest = json.loads((tmp_path / "model.json").read_text())
-    del manifest["format"]
+    manifest["format"] = "vibediag-model-v2"
     (tmp_path / "model.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"model\.json: format None"):
+    with pytest.raises(ValueError, match=r"model\.json: format must be one of \('vibediag-model-v1',\), "
+                                         r"got 'vibediag-model-v2'$"):
         load_model(tmp_path)
 
 
-@pytest.mark.parametrize("key", ["layers", "tensors", "total_bytes"])
+_MODEL_KEYS = ["format", "layers", "tensors", "total_bytes", "seed", "config"]
+
+
+@pytest.mark.parametrize("key", _MODEL_KEYS)
 def test_load_model_names_model_json_and_a_missing_top_level_key(tmp_path, key):
     save_model(tiny_mlp(), tmp_path)
     manifest = json.loads((tmp_path / "model.json").read_text())
     del manifest[key]
     (tmp_path / "model.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=rf"model\.json: no top-level key '{key}'$"):
+    with pytest.raises(ValueError, match=rf"model\.json: the top level must have the keys "
+                                         rf"{re.escape(str(_MODEL_KEYS))}, got {re.escape(str(sorted(manifest)))}$"):
         load_model(tmp_path)
 
 

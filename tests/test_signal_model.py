@@ -8,10 +8,13 @@ import pytest
 from helpers import detected_rates, envelope_spectrum
 from vibediag.signal_model import (
     CLASS_SEPARATION_NOISE_SIGMA,
+    NOT_READ,
     PRESET_FAULT_RATES,
     FaultLabel,
+    OrNull,
     Recording,
     SimulateConfig,
+    check_document,
     load_recording,
     preset_spec,
     save_recording,
@@ -109,7 +112,9 @@ def test_sidecar_missing_field(tmp_path):
     p = tmp_path / "meta.csv"
     write_csv(p, ["index", "linear_x", "angular"], [[0, 1, 2], [1, 1, 2]],
               {"sample_rate_hz": 10, "rpm": 60, "label": "Normal"})
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'meta.meta.json'))}: no top-level key 'id'$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'meta.meta.json'))}: the top level must "
+                                         r"have the keys \['sample_rate_hz', 'rpm', 'label', 'id'\], "
+                                         r"got \['label', 'rpm', 'sample_rate_hz'\]$"):
         load_recording(p)
 
 
@@ -210,3 +215,34 @@ def test_recording_validation():
                                    (0.0, 60.0, "sample_rate_hz", "0.0"), (10.0, -1.0, "rpm", "-1.0")]:
         with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, got {value}$"):
             Recording(rate, rpm, FaultLabel.NORMAL, np.array([[1.0, 2.0]]), np.array([0.0, 0.0]), "x")
+
+
+def _by_type(value):
+    """A declaration chosen by the value: int for an int, str for anything else."""
+    return int if isinstance(value, int) else str
+
+
+@pytest.mark.parametrize("declaration, document, problem", [
+    ({"a": (int, {"min": 0})}, {"a": -1}, "a must be >= 0, got -1"),
+    ({"a": [str]}, {"a": 5}, "a must be an array, got 5"),
+    ({"a": [str]}, {"a": ["x", 5]}, "a[1] must be str, got 5"),
+    ({"a": OrNull([str])}, {"a": 5}, "a must be null or an array, got 5"),
+    ({"a": OrNull([str])}, {"a": None}, None),
+    ({"a": {"b": int}}, {"a": {"c": 1}}, "a must have exactly the keys ['b'], got ['c']"),
+    ({"a": OrNull({"b": int})}, {"a": {"b": 1, "c": 1}},
+     "a must be null or have exactly the keys ['b'], got ['b', 'c']"),
+    ({"a": {"b": int, ...: NOT_READ}}, {"a": {"b": 1, "c": 1}}, None),
+    ({"a": {...: NOT_READ}}, {"a": 5}, "a must be an object, got 5"),
+    ({"a": {...: NOT_READ}}, {"a": {"z": [None]}}, None),
+    ({"a": NOT_READ, "b": int}, {"b": 1}, None),
+    ({"a": [{"b": _by_type}]}, {"a": [{"b": 1}, {"b": 1.5}]}, "a[1].b must be str, got 1.5"),
+    ({"a": int, ...: NOT_READ}, {"b": 1}, "the top level must have the keys ['a'], got ['b']"),
+], ids=["bound", "not-an-array", "element", "null-or-array", "null", "exact-keys", "null-or-exact-keys",
+        "other-keys-not-read", "not-an-object", "free-form", "not-read-key-absent", "chosen-by-value", "top-level"])
+def test_check_document_names_the_file_and_the_dotted_key_of_the_first_value_that_breaks_a_declaration(
+        declaration, document, problem):
+    if problem is None:
+        check_document("doc.json", document, declaration)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape('doc.json: ' + problem)}$"):
+            check_document("doc.json", document, declaration)
