@@ -4,10 +4,13 @@
 seed, runs the command, writes the manifest.json the command asks for and
 prints the command's message. A manifest records the command, package
 version, resolved seed, the full config echo and sha256 checksums of every
-artifact, so any run can be reproduced from its manifest alone. Most
-stages write only into their --out directory and leave the manifest there.
-``split`` rewrites dataset.json and the manifest in --dataset; ``srs``
-writes its JSON to --out, if given, and no manifest.
+artifact, so any run can be reproduced from its manifest alone. A command
+and then ``main`` write into a staging directory in a hidden one next to
+the target, --out (--dataset for ``split``); ``main`` renames it to a new
+target, or moves each file into an existing one with manifest.json last,
+and removes the hidden one on every exit, so a failed command leaves the
+target as it was. ``split`` stages only dataset.json; its manifest hashes
+--dataset's dataset.bin. ``srs`` writes only --out, if given: no manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import vibediag
@@ -69,7 +74,7 @@ def write_manifest(out_dir: Path, command: str, seed: int, config: RunConfig,
         "version": vibediag.__version__,
         "seed": seed,
         "config": echo,
-        "artifacts": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(artifacts)},
+        "artifacts": {p.name: _sha256(p) for p in sorted(artifacts, key=lambda p: p.name)},
     }
     if extra:
         manifest["extra"] = extra
@@ -83,19 +88,10 @@ MANIFEST_JSON = {"command": NOT_READ, "version": NOT_READ, "seed": NOT_READ, "co
 
 
 class Done:
-    """What a command did: the message ``main`` prints and, unless ``out`` is None, the
-    ``artifacts``, ``extra`` and read ``dataset`` of the manifest ``main`` writes there."""
+    """What a command did: the message ``main`` prints and what the manifest it writes records."""
 
-    def __init__(self, message: str, out: Path | None = None, artifacts=(), extra=None,
-                 dataset: FeaturizedDataset | None = None):
-        self.message, self.out, self.artifacts = message, out, artifacts
-        self.extra, self.dataset = extra, dataset
-
-
-def _prepare_out(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def __init__(self, message: str, artifacts=(), extra=None, dataset: FeaturizedDataset | None = None):
+        self.message, self.artifacts, self.extra, self.dataset = message, artifacts, extra, dataset
 
 
 # The numeric flags that are not config fields, by dest, with the type and bound of each; t-SNE needs two points.
@@ -121,6 +117,14 @@ def _configure(args) -> tuple[RunConfig, int]:
     return config, resolve_seed(args.seed, config)
 
 
+def _split_dataset(path: str) -> FeaturizedDataset:
+    dataset = load_dataset(path)
+    for key in ("splits", "scaler"):
+        if getattr(dataset, key) is None:
+            raise ValueError(f"{Path(path) / 'dataset.json'}: {key} is null; run the split stage first")
+    return dataset
+
+
 def _torsional_peaks(recording_path, band):
     rec = load_recording(recording_path)
     spectrum = magnitude_spectrum(rec.angular, rec.sample_rate_hz)
@@ -131,30 +135,29 @@ def _torsional_peaks(recording_path, band):
 # Commands
 
 
-def cmd_simulate(args, config: RunConfig, seed: int) -> Done:
-    sim = config.simulate
-    # Every recording is drawn before --out is made, so a failed draw leaves no --out.
-    recordings = [synthesize_recording((label, sim), seed * 1000 + int(label) * 10 + rep,
-                                       id=f"{label.canonical_name.lower()}-r{rep}")
-                  for label in FaultLabel for rep in range(sim.recordings_per_class)]
-    out = _prepare_out(args.out)
-    artifacts = [path for rec in recordings for path in save_recording(rec, out / f"{rec.id}.csv")]
-    return Done(f"simulate: wrote {len(recordings)} recordings to {out}", out, artifacts)
+def cmd_simulate(args, config: RunConfig, seed: int, out: Path) -> Done:
+    sim, artifacts = config.simulate, []
+    for label in FaultLabel:  # one recording at a time, each written before the next is drawn
+        for rep in range(sim.recordings_per_class):
+            name = f"{label.canonical_name.lower()}-r{rep}"
+            artifacts += save_recording(synthesize_recording((label, sim), seed * 1000 + int(label) * 10 + rep,
+                                                             id=name), out / f"{name}.csv")
+    return Done(f"simulate: wrote {len(artifacts) // 2} recordings to {Path(args.out)}", artifacts)
 
 
-def cmd_srs(args, config: RunConfig, seed: int) -> Done:
+def cmd_srs(args, config: RunConfig, seed: int, out: None) -> Done:
     peaks = _torsional_peaks(args.recording, config.band)
     payload = {
         "peaks_hz": [p.center_hz for p in peaks],
         "prominence": [p.prominence for p in peaks],
     }
     if args.out:
-        _prepare_out(Path(args.out).parent)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return Done(json.dumps(payload))
 
 
-def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
+def cmd_featurize(args, config: RunConfig, seed: int, out: Path) -> Done:
     if args.srs:
         config.band.centers_hz = tuple(p.center_hz for p in _torsional_peaks(args.srs, config.band))
     # The windows are views into the recordings; both go once featurize returns,
@@ -164,29 +167,28 @@ def cmd_featurize(args, config: RunConfig, seed: int) -> Done:
     counters = {"examples": len(examples), **sift_counters(examples, config.emd.max_sift_iterations)}
     dataset = dataset_from_examples(examples, config_echo=config_to_dict(config), seed=seed)
     del examples
-    out = _prepare_out(args.out)
     save_dataset(dataset, out)
-    return Done(f"featurize: {len(dataset)} windows -> {out}", out,
+    return Done(f"featurize: {len(dataset)} windows -> {Path(args.out)}",
                 [out / "dataset.json", out / "dataset.bin"], extra=counters)
 
 
-def cmd_split(args, config: RunConfig, seed: int) -> Done:
+def cmd_split(args, config: RunConfig, seed: int, out: Path) -> Done:
     dataset_dir = Path(args.dataset)
     dataset = load_dataset(dataset_dir)
-    # Keep the featurize counters that the manifest being replaced recorded; read before any write.
+    # Keep the featurize counters that the manifest being replaced recorded.
     previous = dataset_dir / "manifest.json"
     extra = read_json(previous, MANIFEST_JSON)["extra"] if previous.is_file() else {}
     assign_splits(dataset, config.split, seed)
-    save_dataset_json(dataset, dataset_dir)
+    save_dataset_json(dataset, out)
     counts = {name: len(keys) for name, keys in dataset.splits.items()}
-    return Done(f"split: {counts}", dataset_dir, [dataset_dir / "dataset.json", dataset_dir / "dataset.bin"],
+    return Done(f"split: {counts}", [out / "dataset.json", dataset_dir / "dataset.bin"],
                 extra={**extra, **counts}, dataset=dataset)
 
 
-def cmd_train(args, config: RunConfig, seed: int) -> Done:
+def cmd_train(args, config: RunConfig, seed: int, out: Path) -> Done:
     tcfg = config.train
     tcfg.seed = seed
-    dataset = load_dataset(args.dataset)
+    dataset = _split_dataset(args.dataset)
     channels = dataset.images.shape[3]
     model = BRANCH_BUILDERS[args.branch](channels=channels, seed=seed)
 
@@ -194,7 +196,6 @@ def cmd_train(args, config: RunConfig, seed: int) -> Done:
     val_images, val_feats, _, val_onehot = dataset.arrays_for("val")
     model, history = train(model, (images, feats, onehot), (val_images, val_feats, val_onehot), tcfg)
 
-    out = _prepare_out(args.out)
     # The dataset is named by content only, so model.json does not depend on
     # the directory the run happens in.
     config_echo = {"branch": args.branch, "dataset_sha256": _sha256(Path(args.dataset) / "dataset.bin")}
@@ -202,14 +203,14 @@ def cmd_train(args, config: RunConfig, seed: int) -> Done:
     history.to_csv(out / "history.csv")
     return Done(f"train[{args.branch}]: {len(history)} epochs, best epoch {history.best_epoch}, "
                 f"val acc {history.val_accuracy[history.best_epoch - 1]:.4f}",
-                out, [out / "model.json", out / "model.bin", out / "history.csv"],
+                [out / "model.json", out / "model.bin", out / "history.csv"],
                 extra={"branch": args.branch, "epochs_run": len(history),
                        "best_epoch": history.best_epoch,
                        "best_val_loss": min(history.val_loss)},
                 dataset=dataset)
 
 
-def cmd_eval(args, config: RunConfig, seed: int) -> Done:
+def cmd_eval(args, config: RunConfig, seed: int, out: Path) -> Done:
     checkpoint = Path(args.checkpoint)
     model, model_manifest = load_model(checkpoint)
     trained = model_manifest["config"] or {}
@@ -220,24 +221,23 @@ def cmd_eval(args, config: RunConfig, seed: int) -> Done:
         if given != trained["dataset_sha256"]:
             raise ValueError(f"{data_bin}: sha256 {given}, but the checkpoint was trained on "
                              f"sha256 {trained['dataset_sha256']}")
-    dataset = load_dataset(args.dataset)
+    dataset = _split_dataset(args.dataset)
     image, feature = (layers is not None for layers in model.branches)
     branch = "hybrid" if image and feature else "cnn" if image else "mlp"
     images, feats, labels, _ = dataset.arrays_for(args.split)
     metrics = evaluate_arrays(model, images, feats, labels)
     report = classification_report(metrics)
 
-    out = _prepare_out(args.out)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     confusion_to_csv(metrics.confusion, out / "confusion.csv")
-    return Done(render_report(metrics), out, [out / "report.json", out / "confusion.csv"],
+    return Done(render_report(metrics), [out / "report.json", out / "confusion.csv"],
                 extra={"split": args.split, "branch": branch, "accuracy": metrics.accuracy,
                        "checkpoint": {name: _sha256(checkpoint / name)
                                       for name in ("model.json", "model.bin")}},
                 dataset=dataset)
 
 
-def cmd_embed(args, config: RunConfig, seed: int) -> Done:
+def cmd_embed(args, config: RunConfig, seed: int, out: Path) -> Done:
     dataset = load_dataset(args.dataset)
     flat = dataset.images.reshape(len(dataset), -1)
     model = pca_fit(flat)
@@ -245,7 +245,6 @@ def cmd_embed(args, config: RunConfig, seed: int) -> Done:
 
     picked = subsample_indices(len(dataset), args.max_points, seed)
     embedding, kl = tsne(reduced[picked], config.tsne, seed)
-    out = _prepare_out(args.out)
     curve = ["k,cumulative_ratio"] + [f"{k + 1},{float(r)!r}" for k, r in enumerate(model.cumulative_ratio)]
     (out / "variance_curve.csv").write_text("\n".join(curve) + "\n")
     rows = ["id,x,y,label"]
@@ -254,8 +253,8 @@ def cmd_embed(args, config: RunConfig, seed: int) -> Done:
         rows.append(f"{dataset.provenance[idx]},{float(embedding[pos, 0])!r},"
                     f"{float(embedding[pos, 1])!r},{label.canonical_name}")
     (out / "embedding.csv").write_text("\n".join(rows) + "\n")
-    return Done(f"embed: {picked.size} points, {reduced.shape[1]} components -> {out}",
-                out, [out / "variance_curve.csv", out / "embedding.csv"],
+    return Done(f"embed: {picked.size} points, {reduced.shape[1]} components -> {Path(args.out)}",
+                [out / "variance_curve.csv", out / "embedding.csv"],
                 extra={"points": int(picked.size),
                        "components": int(reduced.shape[1]),
                        "kl_after_exaggeration": float(kl[0]),
@@ -263,16 +262,15 @@ def cmd_embed(args, config: RunConfig, seed: int) -> Done:
                 dataset=dataset)
 
 
-def cmd_export_images(args, config: RunConfig, seed: int) -> Done:
+def cmd_export_images(args, config: RunConfig, seed: int, out: Path) -> Done:
     dataset = load_dataset(args.dataset)
-    out = _prepare_out(args.out)
     suffix = ".ppm" if dataset.images.shape[3] == 3 else ".pgm"
     artifacts = []
     for pixels, key in zip(dataset.images, dataset.provenance):
         path = out / (key.replace(":", "_") + suffix)
         write_image(pixels, path)
         artifacts.append(path)
-    return Done(f"export-images: {len(artifacts)} files -> {out}", out, artifacts, dataset=dataset)
+    return Done(f"export-images: {len(artifacts)} files -> {Path(args.out)}", artifacts, dataset=dataset)
 
 
 def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list[int]:
@@ -285,7 +283,7 @@ def _columns(flag: str, text: str, src: Path, n_columns: int, most: int) -> list
     return [int(c) for c in cols]
 
 
-def cmd_import(args, config: RunConfig, seed: int) -> Done:
+def cmd_import(args, config: RunConfig, seed: int, out: Path) -> Done:
     """Adapt an externally downloaded raw CSV into the recording format."""
     try:
         label = FaultLabel.from_name(args.label)
@@ -309,9 +307,8 @@ def cmd_import(args, config: RunConfig, seed: int) -> Done:
         angular=channels[:, -1],
         id=args.id or src.stem,
     )
-    out = _prepare_out(args.out)
     path, sidecar = save_recording(rec, out / f"{rec.id}.csv")
-    return Done(f"import: {src} -> {path} ({rec.n_samples} samples)", out, [path, sidecar])
+    return Done(f"import: {src} -> {Path(args.out) / path.name} ({rec.n_samples} samples)", [path, sidecar])
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +405,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = None  # the staging directory; its parent, the hidden one, goes on every exit
     try:
         config, seed = _configure(args)
-        done = args.func(args, config, seed)
-        if done.out is not None:
-            write_manifest(done.out, args.command, seed, config, done.artifacts, done.extra, done.dataset)
+        if args.command != "srs":
+            target = Path(args.dataset if args.command == "split" else args.out).resolve()
+            target.parent.mkdir(parents=True, exist_ok=True)
+            out = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent)) / "out"
+            out.mkdir()  # with a plain mkdir's mode, not mkdtemp's 0o700: it may become the target
+        done = args.func(args, config, seed, out)
+        if out is not None:
+            write_manifest(out, args.command, seed, config, done.artifacts, done.extra, done.dataset)
+            if target.exists():  # file by file, manifest.json last
+                for path in sorted(out.iterdir(), key=lambda p: p.name == "manifest.json"):
+                    path.replace(target / path.name)
+            else:
+                out.rename(target)
         print(done.message)
         return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if out is not None:
+            shutil.rmtree(out.parent, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -380,10 +380,8 @@ def save_dataset(dataset: FeaturizedDataset, out_dir) -> None:
     if dataset.labels.shape != (n,) or not np.isin(dataset.labels, range(N_CLASSES)).all():
         raise ValueError(f"save_dataset: labels of shape {dataset.labels.shape} are not {n} class indices "
                          f"in 0..{N_CLASSES - 1}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset_json(dataset, out_dir)
-    with open(out_dir / "dataset.bin", "wb") as fh:
+    with open(Path(out_dir) / "dataset.bin", "wb") as fh:
         for array in (dataset.images, dataset.features_raw, np.eye(N_CLASSES)[dataset.labels]):
             np.ascontiguousarray(array, dtype="<f8").tofile(fh)
 

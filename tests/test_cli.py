@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vibediag import cli
 from vibediag.cli import _FLAG_RULES, build_parser, main
 from vibediag.config import RunConfig, config_from_dict, config_to_dict, load_config, resolve_seed
 from vibediag.hybrid_model import build_mlp_only, evaluate_arrays, load_dataset, render_report
@@ -1023,3 +1025,91 @@ def test_main_writes_the_manifest_of_each_command_and_prints_its_one_message(eve
     for name, digest in manifest["artifacts"].items():
         assert hashlib.sha256((where / name).read_bytes()).hexdigest() == digest, name
     assert printed == MESSAGES[command](where, manifest) + "\n"
+
+
+def _fails_after(write, error=OSError("No space left on device")):
+    """``write``, made to raise ``error`` once it has written."""
+    def failing(*args, **kwargs):
+        write(*args, **kwargs)
+        raise error
+    return failing
+
+
+# The flags besides --out of each command that writes --out, given the desk_run and hop410_run roots.
+PARTIAL_WRITES = {
+    "simulate": lambda d, h: ["--seed", "7", *DESK_FLAGS],
+    "featurize": lambda d, h: ["--recordings", d / "recordings", "--seed", "7", *FEAT_FLAGS],
+    "train": lambda d, h: ["--dataset", d / "dataset", "--branch", "mlp", "--seed", "7", "--max-epochs", "1",
+                           "--patience", "1"],
+    "eval": lambda d, h: ["--checkpoint", h / "ckpt", "--dataset", h / "dataset"],
+    "embed": lambda d, h: ["--dataset", d / "dataset", "--perplexity", "8", "--iterations", "60",
+                           "--max-points", "60"],
+    "export-images": lambda d, h: ["--dataset", d / "dataset"],
+    "import": lambda d, h: ["--src", d / "recordings" / "normal-r0.csv", "--has-header", "--linear-cols", "1",
+                            "--angular-col", "2", "--sample-rate-hz", "8192", "--rpm", "1200", "--label", "Normal"],
+}
+
+
+@pytest.mark.parametrize("command", PARTIAL_WRITES)
+def test_a_command_whose_writer_fails_after_its_first_artifact_leaves_no_out_and_no_staging_directory(
+        desk_run, hop410_run, tmp_path, monkeypatch, capsys, command):
+    # Each command's first Path.write_text writes its first artifact, or a recording's sidecar
+    # right after the recording's CSV; export-images writes only images.
+    owner, name = (cli, "write_image") if command == "export-images" else (pathlib.Path, "write_text")
+    monkeypatch.setattr(owner, name, _fails_after(getattr(owner, name)))
+    out = tmp_path / "runs" / "out"
+    assert run([command, *PARTIAL_WRITES[command](desk_run, hop410_run), "--out", out]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert list(out.parent.iterdir()) == []
+
+
+def test_an_interrupt_from_a_writer_leaves_no_out_and_no_staging_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "save_recording", _fails_after(cli.save_recording, KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        run(["simulate", "--out", tmp_path / "runs" / "out", "--seed", "7", *DESK_FLAGS])
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_split_whose_manifest_fails_leaves_dataset_json_and_manifest_json_as_they_were(hop410_run, tmp_path,
+                                                                                       monkeypatch, capsys):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(hop410_run / "featurized", dataset)
+    kept = {path.name: path.read_bytes() for path in dataset.iterdir()}
+    monkeypatch.setattr(cli, "write_manifest", _fails_after(cli.write_manifest))
+    assert run(["split", "--dataset", dataset, "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert {path.name: path.read_bytes() for path in dataset.iterdir()} == kept
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
+def test_out_dot_and_an_out_holding_other_files_get_the_bytes_and_manifest_of_a_fresh_out(tmp_path, monkeypatch,
+                                                                                         capsys):
+    fresh, dot, full = (tmp_path / name for name in ("fresh", "dot", "full"))
+    assert run(["simulate", "--out", fresh, "--seed", "7", *DESK_FLAGS]) == 0
+    dot.mkdir()
+    full.mkdir()
+    for name in ("notes.txt", "normal-r0.csv", "manifest.json"):
+        (full / name).write_text("left by an earlier run\n")
+    capsys.readouterr()
+    monkeypatch.chdir(dot)
+    assert run(["simulate", "--out", ".", "--seed", "7", *DESK_FLAGS]) == 0
+    assert capsys.readouterr().out == "simulate: wrote 5 recordings to .\n"
+    assert run(["simulate", "--out", full, "--seed", "7", *DESK_FLAGS]) == 0
+    written = {path.name: path.read_bytes() for path in fresh.iterdir()}
+    assert {path.name: path.read_bytes() for path in dot.iterdir()} == written
+    assert {path.name: path.read_bytes() for path in full.iterdir()} == {
+        **written, "notes.txt": b"left by an earlier run\n"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dot", "fresh", "full"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("key", ["splits", "scaler"])
+def test_train_and_eval_name_the_dataset_json_whose_split_key_is_null(hop410_run, tmp_path, capsys, command, key):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(hop410_run / "dataset", dataset)
+    path = dataset / "dataset.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: None}))
+    flags = ["--checkpoint", hop410_run / "ckpt"] if command == "eval" else []
+    assert run([command, *flags, "--dataset", dataset, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} is null; run the split stage first\n"
+    assert not (tmp_path / "out").exists()
