@@ -4,12 +4,13 @@
 seed, runs the command, writes the manifest.json the command asks for and
 prints the command's message. A manifest records the command, package
 version, resolved seed, the full config echo and sha256 checksums of every
-artifact, so any run can be reproduced from its manifest alone. A command
-and then ``main`` write into a staging directory in a hidden one next to
-the target, --out (--dataset for ``split``); ``main`` renames it to a new
-target, or moves each file into an existing one with manifest.json last,
-and removes the hidden one on every exit, so a failed command leaves the
-target as it was. ``split`` stages only dataset.json; its manifest hashes
+artifact, so any run can be reproduced from its manifest alone. A command and
+then ``main`` write into a staging directory in a hidden one in the target's
+nearest existing ancestor; the target is --out (--dataset for ``split``).
+``main`` renames it to a new target, making its missing parents, or moves
+each file into an existing one with manifest.json last, and removes the
+hidden one on every exit, so a failed command leaves the target and its
+parents as they were. ``split`` stages only dataset.json; its manifest hashes
 --dataset's dataset.bin. ``srs`` writes only --out, if given: no manifest.
 """
 
@@ -410,8 +411,8 @@ def main(argv=None) -> int:
         config, seed = _configure(args)
         if args.command != "srs":
             target = Path(args.dataset if args.command == "split" else args.out).resolve()
-            target.parent.mkdir(parents=True, exist_ok=True)
-            out = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent)) / "out"
+            ancestor = next(p for p in target.parents if p.exists())  # missing parents are made on success
+            out = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=ancestor)) / "out"
             out.mkdir()  # with a plain mkdir's mode, not mkdtemp's 0o700: it may become the target
         done = args.func(args, config, seed, out)
         if out is not None:
@@ -420,6 +421,7 @@ def main(argv=None) -> int:
                 for path in sorted(out.iterdir(), key=lambda p: p.name == "manifest.json"):
                     path.replace(target / path.name)
             else:
+                target.parent.mkdir(parents=True, exist_ok=True)
                 out.rename(target)
         print(done.message)
         return 0

@@ -1,4 +1,4 @@
-"""Window-level featurization shared by the CLI and the experiment scripts.
+"""Window-level featurization shared by the CLI and the experiment script.
 
 With ``jobs > 1``, :func:`featurize_windows` imports the process pool only
 then, and loads the scipy a window runs (``scipy.linalg.lapack`` for the

@@ -353,6 +353,9 @@ SIDECAR_JSON = {"sample_rate_hz": (float, {"gt": 0}), "rpm": (float, {"gt": 0}),
                 ...: NOT_READ}
 
 
+_ROWS_PER_WRITE = 4096  # save_recording formats this many rows at a time: its text stays far below the arrays
+
+
 def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
     """Write ``<path>`` as CSV plus the ``<name>.meta.json`` sidecar, and return both paths.
 
@@ -361,11 +364,13 @@ def save_recording(recording: Recording, path: str | Path) -> tuple[Path, Path]:
     """
     path = Path(path)
     header = ["index", "linear_x", "linear_y"][: 1 + len(recording.linear)] + ["angular"]
-    columns = [*recording.linear.tolist(), recording.angular.tolist()]
-    row = ",".join(["%d"] + ["%r"] * len(columns)) + "\r\n"
+    row = ",".join(["%d"] + ["%r"] * (1 + len(recording.linear))) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join([row % values for values in zip(range(recording.n_samples), *columns)]))
+        for start in range(0, recording.n_samples, _ROWS_PER_WRITE):
+            block = slice(start, start + _ROWS_PER_WRITE)
+            columns = [*recording.linear[:, block].tolist(), recording.angular[block].tolist()]
+            fh.write("".join([row % values for values in zip(range(start, recording.n_samples), *columns)]))
     meta = {
         "sample_rate_hz": recording.sample_rate_hz,
         "rpm": recording.rpm,

@@ -1060,14 +1060,25 @@ def test_a_command_whose_writer_fails_after_its_first_artifact_leaves_no_out_and
     out = tmp_path / "runs" / "out"
     assert run([command, *PARTIAL_WRITES[command](desk_run, hop410_run), "--out", out]) == 1
     assert capsys.readouterr().err == "error: No space left on device\n"
-    assert list(out.parent.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_interrupt_from_a_writer_leaves_no_out_and_no_staging_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "save_recording", _fails_after(cli.save_recording, KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         run(["simulate", "--out", tmp_path / "runs" / "out", "--seed", "7", *DESK_FLAGS])
-    assert list((tmp_path / "runs").iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_command_leaves_none_of_its_outs_missing_parents_and_a_command_that_succeeds_makes_them(
+        tmp_path, capsys):
+    out = tmp_path / "new" / "a" / "b"
+    assert run(["train", "--dataset", tmp_path / "missing", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert run(["simulate", "--out", out, "--seed", "7", *DESK_FLAGS]) == 0
+    assert list(tmp_path.iterdir()) == [tmp_path / "new"]
+    assert (out / "manifest.json").is_file()
 
 
 def test_split_whose_manifest_fails_leaves_dataset_json_and_manifest_json_as_they_were(hop410_run, tmp_path,

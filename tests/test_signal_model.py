@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,9 +132,10 @@ def test_roundtrip_is_bitwise_identity(tmp_path):
     assert back.sample_rate_hz == rec.sample_rate_hz
 
 
+@pytest.mark.parametrize("repeats", [1, 1025], ids=["8-rows", "8200-rows"])  # 8,200 rows span three written blocks
 @pytest.mark.parametrize("channels", [1, 2])
-def test_a_saved_recording_has_the_bytes_csv_writer_writes(tmp_path, channels):
-    values = [0.1, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 123456.789, -2.5e-7, 3.0]
+def test_a_saved_recording_has_the_bytes_csv_writer_writes(tmp_path, channels, repeats):
+    values = [0.1, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 123456.789, -2.5e-7, 3.0] * repeats
     rec = Recording(sample_rate_hz=100.0, rpm=60.0, label=FaultLabel.NORMAL, id="r",
                     linear=[values, values[::-1]][:channels], angular=values[3:] + values[:3])
     path = tmp_path / "r.csv"
@@ -143,6 +145,17 @@ def test_a_saved_recording_has_the_bytes_csv_writer_writes(tmp_path, channels):
         writer.writerow(["index", "linear_x", "linear_y"][: 1 + channels] + ["angular"])
         writer.writerows(zip(range(len(values)), *rec.linear.tolist(), rec.angular.tolist()))
     assert path.read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+
+def test_save_recording_holds_less_than_the_recordings_own_arrays_at_desk_geometry(tmp_path):
+    rec = synthesize_recording(preset_spec(FaultLabel.COMBINED, duration_s=15.2, sample_rate_hz=8192.0), seed=0)
+    tracemalloc.start()
+    try:
+        save_recording(rec, tmp_path / "combined.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rec.linear.nbytes + rec.angular.nbytes
 
 
 def test_synthesis_is_deterministic():
